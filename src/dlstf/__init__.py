@@ -16,11 +16,9 @@ from .errors import DataError, NumericsError
 from .evaluation import (ArModel, ErrorReport, ar_fit, ar_forecast, bank_forecaster,
                          compute_metrics, evaluate, persistence_forecast,
                          persistence_forecaster)
-from .linalg import ActivationKind, activation_apply, activation_derivative, \
-    affine_combine, matmul
+from .linalg import ActivationKind, activation_apply, activation_derivative
 from .lstm import (LstmLayerParams, LstmNetwork, LstmStepState, gradient_check,
-                   init_params, lstm_step_backward, lstm_step_forward,
-                   net_backward, net_forward)
+                   init_params, lstm_step_forward, net_backward, net_forward)
 from .synth import synth_generate
 from .training import RmspropState, TrainConfig, TrainHistory, mae_loss, \
     rmsprop_update, train_model

@@ -22,8 +22,8 @@ from .dataset import (Normalizer, TimeSeriesPanel, denormalize, fit_normalizer,
                       format_timestamp, make_samples, normalize, HOUR)
 from .errors import DataError, NumericsError
 from .linalg import ActivationKind
-from .lstm import LstmLayerParams, LstmNetwork, init_params, net_forward
-from .training import TrainConfig, train_model
+from .lstm import LstmLayerParams, LstmNetwork, init_params, net_forward, predict_batches
+from .training import TrainConfig, stack_samples, train_model
 
 BANK_MAGIC = b"DLSTF\x00"
 BANK_VERSION = 1
@@ -138,7 +138,7 @@ class ModelBank:
         block = np.empty((cfg.h, cfg.n))
         for i in range(1, cfg.h + 1):
             seq = assemble_input(real, forecasts, i, cfg)
-            pred, _ = net_forward(self.models[i - 1], seq)
+            pred, _ = net_forward(self.models[i - 1], seq, keep_cache=False)
             forecasts[i] = pred
             block[i - 1] = pred
         return denormalize(block, nz)
@@ -163,10 +163,9 @@ class ForecastBlock:
         object.__setattr__(self, "block_start", np.datetime64(self.block_start, "s"))
 
 
-def _fill_overlay(overlay_row: np.ndarray, net: LstmNetwork, samples) -> None:
-    for (seq, _), t in zip(samples, samples.target_indices):
-        pred, _ = net_forward(net, seq)
-        overlay_row[t] = pred
+def _fill_overlay(overlay_row: np.ndarray, net: LstmNetwork, samples, chunk: int) -> None:
+    """Write the net's forecast for every sample's target row, `chunk` samples per pass."""
+    overlay_row[samples.target_indices] = predict_batches(net, stack_samples(samples)[0], chunk)
 
 
 def train_bank(train_panel: TimeSeriesPanel, val_panel: TimeSeriesPanel,
@@ -214,8 +213,8 @@ def train_bank(train_panel: TimeSeriesPanel, val_panel: TimeSeriesPanel,
         if progress is not None:
             progress(i, history)
         if i < cfg.h:
-            _fill_overlay(ov_train[i - 1], trained, tr)
-            _fill_overlay(ov_val[i - 1], trained, va)
+            _fill_overlay(ov_train[i - 1], trained, tr, tc.batch_size)
+            _fill_overlay(ov_val[i - 1], trained, va, tc.batch_size)
     return ModelBank(config=cfg, models=models, normalizer=nz)
 
 
@@ -299,7 +298,11 @@ class _Reader:
         return struct.unpack("<Q", self.take(8))[0]
 
     def f64s(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
+        start = self.pos
+        values = np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
+        if not np.all(np.isfinite(values)):
+            raise DataError(f"{self.path}: non-finite value in the f64 block at offset {start}")
+        return values
 
 
 def load_bank(path) -> ModelBank:
@@ -319,6 +322,9 @@ def load_bank(path) -> ModelBank:
     if h < 1 or ell < 1 or n < 1:
         raise DataError(f"{path}: invalid dimensions h={h}, ell={ell}, n={n}")
     pairs = r.f64s(2 * n)
+    bad = np.flatnonzero(pairs[1::2] < pairs[0::2])
+    if bad.size:
+        raise DataError(f"{path}: normalizer of station {bad[0]} has min > max")
     # station identity is not part of the format; stations match by CSV position
     nz = Normalizer(tuple(str(k) for k in range(n)), pairs[0::2], pairs[1::2])
     total = 2 * n

@@ -117,21 +117,25 @@ class RunConfig:
         return self._parse(key, parse_timestamp, "timestamp (YYYY-MM-DDTHH:00:00Z)")
 
     def horizon_config(self, n: int) -> HorizonConfig:
-        return HorizonConfig.default(
-            n=n,
-            h=self.get_int("h"),
-            ell=self.get_int("ell"),
-            seed=self.get_int("seed"),
-            first_widths=self.get_widths("m1_layers"),
-            later_widths=self.get_widths("mi_layers"),
-            learning_rate=self.get_float("learning_rate"),
-            rho=self.get_float("rho"),
-            epsilon=self.get_float("epsilon"),
-            batch_size=self.get_int("batch_size"),
-            max_epochs=self.get_int("max_epochs"),
-            patience=self.get_int("patience"),
-            clip_norm=self.get_float("clip_norm"),
-        )
+        """The bank shape and training settings; an out-of-range value is a usage error."""
+        try:
+            return HorizonConfig.default(
+                n=n,
+                h=self.get_int("h"),
+                ell=self.get_int("ell"),
+                seed=self.get_int("seed"),
+                first_widths=self.get_widths("m1_layers"),
+                later_widths=self.get_widths("mi_layers"),
+                learning_rate=self.get_float("learning_rate"),
+                rho=self.get_float("rho"),
+                epsilon=self.get_float("epsilon"),
+                batch_size=self.get_int("batch_size"),
+                max_epochs=self.get_int("max_epochs"),
+                patience=self.get_int("patience"),
+                clip_norm=self.get_float("clip_norm"),
+            )
+        except ValueError as exc:
+            raise UsageError(f"invalid configuration: {exc}") from None
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -192,8 +196,10 @@ def _split_train_val(panel: TimeSeriesPanel, cfg: RunConfig
     else:
         frac_a = cfg.get_float("train_frac")
         frac_b = frac_a + cfg.get_float("val_frac")
+        if not 0 < frac_a < frac_b <= 1:
+            raise UsageError("train_frac and val_frac must be positive and sum to at most 1")
         a = int(panel.n_times * frac_a)
-        b = min(int(panel.n_times * frac_b), panel.n_times)
+        b = int(panel.n_times * frac_b)
         if not 0 < a < b:
             raise DataError(f"panel too short (T={panel.n_times}) for the requested fractions")
     return panel.slice_rows(0, a), panel.slice_rows(a, b)
@@ -314,7 +320,7 @@ def _cmd_baseline(args) -> int:
     _log(f"seed = {cfg.values['seed']}  config_digest = {cfg.digest()}")
     panel = _load_panel(cfg, args.data)
     h, ell = cfg.get_int("h"), cfg.get_int("ell")
-    hcfg_schedule = HorizonConfig.default(n=panel.n_stations, h=h, ell=ell)
+    hcfg_schedule = cfg.horizon_config(panel.n_stations)
     if cfg.get_timestamp("test_start") is None:
         # without an explicit window, hold out the tail past train_frac
         first = max(ell, int(panel.n_times * cfg.get_float("train_frac")))

@@ -233,11 +233,14 @@ def fit_ar_models(panel: TimeSeriesPanel, p: int) -> list[ArModel]:
 
 
 def ar_forecaster(models: list[ArModel], h: int):
+    """Adapt per-station AR models; each forecasts from its station's last `order` rows."""
     def forecast(history: np.ndarray) -> np.ndarray:
         out = np.empty((h, len(models)))
         for s, m in enumerate(models):
-            col = history[:, s]
-            finite = col[np.isfinite(col)]
-            out[:, s] = ar_forecast(m, finite, h)
+            lags = history[-m.order:, s]
+            if not np.all(np.isfinite(lags)):
+                raise DataError(f"station {m.station_id!r}: the last {m.order} history rows "
+                                "must all be observed for an AR forecast")
+            out[:, s] = ar_forecast(m, lags, h)
         return out
     return forecast

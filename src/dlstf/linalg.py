@@ -1,9 +1,7 @@
-"""Dense float64 linear algebra and activation functions.
+"""Float64 activation functions and their derivatives, plus a vector check.
 
-Matrices are 2-D C-contiguous float64 ndarrays (row-major), vectors are 1-D
-float64 ndarrays. All operations are pure: the same inputs always produce
-bit-identical outputs (numpy dispatches to a single fixed BLAS build, so the
-reduction order never varies between calls or runs on one machine).
+All operations are elementwise and pure: the same inputs always produce
+bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -25,37 +23,6 @@ def as_vector(x) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     return v
-
-
-def as_matrix(x) -> np.ndarray:
-    m = np.ascontiguousarray(x, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    return m
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product a @ b with an explicit shape check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def affine_combine(w: np.ndarray, x: np.ndarray, u: np.ndarray,
-                   h: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Shared gate pre-activation form: w @ x + u @ h + b."""
-    w, u = as_matrix(w), as_matrix(u)
-    x, h, b = as_vector(x), as_vector(h), as_vector(b)
-    if w.shape[1] != x.shape[0]:
-        raise ValueError(f"affine_combine: w is {w.shape} but x has length {x.shape[0]}")
-    if u.shape[1] != h.shape[0]:
-        raise ValueError(f"affine_combine: u is {u.shape} but h has length {h.shape[0]}")
-    if not (w.shape[0] == u.shape[0] == b.shape[0]):
-        raise ValueError(
-            f"affine_combine: row counts differ (w {w.shape[0]}, u {u.shape[0]}, b {b.shape[0]})")
-    return w @ x + u @ h + b
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:

@@ -15,18 +15,23 @@ more such layers and applies a dense head to the top layer's final h.
 Parameters are stored with the four gates fused row-wise in the order
 f, i, k, o: w is (4H, D), u is (4H, H), b is (4H,). The per-gate blocks
 (w_f, u_k, ...) are zero-copy views into the fused arrays.
+
+The network runs time-major over a batch of B sequences: layer inputs are
+(L, B, D) arrays. The input projection x_t W^T + b of all L*B rows is one
+matrix product taken before the recurrence, which then only adds h_{t-1} U^T
+to one (B, 4H) gate block per step; the backward pass forms each weight
+gradient as one product over the L*B rows (Appleyard et al. 2016,
+arXiv:1604.01946). A single (L, n) sequence is the B = 1 case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (ActivationKind, activation_apply, activation_derivative,
-                     activation_derivative_from_output, as_vector)
-
-GATE_ORDER = ("f", "i", "k", "o")
+from .linalg import (ActivationKind, activation_apply, activation_derivative_from_output,
+                     as_vector)
 
 # Test-only hook: when True, the candidate-gate term of every backward step
 # has its sign flipped. Used to prove gradient_check detects a wrong backward.
@@ -109,16 +114,14 @@ class LstmLayerParams(_GateViews):
 
 @dataclass
 class LstmStepState:
-    """Activations of one step plus the cached gate pre-activations (4H,)."""
+    """Gate activations, cell state and output of one recurrence step."""
 
-    pre: np.ndarray
     f: np.ndarray
     i: np.ndarray
     k: np.ndarray
-    c: np.ndarray
     o: np.ndarray
+    c: np.ndarray
     h: np.ndarray
-    tanh_c: np.ndarray
 
 
 @dataclass
@@ -133,6 +136,10 @@ class LayerGrads(_GateViews):
     @classmethod
     def zeros(cls, p: LstmLayerParams) -> "LayerGrads":
         return cls(p.hidden_dim, np.zeros_like(p.w), np.zeros_like(p.u), np.zeros_like(p.b))
+
+
+def _flat_arrays(obj) -> list[np.ndarray]:
+    return [a for l in obj.layers for a in (l.w, l.u, l.b)] + [obj.head_w, obj.head_b]
 
 
 @dataclass
@@ -173,11 +180,7 @@ class LstmNetwork:
 
     def param_arrays(self) -> list[np.ndarray]:
         """Flat parameter list in a fixed order: per layer w, u, b; then head."""
-        out: list[np.ndarray] = []
-        for l in self.layers:
-            out.extend((l.w, l.u, l.b))
-        out.extend((self.head_w, self.head_b))
-        return out
+        return _flat_arrays(self)
 
 
 @dataclass
@@ -192,166 +195,184 @@ class NetworkGradients:
                    np.zeros_like(net.head_w), np.zeros_like(net.head_b))
 
     def arrays(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for l in self.layers:
-            out.extend((l.w, l.u, l.b))
-        out.extend((self.head_w, self.head_b))
-        return out
+        """Gradient arrays in the order of LstmNetwork.param_arrays."""
+        return _flat_arrays(self)
+
+
+@dataclass
+class _LayerCache:
+    """One layer's time-major forward record: input x (L, B, D), activated gates
+    (L, B, 4H), tanh_c (L, B, H), and c, h (L+1, B, H) led by the zero state."""
+
+    x: np.ndarray
+    gates: np.ndarray
+    c: np.ndarray
+    tanh_c: np.ndarray
+    h: np.ndarray
 
 
 @dataclass
 class ForwardCache:
-    """Everything net_backward needs: per-layer input rows and step states."""
+    """Everything net_backward needs: per-layer records and the head output."""
 
-    layer_inputs: list[np.ndarray]        # layer j: (L, D_j) array of its inputs
-    layer_states: list[list[LstmStepState]]
-    head_pre: np.ndarray
-    prediction: np.ndarray
+    layers: list[_LayerCache]
+    prediction: np.ndarray    # as net_forward returned it: (n,) or (B, n)
+
+
+def _cell(p: LstmLayerParams, xw_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
+    """The gate equations of one step, given the input projection xw_t = x_t W^T + b.
+
+    Works on single rows and on (B, ·) blocks alike. Returns the activated
+    gates (f, i, k, o fused like the pre-activations), c_t, tanh(c_t) and h_t.
+    """
+    hid = p.hidden_dim
+    pre = xw_t + h_prev @ p.u.T
+    # one activation call over the fused block, then tanh over the candidate
+    # slice: cheaper per step than three calls on the f, i and o slices
+    gates = activation_apply(pre, p.gate_activation)
+    gates[..., 2 * hid:3 * hid] = np.tanh(pre[..., 2 * hid:3 * hid])
+    c = gates[..., :hid] * c_prev
+    c += gates[..., hid:2 * hid] * gates[..., 2 * hid:3 * hid]
+    tanh_c = np.tanh(c)
+    return gates, c, tanh_c, gates[..., 3 * hid:] * tanh_c
 
 
 def lstm_step_forward(p: LstmLayerParams, x_t: np.ndarray, h_prev: np.ndarray,
                       c_prev: np.ndarray) -> LstmStepState:
-    """One recurrence step; caches pre-activations for the backward pass."""
+    """One recurrence step on single vectors, through the same gate code as net_forward."""
     hid = p.hidden_dim
     x_t, h_prev, c_prev = as_vector(x_t), as_vector(h_prev), as_vector(c_prev)
     if x_t.shape[0] != p.input_dim:
         raise ValueError(f"x_t must have length {p.input_dim}, got {x_t.shape[0]}")
     if h_prev.shape[0] != hid or c_prev.shape[0] != hid:
         raise ValueError(f"h_prev and c_prev must have length {hid}")
-    # w @ x + u @ h + b, evaluated in the same order as affine_combine
-    pre = p.w @ x_t
-    pre += p.u @ h_prev
-    pre += p.b
-    f = activation_apply(pre[0 * hid:1 * hid], p.gate_activation)
-    i = activation_apply(pre[1 * hid:2 * hid], p.gate_activation)
-    k = activation_apply(pre[2 * hid:3 * hid], ActivationKind.TANH)
-    o = activation_apply(pre[3 * hid:4 * hid], p.gate_activation)
-    c = f * c_prev + i * k
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-    return LstmStepState(pre=pre, f=f, i=i, k=k, c=c, o=o, h=h, tanh_c=tanh_c)
+    gates, c, _, h = _cell(p, x_t @ p.w.T + p.b, h_prev, c_prev)
+    return LstmStepState(*(gates[g * hid:(g + 1) * hid] for g in range(4)), c=c, h=h)
 
 
-def _step_backward_core(p: LstmLayerParams, state: LstmStepState, c_prev: np.ndarray,
-                        dh_t: np.ndarray, dc_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gate calculus of one backward step.
+def _layer_forward(p: LstmLayerParams, x: np.ndarray, keep_cache: bool):
+    """Run one layer over (L, B, D) inputs; returns the (L, B, H) h sequence and,
+    with keep_cache, the layer's _LayerCache."""
+    steps, batch, d = x.shape
+    hid = p.hidden_dim
+    xw = (x.reshape(steps * batch, d) @ p.w.T).reshape(steps, batch, 4 * hid)
+    xw += p.b
+    h_all = np.zeros((steps + 1, batch, hid))
+    c = np.zeros((batch, hid))
+    if keep_cache:
+        gates_all = np.empty((steps, batch, 4 * hid))
+        c_all = np.zeros((steps + 1, batch, hid))
+        tanh_all = np.empty((steps, batch, hid))
+    for t in range(steps):
+        gates, c, tanh_c, h_all[t + 1] = _cell(p, xw[t], h_all[t], c)
+        if keep_cache:
+            gates_all[t], c_all[t + 1], tanh_all[t] = gates, c, tanh_c
+    cache = _LayerCache(x, gates_all, c_all, tanh_all, h_all) if keep_cache else None
+    return h_all[1:], cache
 
-    Returns (dpre, dc_prev) where dpre is the (4H,) gradient at the fused gate
-    pre-activations and dc_prev the gradient flowing into c_{t-1}.
+
+def net_forward(net: LstmNetwork, seq, keep_cache: bool = True
+                ) -> tuple[np.ndarray, ForwardCache | None]:
+    """Run sequences through all layers and the head.
+
+    `seq` is one sequence, an (L, n) array or a length-L list of vectors, or a
+    time-major (L, B, n) batch, L >= 1. Initial h and c are zero for every
+    layer. Returns the head output, (n,) or (B, n), and the caches required
+    by net_backward, or None when keep_cache is false.
     """
+    x = np.asarray(seq, dtype=np.float64)
+    if x.size == 0:
+        raise ValueError("net_forward: empty input sequence")
+    single = x.ndim == 2
+    if single:
+        x = x[:, None, :]
+    if x.ndim != 3 or x.shape[2] != net.input_dim:
+        raise ValueError(
+            f"net_forward: expected (L, {net.input_dim}) or (L, B, {net.input_dim}) input, "
+            f"got {np.shape(seq)}")
+    layer_caches: list[_LayerCache] = []
+    for p in net.layers:
+        x, cache = _layer_forward(p, x, keep_cache)
+        layer_caches.append(cache)
+    head_pre = x[-1] @ net.head_w.T + net.head_b
+    prediction = activation_apply(head_pre, net.head_activation)
+    if single:
+        prediction = prediction[0]
+    cache = ForwardCache(layer_caches, prediction) if keep_cache else None
+    return prediction, cache
+
+
+def predict_batches(net: LstmNetwork, x: np.ndarray, chunk: int) -> np.ndarray:
+    """Forward-only (N, n) predictions for a time-major (L, N, n) input, `chunk`
+    sequences per pass so that no pass holds more than a chunk's activations."""
+    return np.concatenate([net_forward(net, x[:, lo:lo + chunk], keep_cache=False)[0]
+                           for lo in range(0, x.shape[1], chunk)])
+
+
+def _layer_backward(p: LstmLayerParams, lc: _LayerCache, dh_seq: np.ndarray,
+                    g: LayerGrads) -> np.ndarray:
+    """BPTT through one layer, given the (L, B, H) gradient arriving at each h_t
+    from above. Adds the parameter gradients into g; returns the (L*B, 4H)
+    gradient at the gate pre-activations."""
+    steps, batch, d = lc.x.shape
     hid = p.hidden_dim
     gact = p.gate_activation
-    dc_total = dc_t + dh_t * state.o * (1.0 - state.tanh_c * state.tanh_c)
-    dpre = np.empty(4 * hid)
-    # gate derivatives come from the cached activations; bit-identical to
-    # re-evaluating activation_derivative at the cached pre-activations
-    dpre[0 * hid:1 * hid] = dc_total * c_prev * activation_derivative_from_output(gact, state.f)
-    dpre[1 * hid:2 * hid] = dc_total * state.k * activation_derivative_from_output(gact, state.i)
-    dpre[2 * hid:3 * hid] = dc_total * state.i * (1.0 - state.k * state.k)
-    dpre[3 * hid:4 * hid] = dh_t * state.tanh_c * activation_derivative_from_output(gact, state.o)
-    if _CORRUPT_BACKWARD:
-        dpre[2 * hid:3 * hid] *= -1.0
-    dc_prev = dc_total * state.f
-    return dpre, dc_prev
-
-
-def lstm_step_backward(p: LstmLayerParams, state: LstmStepState,
-                       inputs: tuple[np.ndarray, np.ndarray, np.ndarray],
-                       dh_t: np.ndarray, dc_t: np.ndarray
-                       ) -> tuple[LayerGrads, np.ndarray, np.ndarray, np.ndarray]:
-    """Exact partials of a scalar loss through one step.
-
-    `inputs` is the (x_t, h_prev, c_prev) triple the state was produced from;
-    dh_t and dc_t are the upstream gradients at h_t and c_t. Returns
-    (param_grads, dx_t, dh_prev, dc_prev). Parameter gradients from successive
-    steps add.
-    """
-    x_t, h_prev, c_prev = (as_vector(v) for v in inputs)
-    dh_t, dc_t = as_vector(dh_t), as_vector(dc_t)
-    if dh_t.shape[0] != p.hidden_dim or dc_t.shape[0] != p.hidden_dim:
-        raise ValueError(f"upstream gradients must have length {p.hidden_dim}")
-    dpre, dc_prev = _step_backward_core(p, state, c_prev, dh_t, dc_t)
-    grads = LayerGrads(p.hidden_dim, np.outer(dpre, x_t), np.outer(dpre, h_prev), dpre.copy())
-    dx_t = p.w.T @ dpre
-    dh_prev = p.u.T @ dpre
-    return grads, dx_t, dh_prev, dc_prev
-
-
-def net_forward(net: LstmNetwork, seq) -> tuple[np.ndarray, ForwardCache]:
-    """Run a sequence through all layers and the head.
-
-    `seq` is a length-L list of input vectors or an (L, n) array, L >= 1.
-    Initial h and c are zero for every layer. Returns the head output and the
-    caches required by net_backward.
-    """
-    rows = [as_vector(r) for r in seq]
-    if not rows:
-        raise ValueError("net_forward: empty input sequence")
-    layer_inputs: list[np.ndarray] = []
-    layer_states: list[list[LstmStepState]] = []
-    for p in net.layers:
-        layer_inputs.append(np.stack(rows))
-        h = np.zeros(p.hidden_dim)
-        c = np.zeros(p.hidden_dim)
-        states: list[LstmStepState] = []
-        for x_t in rows:
-            st = lstm_step_forward(p, x_t, h, c)
-            h, c = st.h, st.c
-            states.append(st)
-        layer_states.append(states)
-        rows = [st.h for st in states]
-    h_last = layer_states[-1][-1].h
-    head_pre = net.head_w @ h_last + net.head_b
-    prediction = activation_apply(head_pre, net.head_activation)
-    return prediction, ForwardCache(layer_inputs, layer_states, head_pre, prediction)
+    dpre = np.empty((steps, batch, 4 * hid))
+    dh_carry = np.zeros((batch, hid))
+    dc = np.zeros((batch, hid))
+    for t in range(steps - 1, -1, -1):
+        dh = dh_seq[t] + dh_carry
+        gates, tanh_c = lc.gates[t], lc.tanh_c[t]
+        f, i, k, o = (gates[:, q * hid:(q + 1) * hid] for q in range(4))
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        # gate derivatives come from the cached activations
+        dpre[t, :, :hid] = dc * lc.c[t] * activation_derivative_from_output(gact, f)
+        dpre[t, :, hid:2 * hid] = dc * k * activation_derivative_from_output(gact, i)
+        dpre[t, :, 2 * hid:3 * hid] = dc * i * (1.0 - k * k)
+        dpre[t, :, 3 * hid:] = dh * tanh_c * activation_derivative_from_output(gact, o)
+        if _CORRUPT_BACKWARD:
+            dpre[t, :, 2 * hid:3 * hid] *= -1.0
+        dc = dc * f
+        dh_carry = dpre[t] @ p.u
+    rows = dpre.reshape(steps * batch, 4 * hid)
+    g.w += rows.T @ lc.x.reshape(steps * batch, d)
+    g.u += rows.T @ lc.h[:-1].reshape(steps * batch, hid)
+    g.b += rows.sum(axis=0)
+    return rows
 
 
 def net_backward(net: LstmNetwork, cache: ForwardCache,
                  dloss_dpred: np.ndarray) -> NetworkGradients:
-    """Exact loss gradient w.r.t. every parameter, by backpropagation through time."""
-    if len(cache.layer_states) != len(net.layers):
+    """Exact loss gradient w.r.t. every parameter, by backpropagation through time.
+
+    `dloss_dpred` has the shape of the prediction net_forward returned; the
+    gradients of a batch are the sums over its sequences.
+    """
+    if len(cache.layers) != len(net.layers):
         raise ValueError("cache does not match network: layer count differs")
-    for p, x in zip(net.layers, cache.layer_inputs):
-        if x.shape[1] != p.input_dim:
-            raise ValueError("cache does not match network: input width differs")
-    dloss_dpred = as_vector(dloss_dpred)
-    if dloss_dpred.shape[0] != net.output_dim:
-        raise ValueError(f"dloss_dpred must have length {net.output_dim}")
+    for p, lc in zip(net.layers, cache.layers):
+        if lc.x.shape[2] != p.input_dim or lc.h.shape[2] != p.hidden_dim:
+            raise ValueError("cache does not match network: layer width differs")
+    dloss_dpred = np.asarray(dloss_dpred, dtype=np.float64)
+    if dloss_dpred.shape != cache.prediction.shape:
+        raise ValueError(f"dloss_dpred must have shape {cache.prediction.shape}, "
+                         f"got {dloss_dpred.shape}")
 
     grads = NetworkGradients.zeros_like(net)
-    dpre_head = dloss_dpred * activation_derivative(net.head_activation, cache.head_pre)
-    h_last = cache.layer_states[-1][-1].h
-    grads.head_w += np.outer(dpre_head, h_last)
-    grads.head_b += dpre_head
+    out = cache.prediction.reshape(-1, net.output_dim)
+    dpre_head = dloss_dpred.reshape(out.shape) * activation_derivative_from_output(
+        net.head_activation, out)
+    top = cache.layers[-1]
+    grads.head_w += dpre_head.T @ top.h[-1]
+    grads.head_b += dpre_head.sum(axis=0)
 
-    steps = len(cache.layer_states[0])
     # dh arriving at each step of the current layer from the layer above
-    dh_seq = np.zeros((steps, net.layers[-1].hidden_dim))
-    dh_seq[-1] = net.head_w.T @ dpre_head
-
+    dh_seq = np.zeros_like(top.tanh_c)
+    dh_seq[-1] = dpre_head @ net.head_w
     for j in range(len(net.layers) - 1, -1, -1):
-        p = net.layers[j]
-        states = cache.layer_states[j]
-        x_rows = cache.layer_inputs[j]
-        dpre_rows = np.empty((steps, 4 * p.hidden_dim))
-        dh_carry = np.zeros(p.hidden_dim)
-        dc_carry = np.zeros(p.hidden_dim)
-        for t in range(steps - 1, -1, -1):
-            c_prev = states[t - 1].c if t > 0 else np.zeros(p.hidden_dim)
-            dpre, dc_carry = _step_backward_core(p, states[t], c_prev,
-                                                 dh_seq[t] + dh_carry, dc_carry)
-            dpre_rows[t] = dpre
-            dh_carry = p.u.T @ dpre
-        # h inputs to the recurrence: zeros at t=0, then h_0 .. h_{L-2}
-        h_prev_rows = np.zeros((steps, p.hidden_dim))
-        for t in range(1, steps):
-            h_prev_rows[t] = states[t - 1].h
-        g = grads.layers[j]
-        g.w += dpre_rows.T @ x_rows
-        g.u += dpre_rows.T @ h_prev_rows
-        g.b += dpre_rows.sum(axis=0)
+        dpre = _layer_backward(net.layers[j], cache.layers[j], dh_seq, grads.layers[j])
         if j > 0:
-            dh_seq = dpre_rows @ p.w
+            dh_seq = (dpre @ net.layers[j].w).reshape(cache.layers[j].x.shape)
     return grads
 
 
@@ -369,7 +390,7 @@ def gradient_check(net: LstmNetwork, sample, eps: float) -> float:
     m = target.shape[0]
 
     def loss_of(network: LstmNetwork) -> float:
-        pred, _ = net_forward(network, seq)
+        pred, _ = net_forward(network, seq, keep_cache=False)
         d = pred - target
         return float(0.5 * np.dot(d, d) / m)
 

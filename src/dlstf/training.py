@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericsError
-from .linalg import as_vector
-from .lstm import LstmNetwork, NetworkGradients, net_backward, net_forward
+from .lstm import LstmNetwork, net_backward, net_forward, predict_batches
 
 
 @dataclass(frozen=True)
@@ -53,15 +52,19 @@ class TrainHistory:
 
 
 def mae_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean absolute error and its subgradient (sign(0) taken as 0)."""
-    pred, target = as_vector(pred), as_vector(target)
-    if pred.shape[0] != target.shape[0]:
-        raise ValueError(f"length mismatch: pred {pred.shape[0]} vs target {target.shape[0]}")
-    m = pred.shape[0]
-    if m == 0:
+    """Mean absolute error over all elements and its subgradient (sign(0) taken as 0).
+
+    `pred` and `target` are one (n,) prediction or a (B, n) batch; the
+    batch loss is the mean of the per-sample losses.
+    """
+    pred = np.asarray(pred, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if pred.shape != target.shape or pred.ndim not in (1, 2):
+        raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
+    if pred.size == 0:
         raise ValueError("mae_loss needs at least one element")
     d = pred - target
-    return float(np.mean(np.abs(d))), np.sign(d) / m
+    return float(np.mean(np.abs(d))), np.sign(d) / d.size
 
 
 def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
@@ -95,13 +98,17 @@ def rmsprop_update(params: list[np.ndarray], grads: list[np.ndarray],
         p -= cfg.learning_rate * g / np.sqrt(s + cfg.epsilon)
 
 
-def _mean_val_mae(net: LstmNetwork, val_samples) -> float:
-    total = 0.0
-    for seq, target in val_samples:
-        pred, _ = net_forward(net, seq)
-        loss, _ = mae_loss(pred, target)
-        total += loss
-    return total / len(val_samples)
+def stack_samples(samples) -> tuple[np.ndarray, np.ndarray]:
+    """(sequence, target) pairs as one time-major (L, N, n) input and (N, n) targets."""
+    x = np.stack([np.asarray(seq, dtype=np.float64) for seq, _ in samples], axis=1)
+    y = np.stack([np.asarray(target, dtype=np.float64) for _, target in samples])
+    return x, y
+
+
+def _mean_val_mae(net: LstmNetwork, val_samples, chunk: int = TrainConfig.batch_size) -> float:
+    """Mean over samples of the per-sample MAE, forward only in chunks of `chunk` samples."""
+    x, y = stack_samples(val_samples)
+    return float(np.mean(np.mean(np.abs(predict_batches(net, x, chunk) - y), axis=1)))
 
 
 def train_model(net: LstmNetwork, train_samples, val_samples, cfg: TrainConfig,
@@ -109,9 +116,11 @@ def train_model(net: LstmNetwork, train_samples, val_samples, cfg: TrainConfig,
     """Train a copy of `net` on (sequence, target) samples.
 
     Each epoch shuffles the samples with the seeded PRNG
-    Generator(PCG64(SeedSequence([seed, 1]))), accumulates per-sample MAE
-    gradients over each mini-batch in sample order, averages them, and takes
-    one RMSprop step per batch. Validation MAE is computed every epoch;
+    Generator(PCG64(SeedSequence([seed, 1]))) and cuts the permutation into
+    mini-batches. Each batch runs as one (L, B, n) forward and backward pass
+    whose gradient is the mean of the per-sample MAE gradients, reduced over
+    the batch by BLAS; one RMSprop step follows per batch. Validation MAE is
+    computed every epoch, forward only in chunks of batch_size samples;
     training stops once it has failed to improve for `patience` consecutive
     epochs, and the parameters from the best validation epoch are returned.
 
@@ -128,6 +137,7 @@ def train_model(net: LstmNetwork, train_samples, val_samples, cfg: TrainConfig,
     state = RmspropState(params)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 1])))
     history = TrainHistory()
+    x_train, y_train = stack_samples(train_samples)
 
     best_val = np.inf
     best_params: list[np.ndarray] = [p.copy() for p in params]
@@ -138,31 +148,19 @@ def train_model(net: LstmNetwork, train_samples, val_samples, cfg: TrainConfig,
         loss_sum = 0.0
         for batch_no, start in enumerate(range(0, len(order), cfg.batch_size), start=1):
             batch = order[start:start + cfg.batch_size]
-            accum = NetworkGradients.zeros_like(work)
-            accum_arrays = accum.arrays()
-            batch_loss = 0.0
-            for idx in batch:
-                seq, target = train_samples[idx]
-                pred, cache = net_forward(work, seq)
-                loss, dpred = mae_loss(pred, target)
-                batch_loss += loss
-                g = net_backward(work, cache, dpred)
-                for a, b in zip(accum_arrays, g.arrays()):
-                    a += b
-            if not np.isfinite(batch_loss):
+            pred, cache = net_forward(work, x_train[:, batch])
+            loss, dpred = mae_loss(pred, y_train[batch])
+            if not np.isfinite(loss):
                 raise NumericsError(
                     f"non-finite training loss at epoch {epoch}, batch {batch_no}")
-            inv = 1.0 / len(batch)
-            for a in accum_arrays:
-                a *= inv
-            loss_sum += batch_loss
-            rmsprop_update(params, accum_arrays, state, cfg)
+            loss_sum += loss * len(batch)
+            rmsprop_update(params, net_backward(work, cache, dpred).arrays(), state, cfg)
 
         train_loss = loss_sum / len(train_samples)
         if _val_loss_fn is not None:
             val_loss = float(_val_loss_fn(work, epoch))
         else:
-            val_loss = _mean_val_mae(work, val_samples)
+            val_loss = _mean_val_mae(work, val_samples, cfg.batch_size)
         history.train_losses.append(train_loss)
         history.val_losses.append(val_loss)
         history.stopped_epoch = epoch

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,27 @@ class TestSerialization:
         save_bank(bank, path)
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(DataError, match="trailing"):
+            load_bank(path)
+
+    @pytest.mark.parametrize("case", ["min_above_max", "nan_normalizer", "inf_weight"])
+    def test_invalid_values_rejected(self, small_bank_setup, tmp_path, case):
+        _, _, _, _, cfg, bank = small_bank_setup
+        path = tmp_path / f"{case}.bank"
+        save_bank(bank, path)
+        data = bytearray(path.read_bytes())
+        norm = len(BANK_MAGIC) + 16  # station 0's min, then its max
+        if case == "min_above_max":
+            data[norm:norm + 16] = data[norm + 8:norm + 16] + data[norm:norm + 8]
+            match = "min > max"
+        elif case == "nan_normalizer":
+            data[norm:norm + 8] = struct.pack("<d", float("nan"))
+            match = "non-finite"
+        else:
+            first_weight = norm + 16 * cfg.n + 12  # past the layer count and dims
+            data[first_weight:first_weight + 8] = struct.pack("<d", float("inf"))
+            match = "non-finite"
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError, match=match):
             load_bank(path)
 
     def test_non_default_activation_rejected(self, small_bank_setup, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dlstf.bank import HorizonConfig, load_bank
+from dlstf.bank import BANK_MAGIC, HorizonConfig, load_bank
 from dlstf.cli import run_cli
 from dlstf.dataset import ingest_csv
 from dlstf.evaluation import bank_forecaster, block_walk
@@ -64,6 +64,19 @@ class TestUsageErrors:
         cfg.write_text("no_such_key = 1\n")
         assert run("train", "--config", str(cfg), "--data", "x", "--out", "y") == 1
 
+    def test_zero_horizon(self, tiny_data, tmp_path, capsys):
+        _, data, _, _ = tiny_data
+        assert run("train", "--data", str(data), "--out", str(tmp_path / "x.bank"),
+                   "--h", "0") == 1
+        assert "h, ell and n must all be >= 1" in capsys.readouterr().err
+
+    def test_fractions_beyond_the_panel(self, tiny_data, tmp_path, capsys):
+        _, data, _, _ = tiny_data
+        assert run("train", "--data", str(data), "--out", str(tmp_path / "x.bank"),
+                   "--train-frac", "0.8", "--val-frac", "0.5") == 1
+        assert "sum to at most 1" in capsys.readouterr().err
+        assert not (tmp_path / "x.bank").exists()
+
 
 class TestSynth:
     def test_writes_csv_and_manifest(self, tmp_path):
@@ -116,6 +129,16 @@ class TestTrainEvaluate:
         _, data, _, _ = tiny_data
         assert run("evaluate", "--model", str(tmp_path / "missing.bank"),
                    "--data", str(data), "--report", str(tmp_path / "r.csv")) == 2
+
+    def test_invalid_normalizer_exit_2(self, tiny_data, tmp_path):
+        _, data, _, bank_path = tiny_data
+        raw = bytearray(bank_path.read_bytes())
+        norm = len(BANK_MAGIC) + 16  # station 0's min, then its max
+        raw[norm:norm + 16] = raw[norm + 8:norm + 16] + raw[norm:norm + 8]
+        bad = tmp_path / "swapped.bank"
+        bad.write_bytes(bytes(raw))
+        assert run("evaluate", "--model", str(bad), "--data", str(data),
+                   "--report", str(tmp_path / "r.csv")) == 2
 
     def test_corrupt_data_exit_2(self, tiny_data, tmp_path):
         _, _, _, bank_path = tiny_data

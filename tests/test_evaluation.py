@@ -6,7 +6,7 @@ import pytest
 from dlstf.bank import HorizonConfig
 from dlstf.dataset import HOUR, TimeSeriesPanel, parse_timestamp
 from dlstf.errors import DataError
-from dlstf.evaluation import (ArModel, ar_fit, ar_forecast, block_walk,
+from dlstf.evaluation import (ArModel, ar_fit, ar_forecast, ar_forecaster, block_walk,
                               compute_metrics, evaluate, persistence_forecast,
                               persistence_forecaster)
 from conftest import seeded_rng
@@ -129,6 +129,21 @@ class TestArForecast:
         m = ArModel("X", 3, 0.0, np.array([0.1, 0.1, 0.1]))
         with pytest.raises(ValueError):
             ar_forecast(m, np.array([1.0, 2.0]), 2)
+
+
+class TestArForecaster:
+    def test_uses_the_last_order_rows(self):
+        m = ArModel("X", 2, 2.0, np.array([0.5, 0.25]))
+        history = np.array([[np.nan], [1.0], [4.0], [8.0]])
+        out = ar_forecaster([m], 1)(history)
+        assert out[0, 0] == 2.0 + 0.5 * 8.0 + 0.25 * 4.0
+
+    def test_missing_lag_rejected(self):
+        # AR(2) on [.., 2, NaN, NaN, 9] must not fall back to lags 9 and 2
+        m = ArModel("X", 2, 0.0, np.array([0.5, 0.25]))
+        history = np.array([[1.0], [2.0], [np.nan], [np.nan], [9.0]])
+        with pytest.raises(DataError, match="last 2 history rows"):
+            ar_forecaster([m], 3)(history)
 
 
 class TestComputeMetrics:

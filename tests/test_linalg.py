@@ -1,72 +1,8 @@
 import numpy as np
 import pytest
 
-from dlstf.linalg import (ActivationKind, activation_apply, activation_derivative,
-                          affine_combine, matmul)
+from dlstf.linalg import ActivationKind, activation_apply, activation_derivative
 from conftest import seeded_rng
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_hand_computed(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0], [6.0]])
-        assert np.array_equal(matmul(a, b), np.array([[17.0], [39.0]]))
-
-    def test_zero_annihilates(self):
-        rng = seeded_rng(1)
-        b = rng.uniform(-1, 1, (3, 5))
-        assert np.array_equal(matmul(np.zeros((4, 3)), b), np.zeros((4, 5)))
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_associativity_within_tolerance(self):
-        rng = seeded_rng(2)
-        for _ in range(50):
-            dims = rng.integers(1, 17, size=4)
-            a = rng.uniform(-1, 1, (dims[0], dims[1]))
-            b = rng.uniform(-1, 1, (dims[1], dims[2]))
-            c = rng.uniform(-1, 1, (dims[2], dims[3]))
-            lhs = matmul(matmul(a, b), c)
-            rhs = matmul(a, matmul(b, c))
-            assert np.max(np.abs(lhs - rhs)) < 1e-9
-
-    def test_pure_bit_identical(self):
-        rng = seeded_rng(3)
-        a = rng.uniform(-1, 1, (7, 9))
-        b = rng.uniform(-1, 1, (9, 4))
-        assert np.array_equal(matmul(a, b), matmul(a, b))
-
-
-class TestAffineCombine:
-    def test_bias_passthrough(self):
-        out = affine_combine(np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2)),
-                             np.zeros(2), np.array([1.0, 2.0]))
-        assert np.array_equal(out, np.array([1.0, 2.0]))
-
-    def test_hand_computed(self):
-        out = affine_combine(np.eye(1), np.array([3.0]), np.eye(1),
-                             np.array([4.0]), np.array([-7.0]))
-        assert np.array_equal(out, np.array([0.0]))
-
-    def test_empty_bias(self):
-        out = affine_combine(np.zeros((0, 2)), np.zeros(2), np.zeros((0, 0)),
-                             np.zeros(0), np.zeros(0))
-        assert out.shape == (0,)
-
-    @pytest.mark.parametrize("w,x,u,h,b", [
-        (np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2)), np.zeros(2), np.zeros(2)),
-        (np.zeros((2, 3)), np.zeros(3), np.zeros((2, 5)), np.zeros(2), np.zeros(2)),
-        (np.zeros((2, 3)), np.zeros(3), np.zeros((3, 2)), np.zeros(2), np.zeros(2)),
-    ])
-    def test_shape_errors(self, w, x, u, h, b):
-        with pytest.raises(ValueError):
-            affine_combine(w, x, u, h, b)
 
 
 class TestActivations:

@@ -6,8 +6,8 @@ import pytest
 import dlstf.lstm as lstm_mod
 from dlstf.linalg import ActivationKind
 from dlstf.lstm import (LstmLayerParams, LstmNetwork, NetworkGradients,
-                        gradient_check, init_params, lstm_step_backward,
-                        lstm_step_forward, net_backward, net_forward)
+                        gradient_check, init_params, lstm_step_forward,
+                        net_backward, net_forward)
 from conftest import GRADCHECK_CASES, gradcheck_instance, seeded_rng
 
 
@@ -81,46 +81,46 @@ class TestStepForward:
             lstm_step_forward(p, np.zeros(3), np.zeros(5), np.zeros(4))
 
 
+def one_layer_network(p, n_out, seed):
+    rng = seeded_rng(seed, 5)
+    return LstmNetwork([p], rng.uniform(-1, 1, (n_out, p.hidden_dim)),
+                       rng.uniform(-1, 1, n_out))
+
+
 class TestStepBackward:
+    """The per-step gate calculus of net_backward, run over a batch of sequences."""
+
     def test_zero_upstream_gives_zero_grads(self):
-        p = random_layer(2, 4, 1)
-        x, h0, c0 = np.ones(2), np.zeros(4), np.zeros(4)
-        st = lstm_step_forward(p, x, h0, c0)
-        grads, dx, dh, dc = lstm_step_backward(p, st, (x, h0, c0),
-                                               np.zeros(4), np.zeros(4))
-        for arr in (grads.w, grads.u, grads.b, dx, dh, dc):
+        net = one_layer_network(random_layer(2, 4, 1), 2, 1)
+        _, cache = net_forward(net, np.ones((1, 3, 2)))
+        grads = net_backward(net, cache, np.zeros((3, 2)))
+        for arr in grads.arrays():
             assert np.array_equal(arr, np.zeros_like(arr))
 
     @pytest.mark.parametrize("input_dim,hidden_dim,seed", [(1, 1, 6), (3, 4, 21)])
     def test_matches_finite_differences(self, input_dim, hidden_dim, seed):
-        # FD of a fixed linear readout of (h, c) w.r.t. every parameter and input
-        p = random_layer(input_dim, hidden_dim, seed)
+        # FD of a fixed linear readout of a batch's predictions w.r.t. every parameter
+        net = one_layer_network(random_layer(input_dim, hidden_dim, seed), 2, seed)
         rng = seeded_rng(seed, 3)
-        x = rng.uniform(-1, 1, input_dim)
-        h_prev = rng.uniform(-1, 1, hidden_dim)
-        c_prev = rng.uniform(-1, 1, hidden_dim)
-        wh = rng.uniform(0.5, 1.5, hidden_dim) * rng.choice([-1.0, 1.0], hidden_dim)
-        wc = rng.uniform(0.5, 1.5, hidden_dim) * rng.choice([-1.0, 1.0], hidden_dim)
+        x = rng.uniform(-1, 1, (2, 3, input_dim))
+        readout = rng.uniform(0.5, 1.5, (3, 2)) * rng.choice([-1.0, 1.0], (3, 2))
 
-        def value(pp, xx, hh, cc):
-            st = lstm_step_forward(pp, xx, hh, cc)
-            return float(np.dot(wh, st.h) + np.dot(wc, st.c))
+        def value():
+            pred, _ = net_forward(net, x, keep_cache=False)
+            return float(np.sum(readout * pred))
 
-        st = lstm_step_forward(p, x, h_prev, c_prev)
-        grads, dx, dh_prev, dc_prev = lstm_step_backward(p, st, (x, h_prev, c_prev), wh, wc)
-
+        _, cache = net_forward(net, x)
+        grads = net_backward(net, cache, readout)
         eps = 1e-5
-        checks = [(p.w, grads.w), (p.u, grads.u), (p.b, grads.b),
-                  (x, dx), (h_prev, dh_prev), (c_prev, dc_prev)]
         worst = 0.0
-        for arr, garr in checks:
+        for arr, garr in zip(net.param_arrays(), grads.arrays()):
             flat, gflat = arr.reshape(-1), garr.reshape(-1)
             for idx in range(flat.size):
                 saved = flat[idx]
                 flat[idx] = saved + eps
-                up = value(p, x, h_prev, c_prev)
+                up = value()
                 flat[idx] = saved - eps
-                down = value(p, x, h_prev, c_prev)
+                down = value()
                 flat[idx] = saved
                 fd = (up - down) / (2 * eps)
                 rel = abs(gflat[idx] - fd) / max(1e-8, abs(gflat[idx]) + abs(fd))
@@ -129,13 +129,13 @@ class TestStepBackward:
 
     def test_gated_off_candidate_path(self):
         p = scalar_params(weight=0.5, i=-100.0)
-        x, h0, c0 = np.array([1.0]), np.array([0.3]), np.array([0.2])
-        st = lstm_step_forward(p, x, h0, c0)
-        grads, _, _, _ = lstm_step_backward(p, st, (x, h0, c0),
-                                            np.array([1.0]), np.array([1.0]))
-        assert abs(grads.w_k[0, 0]) <= 1e-30
-        assert abs(grads.u_k[0, 0]) <= 1e-30
-        assert abs(grads.b_k[0]) <= 1e-30
+        net = LstmNetwork([p], np.ones((1, 1)), np.zeros(1))
+        _, cache = net_forward(net, np.array([[1.0], [0.3]]))
+        grads = net_backward(net, cache, np.array([1.0]))
+        g = grads.layers[0]
+        assert abs(g.w_k[0, 0]) <= 1e-30
+        assert abs(g.u_k[0, 0]) <= 1e-30
+        assert abs(g.b_k[0]) <= 1e-30
 
 
 def zero_network(dims, n):
@@ -166,7 +166,9 @@ class TestNetForward:
         with pytest.raises(ValueError, match="empty"):
             net_forward(net, [])
 
-    def test_manual_unroll_oracle_exact(self):
+    def test_manual_unroll_oracle(self):
+        # the unroll projects one input row at a time, the network all rows
+        # in one product, so the two agree to rounding
         net = init_params([5], 3, 17)
         seq = seeded_rng(17, 4).uniform(-1, 1, (3, 3))
         pred, _ = net_forward(net, seq)
@@ -176,23 +178,35 @@ class TestNetForward:
             st = lstm_step_forward(p, seq[t], h, c)
             h, c = st.h, st.c
         manual = net.head_w @ h + net.head_b
-        assert np.array_equal(pred, manual)
+        assert np.allclose(pred, manual, rtol=1e-12, atol=1e-15)
 
     def test_two_layer_composition_exact(self):
         net = init_params([5, 4], 3, 23)
         seq = seeded_rng(23, 4).uniform(-1, 1, (6, 3))
         pred, _ = net_forward(net, seq)
         # feed layer 0's h sequence into a one-layer net built from layer 1 + head
-        p0 = net.layers[0]
-        h, c = np.zeros(5), np.zeros(5)
-        h_seq = []
-        for t in range(6):
-            st = lstm_step_forward(p0, seq[t], h, c)
-            h, c = st.h, st.c
-            h_seq.append(st.h)
+        lower = LstmNetwork([net.layers[0]], np.zeros((3, 5)), np.zeros(3))
+        _, cache = net_forward(lower, seq)
+        h_seq = cache.layers[0].h[1:, 0]
         upper = LstmNetwork([net.layers[1]], net.head_w, net.head_b, net.head_activation)
         pred_upper, _ = net_forward(upper, h_seq)
         assert np.array_equal(pred, pred_upper)
+
+    def test_batch_matches_single_sequences(self):
+        net = init_params([5, 4], 3, 29)
+        batch = seeded_rng(29, 4).uniform(-1, 1, (6, 7, 3))
+        pred, _ = net_forward(net, batch)
+        assert pred.shape == (7, 3)
+        for b in range(7):
+            single, _ = net_forward(net, batch[:, b])
+            assert np.allclose(pred[b], single, rtol=1e-12, atol=1e-15)
+
+    def test_forward_without_cache(self):
+        net = init_params([4], 2, 3)
+        seq = seeded_rng(3, 4).uniform(-1, 1, (5, 2))
+        pred, cache = net_forward(net, seq, keep_cache=False)
+        assert cache is None
+        assert np.array_equal(pred, net_forward(net, seq)[0])
 
 
 class TestNetBackward:
