@@ -238,10 +238,6 @@ def forecast_block(bank: ModelBank, history_panel: TimeSeriesPanel,
     return ForecastBlock(block_start=block_start, predictions=preds)
 
 
-def _network_f64_count(net: LstmNetwork) -> int:
-    return sum(a.size for a in net.param_arrays())
-
-
 def save_bank(bank: ModelBank, path) -> None:
     """Write the versioned binary bank file (see README for the exact layout)."""
     for idx, m in enumerate(bank.models, start=1):
@@ -270,7 +266,7 @@ def save_bank(bank: ModelBank, path) -> None:
                 out += np.ascontiguousarray(block).astype("<f8").tobytes()
         out += m.head_w.astype("<f8").tobytes()
         out += m.head_b.astype("<f8").tobytes()
-        total += _network_f64_count(m)
+        total += sum(a.size for a in m.param_arrays())
     out += struct.pack("<Q", total)
     with open(path, "wb") as fh:
         fh.write(bytes(out))
@@ -353,7 +349,7 @@ def load_bank(path) -> ModelBank:
         net = LstmNetwork(layers, head_w, head_b)
         models.append(net)
         widths.append(tuple(l.hidden_dim for l in layers))
-        total += _network_f64_count(net)
+        total += sum(a.size for a in net.param_arrays())
     declared = r.u64()
     if declared != total:
         raise DataError(

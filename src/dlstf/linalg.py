@@ -1,7 +1,7 @@
-"""Float64 activation functions and their derivatives, plus a vector check.
+"""Float64 activations and their derivatives, a vector check and a gate pre-activation.
 
-All operations are elementwise and pure: the same inputs always produce
-bit-identical outputs.
+The activations are elementwise. All operations are pure: the same inputs
+always produce bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -23,6 +23,15 @@ def as_vector(x) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     return v
+
+
+def affine_combine(w, x, u, h, b) -> np.ndarray:
+    """Gate pre-activation w x + b + u h of one step, summed in the LSTM kernel's order."""
+    x, h, b = as_vector(x), as_vector(h), as_vector(b)
+    if np.shape(w) != b.shape + x.shape or np.shape(u) != b.shape + h.shape:
+        raise ValueError(f"affine_combine: w {np.shape(w)} and u {np.shape(u)} do not "
+                         f"match x {x.shape}, h {h.shape} and b {b.shape}")
+    return x @ np.asarray(w, dtype=np.float64).T + b + h @ np.asarray(u, dtype=np.float64).T
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (ActivationKind, activation_apply, activation_derivative_from_output,
-                     as_vector)
+                     affine_combine, as_vector)
 
 # Test-only hook: when True, the candidate-gate term of every backward step
 # has its sign flipped. Used to prove gradient_check detects a wrong backward.
@@ -133,10 +133,6 @@ class LayerGrads(_GateViews):
     u: np.ndarray
     b: np.ndarray
 
-    @classmethod
-    def zeros(cls, p: LstmLayerParams) -> "LayerGrads":
-        return cls(p.hidden_dim, np.zeros_like(p.w), np.zeros_like(p.u), np.zeros_like(p.b))
-
 
 def _flat_arrays(obj) -> list[np.ndarray]:
     return [a for l in obj.layers for a in (l.w, l.u, l.b)] + [obj.head_w, obj.head_b]
@@ -191,7 +187,8 @@ class NetworkGradients:
 
     @classmethod
     def zeros_like(cls, net: LstmNetwork) -> "NetworkGradients":
-        return cls([LayerGrads.zeros(l) for l in net.layers],
+        return cls([LayerGrads(l.hidden_dim, np.zeros_like(l.w), np.zeros_like(l.u),
+                               np.zeros_like(l.b)) for l in net.layers],
                    np.zeros_like(net.head_w), np.zeros_like(net.head_b))
 
     def arrays(self) -> list[np.ndarray]:
@@ -219,14 +216,13 @@ class ForwardCache:
     prediction: np.ndarray    # as net_forward returned it: (n,) or (B, n)
 
 
-def _cell(p: LstmLayerParams, xw_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
-    """The gate equations of one step, given the input projection xw_t = x_t W^T + b.
+def _cell(p: LstmLayerParams, pre: np.ndarray, c_prev: np.ndarray):
+    """The gate equations of one step, given the pre-activation x_t W^T + b + h_{t-1} U^T.
 
     Works on single rows and on (B, ·) blocks alike. Returns the activated
     gates (f, i, k, o fused like the pre-activations), c_t, tanh(c_t) and h_t.
     """
     hid = p.hidden_dim
-    pre = xw_t + h_prev @ p.u.T
     # one activation call over the fused block, then tanh over the candidate
     # slice: cheaper per step than three calls on the f, i and o slices
     gates = activation_apply(pre, p.gate_activation)
@@ -241,12 +237,10 @@ def lstm_step_forward(p: LstmLayerParams, x_t: np.ndarray, h_prev: np.ndarray,
                       c_prev: np.ndarray) -> LstmStepState:
     """One recurrence step on single vectors, through the same gate code as net_forward."""
     hid = p.hidden_dim
-    x_t, h_prev, c_prev = as_vector(x_t), as_vector(h_prev), as_vector(c_prev)
-    if x_t.shape[0] != p.input_dim:
-        raise ValueError(f"x_t must have length {p.input_dim}, got {x_t.shape[0]}")
-    if h_prev.shape[0] != hid or c_prev.shape[0] != hid:
-        raise ValueError(f"h_prev and c_prev must have length {hid}")
-    gates, c, _, h = _cell(p, x_t @ p.w.T + p.b, h_prev, c_prev)
+    c_prev = as_vector(c_prev)
+    if c_prev.shape != (hid,):
+        raise ValueError(f"c_prev must have length {hid}, got {c_prev.shape[0]}")
+    gates, c, _, h = _cell(p, affine_combine(p.w, x_t, p.u, h_prev, p.b), c_prev)
     return LstmStepState(*(gates[g * hid:(g + 1) * hid] for g in range(4)), c=c, h=h)
 
 
@@ -264,7 +258,7 @@ def _layer_forward(p: LstmLayerParams, x: np.ndarray, keep_cache: bool):
         c_all = np.zeros((steps + 1, batch, hid))
         tanh_all = np.empty((steps, batch, hid))
     for t in range(steps):
-        gates, c, tanh_c, h_all[t + 1] = _cell(p, xw[t], h_all[t], c)
+        gates, c, tanh_c, h_all[t + 1] = _cell(p, xw[t] + h_all[t] @ p.u.T, c)
         if keep_cache:
             gates_all[t], c_all[t + 1], tanh_all[t] = gates, c, tanh_c
     cache = _LayerCache(x, gates_all, c_all, tanh_all, h_all) if keep_cache else None

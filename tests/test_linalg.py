@@ -1,8 +1,35 @@
 import numpy as np
 import pytest
 
-from dlstf.linalg import ActivationKind, activation_apply, activation_derivative
+from dlstf.linalg import (ActivationKind, activation_apply, activation_derivative,
+                          affine_combine)
 from conftest import seeded_rng
+
+
+class TestAffineCombine:
+    def test_bias_passthrough(self):
+        out = affine_combine(np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2)),
+                             np.zeros(2), np.array([1.0, 2.0]))
+        assert np.array_equal(out, np.array([1.0, 2.0]))
+
+    def test_hand_computed(self):
+        out = affine_combine(np.eye(1), np.array([3.0]), np.eye(1),
+                             np.array([4.0]), np.array([-7.0]))
+        assert np.array_equal(out, np.array([0.0]))
+
+    def test_empty_bias(self):
+        out = affine_combine(np.zeros((0, 2)), np.zeros(2), np.zeros((0, 0)),
+                             np.zeros(0), np.zeros(0))
+        assert out.shape == (0,)
+
+    @pytest.mark.parametrize("w,x,u,h,b", [
+        (np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2)), np.zeros(2), np.zeros(2)),
+        (np.zeros((2, 3)), np.zeros(3), np.zeros((2, 5)), np.zeros(2), np.zeros(2)),
+        (np.zeros((2, 3)), np.zeros(3), np.zeros((3, 2)), np.zeros(2), np.zeros(2)),
+    ])
+    def test_shape_errors(self, w, x, u, h, b):
+        with pytest.raises(ValueError):
+            affine_combine(w, x, u, h, b)
 
 
 class TestActivations:
