@@ -16,7 +16,6 @@ from .errors import DataError, NumericsError
 from .evaluation import (ArModel, ErrorReport, ar_fit, ar_forecast, bank_forecaster,
                          compute_metrics, evaluate, persistence_forecast,
                          persistence_forecaster)
-from .linalg import ActivationKind, activation_apply, activation_derivative
 from .lstm import (LstmLayerParams, LstmNetwork, LstmStepState, gradient_check,
                    init_params, lstm_step_forward, net_backward, net_forward)
 from .synth import synth_generate

@@ -21,7 +21,6 @@ import numpy as np
 from .dataset import (Normalizer, TimeSeriesPanel, denormalize, fit_normalizer,
                       format_timestamp, make_samples, normalize, HOUR)
 from .errors import DataError, NumericsError
-from .linalg import ActivationKind
 from .lstm import LstmLayerParams, LstmNetwork, init_params, net_forward, predict_batches
 from .training import TrainConfig, stack_samples, train_model
 
@@ -240,12 +239,6 @@ def forecast_block(bank: ModelBank, history_panel: TimeSeriesPanel,
 
 def save_bank(bank: ModelBank, path) -> None:
     """Write the versioned binary bank file (see README for the exact layout)."""
-    for idx, m in enumerate(bank.models, start=1):
-        if m.head_activation is not ActivationKind.IDENTITY or any(
-                l.gate_activation is not ActivationKind.SIGMOID for l in m.layers):
-            raise ValueError(
-                f"model {idx} uses non-default activations, which the v1 bank "
-                "format cannot represent")
     cfg = bank.config
     out = bytearray()
     out += BANK_MAGIC
@@ -260,10 +253,8 @@ def save_bank(bank: ModelBank, path) -> None:
         out += struct.pack("<I", len(m.layers))
         for l in m.layers:
             out += struct.pack("<II", l.input_dim, l.hidden_dim)
-            for block in (l.w_f, l.w_i, l.w_k, l.w_o,
-                          l.u_f, l.u_i, l.u_k, l.u_o,
-                          l.b_f, l.b_i, l.b_k, l.b_o):
-                out += np.ascontiguousarray(block).astype("<f8").tobytes()
+            for block in (l.w, l.u, l.b):
+                out += block.astype("<f8").tobytes()
         out += m.head_w.astype("<f8").tobytes()
         out += m.head_b.astype("<f8").tobytes()
         total += sum(a.size for a in m.param_arrays())
@@ -339,10 +330,9 @@ def load_bank(path) -> ModelBank:
                 raise DataError(
                     f"{path}: layer input dim {d} breaks the dimension chain "
                     f"(expected {expected_in})")
-            gate_blocks = [r.f64s(hid * d).reshape(hid, d) for _ in range(4)]
-            rec_blocks = [r.f64s(hid * hid).reshape(hid, hid) for _ in range(4)]
-            bias_blocks = [r.f64s(hid) for _ in range(4)]
-            layers.append(LstmLayerParams.from_gates(*gate_blocks, *rec_blocks, *bias_blocks))
+            w = r.f64s(4 * hid * d).reshape(4 * hid, d)
+            u = r.f64s(4 * hid * hid).reshape(4 * hid, hid)
+            layers.append(LstmLayerParams(d, hid, w, u, r.f64s(4 * hid)))
             expected_in = hid
         head_w = r.f64s(n * expected_in).reshape(n, expected_in)
         head_b = r.f64s(n)

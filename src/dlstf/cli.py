@@ -176,8 +176,11 @@ def _log(msg: str) -> None:
 
 
 def _load_panel(cfg: RunConfig, data_path: str) -> TimeSeriesPanel:
+    max_gap = cfg.get_int("max_gap")
+    if max_gap < 0:
+        raise UsageError(f"config key 'max_gap' must be >= 0, got {max_gap}")
     panel = ingest_csv(data_path)
-    panel, report = fill_missing(panel, cfg.get_int("max_gap"))
+    panel, report = fill_missing(panel, max_gap)
     if report.runs:
         _log(f"missing data: filled {len(report.filled)} runs, "
              f"left {len(report.unfilled)} unfilled")
@@ -317,13 +320,18 @@ def _cmd_baseline(args) -> int:
         "train_frac": args.train_frac,
     })
     _require(args, "data", "report")
+    if args.method == "ar" and args.order < 1:
+        raise UsageError(f"--order must be >= 1, got {args.order}")
     _log(f"seed = {cfg.values['seed']}  config_digest = {cfg.digest()}")
     panel = _load_panel(cfg, args.data)
     h, ell = cfg.get_int("h"), cfg.get_int("ell")
     hcfg_schedule = cfg.horizon_config(panel.n_stations)
     if cfg.get_timestamp("test_start") is None:
         # without an explicit window, hold out the tail past train_frac
-        first = max(ell, int(panel.n_times * cfg.get_float("train_frac")))
+        train_frac = cfg.get_float("train_frac")
+        if not 0 < train_frac < 1:
+            raise UsageError(f"train_frac must lie strictly between 0 and 1, got {train_frac}")
+        first = max(ell, int(panel.n_times * train_frac))
         sliced = panel
         if cfg.get_timestamp("test_end") is not None:
             sliced, _ = _test_window(panel, cfg, ell, h)
@@ -334,8 +342,10 @@ def _cmd_baseline(args) -> int:
     if args.method == "persistence":
         forecaster = persistence_forecaster(h)
     else:
-        fit_panel = sliced.slice_rows(0, first)
-        models = fit_ar_models(fit_panel, args.order)
+        try:
+            models = fit_ar_models(sliced.slice_rows(0, first), args.order)
+        except ValueError as exc:  # a fit range too short or without AR structure
+            raise DataError(f"cannot fit AR({args.order}): {exc}") from None
         forecaster = ar_forecaster(models, h)
     report = evaluate(forecaster, sliced, hcfg_schedule, first_block_index=first)
     out = Path(args.report)

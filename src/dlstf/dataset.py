@@ -241,22 +241,12 @@ class Normalizer:
         return np.where(span > 0.0, span, 1.0)
 
 
-def fit_normalizer(panel: TimeSeriesPanel, train_range=None) -> Normalizer:
-    """Fit per-station min/max on `train_range` (a (start, end) timestamp pair,
-    inclusive; None = the whole panel)."""
-    if train_range is None:
-        block = panel.values
-    else:
-        start, end = train_range
-        lo = int(np.searchsorted(panel.timestamps, np.datetime64(start, "s"), side="left"))
-        hi = int(np.searchsorted(panel.timestamps, np.datetime64(end, "s"), side="right"))
-        if hi <= lo:
-            raise DataError("train range selects no rows")
-        block = panel.values[lo:hi]
+def fit_normalizer(panel: TimeSeriesPanel) -> Normalizer:
+    """Fit per-station min/max on the whole (training) panel."""
     mins = np.full(panel.n_stations, np.nan)
     maxs = np.full(panel.n_stations, np.nan)
     for s, sid in enumerate(panel.station_ids):
-        col = block[:, s]
+        col = panel.values[:, s]
         finite = col[np.isfinite(col)]
         if finite.size == 0:
             raise DataError(f"station {sid!r} has no observations on the training range")

@@ -53,20 +53,16 @@ def persistence_forecast(history_values: np.ndarray, block_start: int, h: int) -
     return np.tile(last, (h, 1))
 
 
-def ar_fit(series: np.ndarray, p: int, train_range=None) -> ArModel:
+def ar_fit(series: np.ndarray, p: int) -> ArModel:
     """Least-squares AR(p) with intercept on a gap-free 1-D series.
 
-    `train_range` is an optional (lo, hi) index pair selecting the rows to fit
-    on. The design matrix puts lag 1 first; the solve is numpy lstsq (SVD).
+    The design matrix puts lag 1 first; the solve is numpy lstsq (SVD).
     """
     if p < 1:
         raise ValueError("AR order must be >= 1")
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 1:
         raise ValueError(f"series must be 1-D, got shape {series.shape}")
-    if train_range is not None:
-        lo, hi = train_range
-        series = series[lo:hi]
     if series.shape[0] <= p + 1:
         raise ValueError(f"need more than {p + 1} observations to fit AR({p})")
     if not np.all(np.isfinite(series)):

@@ -2,19 +2,19 @@
 
 One recurrence step computes, in order,
 
-    f_t = g(W_f x_t + U_f h_{t-1} + b_f)        forget gate
-    i_t = g(W_i x_t + U_i h_{t-1} + b_i)        input gate
-    k_t = tanh(W_k x_t + U_k h_{t-1} + b_k)     candidate
-    c_t = f_t * c_{t-1} + i_t * k_t             cell state
-    o_t = g(W_o x_t + U_o h_{t-1} + b_o)        output gate
+    f_t = sigmoid(W_f x_t + U_f h_{t-1} + b_f)    forget gate
+    i_t = sigmoid(W_i x_t + U_i h_{t-1} + b_i)    input gate
+    k_t = tanh(W_k x_t + U_k h_{t-1} + b_k)       candidate
+    c_t = f_t * c_{t-1} + i_t * k_t               cell state
+    o_t = sigmoid(W_o x_t + U_o h_{t-1} + b_o)    output gate
     h_t = o_t * tanh(c_t)
 
-with g the gate activation (sigmoid by default). A network stacks one or
-more such layers and applies a dense head to the top layer's final h.
+A network stacks one or more such layers and applies a linear dense head to
+the top layer's final h.
 
 Parameters are stored with the four gates fused row-wise in the order
-f, i, k, o: w is (4H, D), u is (4H, H), b is (4H,). The per-gate blocks
-(w_f, u_k, ...) are zero-copy views into the fused arrays.
+f, i, k, o: w is (4H, D), u is (4H, H), b is (4H,); gate g's block of w is
+w[g*H:(g+1)*H], and likewise for u and b.
 
 The network runs time-major over a batch of B sequences: layer inputs are
 (L, B, D) arrays. The input projection x_t W^T + b of all L*B rows is one
@@ -30,49 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (ActivationKind, activation_apply, activation_derivative_from_output,
-                     affine_combine, as_vector)
+from .linalg import affine_combine, as_vector, sigmoid
 
 # Test-only hook: when True, the candidate-gate term of every backward step
 # has its sign flipped. Used to prove gradient_check detects a wrong backward.
 _CORRUPT_BACKWARD = False
 
 
-class _GateViews:
-    """Per-gate views into fused (4H, ...) arrays, shared by params and grads."""
-
-    def _block(self, arr: np.ndarray, g: int) -> np.ndarray:
-        hid = self.hidden_dim
-        return arr[g * hid:(g + 1) * hid]
-
-    @property
-    def w_f(self): return self._block(self.w, 0)
-    @property
-    def w_i(self): return self._block(self.w, 1)
-    @property
-    def w_k(self): return self._block(self.w, 2)
-    @property
-    def w_o(self): return self._block(self.w, 3)
-    @property
-    def u_f(self): return self._block(self.u, 0)
-    @property
-    def u_i(self): return self._block(self.u, 1)
-    @property
-    def u_k(self): return self._block(self.u, 2)
-    @property
-    def u_o(self): return self._block(self.u, 3)
-    @property
-    def b_f(self): return self._block(self.b, 0)
-    @property
-    def b_i(self): return self._block(self.b, 1)
-    @property
-    def b_k(self): return self._block(self.b, 2)
-    @property
-    def b_o(self): return self._block(self.b, 3)
-
-
 @dataclass
-class LstmLayerParams(_GateViews):
+class LstmLayerParams:
     """One LSTM layer: fused gate weights w (4H, D), u (4H, H), biases b (4H,)."""
 
     input_dim: int
@@ -80,7 +46,6 @@ class LstmLayerParams(_GateViews):
     w: np.ndarray
     u: np.ndarray
     b: np.ndarray
-    gate_activation: ActivationKind = ActivationKind.SIGMOID
 
     def __post_init__(self):
         hid, d = self.hidden_dim, self.input_dim
@@ -93,23 +58,10 @@ class LstmLayerParams(_GateViews):
             raise ValueError(f"u must be {(4*hid, hid)}, got {self.u.shape}")
         if self.b.shape != (4 * hid,):
             raise ValueError(f"b must be {(4*hid,)}, got {self.b.shape}")
-        if self.gate_activation not in (ActivationKind.SIGMOID, ActivationKind.RELU):
-            raise ValueError(f"gate activation must be sigmoid or relu, got {self.gate_activation}")
-
-    @classmethod
-    def from_gates(cls, w_f, w_i, w_k, w_o, u_f, u_i, u_k, u_o, b_f, b_i, b_k, b_o,
-                   gate_activation: ActivationKind = ActivationKind.SIGMOID) -> "LstmLayerParams":
-        w = np.vstack([w_f, w_i, w_k, w_o]).astype(np.float64)
-        u = np.vstack([u_f, u_i, u_k, u_o]).astype(np.float64)
-        b = np.concatenate([b_f, b_i, b_k, b_o]).astype(np.float64)
-        hid = w.shape[0] // 4
-        return cls(input_dim=w.shape[1], hidden_dim=hid, w=w, u=u, b=b,
-                   gate_activation=gate_activation)
 
     def clone(self) -> "LstmLayerParams":
         return LstmLayerParams(self.input_dim, self.hidden_dim,
-                               self.w.copy(), self.u.copy(), self.b.copy(),
-                               self.gate_activation)
+                               self.w.copy(), self.u.copy(), self.b.copy())
 
 
 @dataclass
@@ -125,10 +77,9 @@ class LstmStepState:
 
 
 @dataclass
-class LayerGrads(_GateViews):
+class LayerGrads:
     """Gradients for one layer in the same fused layout as LstmLayerParams."""
 
-    hidden_dim: int
     w: np.ndarray
     u: np.ndarray
     b: np.ndarray
@@ -145,7 +96,6 @@ class LstmNetwork:
     layers: list[LstmLayerParams]
     head_w: np.ndarray
     head_b: np.ndarray
-    head_activation: ActivationKind = ActivationKind.IDENTITY
 
     def __post_init__(self):
         if not self.layers:
@@ -172,7 +122,7 @@ class LstmNetwork:
 
     def clone(self) -> "LstmNetwork":
         return LstmNetwork([l.clone() for l in self.layers],
-                           self.head_w.copy(), self.head_b.copy(), self.head_activation)
+                           self.head_w.copy(), self.head_b.copy())
 
     def param_arrays(self) -> list[np.ndarray]:
         """Flat parameter list in a fixed order: per layer w, u, b; then head."""
@@ -187,8 +137,8 @@ class NetworkGradients:
 
     @classmethod
     def zeros_like(cls, net: LstmNetwork) -> "NetworkGradients":
-        return cls([LayerGrads(l.hidden_dim, np.zeros_like(l.w), np.zeros_like(l.u),
-                               np.zeros_like(l.b)) for l in net.layers],
+        return cls([LayerGrads(np.zeros_like(l.w), np.zeros_like(l.u), np.zeros_like(l.b))
+                    for l in net.layers],
                    np.zeros_like(net.head_w), np.zeros_like(net.head_b))
 
     def arrays(self) -> list[np.ndarray]:
@@ -223,9 +173,9 @@ def _cell(p: LstmLayerParams, pre: np.ndarray, c_prev: np.ndarray):
     gates (f, i, k, o fused like the pre-activations), c_t, tanh(c_t) and h_t.
     """
     hid = p.hidden_dim
-    # one activation call over the fused block, then tanh over the candidate
+    # one sigmoid call over the fused block, then tanh over the candidate
     # slice: cheaper per step than three calls on the f, i and o slices
-    gates = activation_apply(pre, p.gate_activation)
+    gates = sigmoid(pre)
     gates[..., 2 * hid:3 * hid] = np.tanh(pre[..., 2 * hid:3 * hid])
     c = gates[..., :hid] * c_prev
     c += gates[..., hid:2 * hid] * gates[..., 2 * hid:3 * hid]
@@ -288,8 +238,7 @@ def net_forward(net: LstmNetwork, seq, keep_cache: bool = True
     for p in net.layers:
         x, cache = _layer_forward(p, x, keep_cache)
         layer_caches.append(cache)
-    head_pre = x[-1] @ net.head_w.T + net.head_b
-    prediction = activation_apply(head_pre, net.head_activation)
+    prediction = x[-1] @ net.head_w.T + net.head_b
     if single:
         prediction = prediction[0]
     cache = ForwardCache(layer_caches, prediction) if keep_cache else None
@@ -310,7 +259,6 @@ def _layer_backward(p: LstmLayerParams, lc: _LayerCache, dh_seq: np.ndarray,
     gradient at the gate pre-activations."""
     steps, batch, d = lc.x.shape
     hid = p.hidden_dim
-    gact = p.gate_activation
     dpre = np.empty((steps, batch, 4 * hid))
     dh_carry = np.zeros((batch, hid))
     dc = np.zeros((batch, hid))
@@ -319,11 +267,11 @@ def _layer_backward(p: LstmLayerParams, lc: _LayerCache, dh_seq: np.ndarray,
         gates, tanh_c = lc.gates[t], lc.tanh_c[t]
         f, i, k, o = (gates[:, q * hid:(q + 1) * hid] for q in range(4))
         dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-        # gate derivatives come from the cached activations
-        dpre[t, :, :hid] = dc * lc.c[t] * activation_derivative_from_output(gact, f)
-        dpre[t, :, hid:2 * hid] = dc * k * activation_derivative_from_output(gact, i)
+        # gate derivatives come from the cached activations: sigmoid' = s (1 - s)
+        dpre[t, :, :hid] = dc * lc.c[t] * (f * (1.0 - f))
+        dpre[t, :, hid:2 * hid] = dc * k * (i * (1.0 - i))
         dpre[t, :, 2 * hid:3 * hid] = dc * i * (1.0 - k * k)
-        dpre[t, :, 3 * hid:] = dh * tanh_c * activation_derivative_from_output(gact, o)
+        dpre[t, :, 3 * hid:] = dh * tanh_c * (o * (1.0 - o))
         if _CORRUPT_BACKWARD:
             dpre[t, :, 2 * hid:3 * hid] *= -1.0
         dc = dc * f
@@ -353,9 +301,8 @@ def net_backward(net: LstmNetwork, cache: ForwardCache,
                          f"got {dloss_dpred.shape}")
 
     grads = NetworkGradients.zeros_like(net)
-    out = cache.prediction.reshape(-1, net.output_dim)
-    dpre_head = dloss_dpred.reshape(out.shape) * activation_derivative_from_output(
-        net.head_activation, out)
+    # the head is linear: its pre-activation gradient is dloss_dpred itself
+    dpre_head = dloss_dpred.reshape(-1, net.output_dim)
     top = cache.layers[-1]
     grads.head_w += dpre_head.T @ top.h[-1]
     grads.head_b += dpre_head.sum(axis=0)
@@ -410,9 +357,7 @@ def gradient_check(net: LstmNetwork, sample, eps: float) -> float:
     return worst
 
 
-def init_params(layer_dims: list[int], n: int, seed: int,
-                gate_activation: ActivationKind = ActivationKind.SIGMOID,
-                head_activation: ActivationKind = ActivationKind.IDENTITY) -> LstmNetwork:
+def init_params(layer_dims: list[int], n: int, seed: int) -> LstmNetwork:
     """Build a seeded random network with `layer_dims` hidden widths and n in/out.
 
     Weights are uniform on [-1/sqrt(fan_in), +1/sqrt(fan_in)] drawn from
@@ -434,9 +379,9 @@ def init_params(layer_dims: list[int], n: int, seed: int,
         u = rng.uniform(-bu, bu, size=(4 * hid, hid))
         b = np.zeros(4 * hid)
         b[:hid] = 1.0
-        layers.append(LstmLayerParams(d, hid, w, u, b, gate_activation))
+        layers.append(LstmLayerParams(d, hid, w, u, b))
         d = hid
     bh = 1.0 / np.sqrt(d)
     head_w = rng.uniform(-bh, bh, size=(n, d))
     head_b = np.zeros(n)
-    return LstmNetwork(layers, head_w, head_b, head_activation)
+    return LstmNetwork(layers, head_w, head_b)

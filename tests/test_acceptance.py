@@ -98,8 +98,7 @@ def test_criterion_01_gradient_exactness():
 def test_criterion_02_forward_oracle():
     with criterion(2, "forward pass matches hand computations", 1):
         # scalar cell, all weights 1, all biases 0, input 1
-        ones, zeros = np.ones((1, 1)), np.zeros(1)
-        p_scalar = LstmLayerParams.from_gates(*([ones] * 8), *([zeros] * 4))
+        p_scalar = LstmLayerParams(1, 1, np.ones((4, 1)), np.ones((4, 1)), np.zeros(4))
         st = lstm_step_forward(p_scalar, np.array([1.0]), np.zeros(1), np.zeros(1))
         sig1 = 1.0 / (1.0 + math.exp(-1.0))
         c_expect = sig1 * math.tanh(1.0)

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 
 from dlstf.bank import (BANK_MAGIC, HorizonConfig, ModelBank, assemble_input,
                         forecast_block, load_bank, model_index, save_bank, train_bank)
-from dlstf.dataset import HOUR, TimeSeriesPanel, fraction_split, make_samples, split
+from dlstf.dataset import (HOUR, Normalizer, TimeSeriesPanel, fraction_split,
+                           make_samples, split)
 from dlstf.errors import DataError
-from dlstf.lstm import net_forward
+from dlstf.lstm import init_params, net_forward
 from dlstf.synth import synth_generate
 from dlstf.training import TrainConfig
 from conftest import seeded_rng
@@ -221,6 +223,19 @@ class TestSerialization:
         save_bank(load_bank(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_format_v1_bytes_pinned(self, tmp_path):
+        # an untrained bank depends only on PCG64 draws and stored floats, so its
+        # bytes are the same on every platform and must not change between versions
+        cfg = HorizonConfig.default(n=3, h=4, ell=5, first_widths=(4,), later_widths=(5, 3))
+        models = [init_params(list(w), 3, 10 + i) for i, w in enumerate(cfg.widths)]
+        nz = Normalizer(("a", "b", "c"), np.zeros(3), np.full(3, 10.0))
+        path = tmp_path / "pinned.bank"
+        save_bank(ModelBank(cfg, models, nz), path)
+        data = path.read_bytes()
+        assert len(data) == 8494
+        assert hashlib.sha256(data).hexdigest() == (
+            "18283203170915e8a7981f58204a42e5ce282938f73e178cd0051208215f9956")
+
     def test_bad_magic_rejected(self, small_bank_setup, tmp_path):
         _, _, _, _, _, bank = small_bank_setup
         path = tmp_path / "bad.bank"
@@ -288,11 +303,3 @@ class TestSerialization:
         path.write_bytes(bytes(data))
         with pytest.raises(DataError, match=match):
             load_bank(path)
-
-    def test_non_default_activation_rejected(self, small_bank_setup, tmp_path):
-        from dlstf.linalg import ActivationKind
-        _, _, _, _, _, bank = small_bank_setup
-        clone = ModelBank(bank.config, [m.clone() for m in bank.models], bank.normalizer)
-        clone.models[0].head_activation = ActivationKind.RELU
-        with pytest.raises(ValueError, match="activation"):
-            save_bank(clone, tmp_path / "nope.bank")

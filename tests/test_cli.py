@@ -77,6 +77,37 @@ class TestUsageErrors:
         assert "sum to at most 1" in capsys.readouterr().err
         assert not (tmp_path / "x.bank").exists()
 
+    def test_negative_max_gap(self, tiny_data, tmp_path, capsys):
+        _, data, cfg, _ = tiny_data
+        bad = tmp_path / "gap.cfg"
+        bad.write_text(cfg.read_text() + "max_gap = -1\n")
+        assert run("train", "--data", str(data), "--config", str(bad),
+                   "--out", str(tmp_path / "x.bank")) == 1
+        assert "'max_gap' must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.bank").exists()
+
+    def test_zero_ar_order(self, tiny_data, tmp_path, capsys):
+        _, data, _, _ = tiny_data
+        assert run("baseline", "--method", "ar", "--order", "0", "--data", str(data),
+                   "--report", str(tmp_path / "r.csv")) == 1
+        assert "--order must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_ar_order_beyond_the_fit_range_exit_2(self, tiny_data, tmp_path, capsys):
+        _, data, _, _ = tiny_data
+        assert run("baseline", "--method", "ar", "--order", "5000", "--data", str(data),
+                   "--report", str(tmp_path / "r.csv")) == 2
+        assert "cannot fit AR(5000)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("frac", ["1.5", "-0.5"])
+    def test_baseline_train_frac_outside_unit_interval(self, tiny_data, tmp_path, capsys,
+                                                       frac):
+        _, data, _, _ = tiny_data
+        assert run("baseline", "--method", "persistence", "--train-frac", frac,
+                   "--data", str(data), "--report", str(tmp_path / "r.csv")) == 1
+        assert "train_frac must lie strictly between 0 and 1" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
 
 class TestSynth:
     def test_writes_csv_and_manifest(self, tmp_path):

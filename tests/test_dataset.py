@@ -150,9 +150,8 @@ class TestNormalizer:
         modified = base.copy()
         modified[30:] += 100.0  # outside the training range
         p2 = panel_from(modified)
-        rng_pair = (p1.timestamps[0], p1.timestamps[29])
-        nz1 = fit_normalizer(p1, rng_pair)
-        nz2 = fit_normalizer(p2, rng_pair)
+        nz1 = fit_normalizer(p1.slice_rows(0, 30))
+        nz2 = fit_normalizer(p2.slice_rows(0, 30))
         assert np.array_equal(nz1.mins, nz2.mins)
         assert np.array_equal(nz1.maxs, nz2.maxs)
 

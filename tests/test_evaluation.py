@@ -99,14 +99,6 @@ class TestArFit:
         with pytest.raises(ValueError):
             ar_fit(np.arange(4.0), 3)
 
-    def test_train_range_argument(self):
-        x = gen_ar([0.6], sigma=0.05, T=4000, seed=4)
-        x_corrupted = x.copy()
-        x_corrupted[3000:] = 0.0
-        m_full = ar_fit(x, 1, train_range=(0, 3000))
-        m_cut = ar_fit(x_corrupted, 1, train_range=(0, 3000))
-        assert m_full.coefficients[0] == m_cut.coefficients[0]
-
 
 class TestArForecast:
     def test_hand_recursion(self):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import dlstf.lstm as lstm_mod
-from dlstf.linalg import ActivationKind
 from dlstf.lstm import (LstmLayerParams, LstmNetwork, NetworkGradients,
                         gradient_check, init_params, lstm_step_forward,
                         net_backward, net_forward)
@@ -12,13 +11,9 @@ from conftest import GRADCHECK_CASES, gradcheck_instance, seeded_rng
 
 
 def scalar_params(weight=1.0, bias=0.0, **bias_overrides):
-    blocks = {f"w_{g}": np.array([[weight]]) for g in "fiko"}
-    blocks.update({f"u_{g}": np.array([[weight]]) for g in "fiko"})
-    blocks.update({f"b_{g}": np.array([bias_overrides.get(g, bias)]) for g in "fiko"})
-    return LstmLayerParams.from_gates(
-        blocks["w_f"], blocks["w_i"], blocks["w_k"], blocks["w_o"],
-        blocks["u_f"], blocks["u_i"], blocks["u_k"], blocks["u_o"],
-        blocks["b_f"], blocks["b_i"], blocks["b_k"], blocks["b_o"])
+    # one hidden unit: row g of the fused arrays is gate g in f, i, k, o order
+    return LstmLayerParams(1, 1, np.full((4, 1), weight), np.full((4, 1), weight),
+                           np.array([bias_overrides.get(g, bias) for g in "fiko"]))
 
 
 def random_layer(input_dim, hidden_dim, seed):
@@ -132,10 +127,10 @@ class TestStepBackward:
         net = LstmNetwork([p], np.ones((1, 1)), np.zeros(1))
         _, cache = net_forward(net, np.array([[1.0], [0.3]]))
         grads = net_backward(net, cache, np.array([1.0]))
-        g = grads.layers[0]
-        assert abs(g.w_k[0, 0]) <= 1e-30
-        assert abs(g.u_k[0, 0]) <= 1e-30
-        assert abs(g.b_k[0]) <= 1e-30
+        g = grads.layers[0]  # one hidden unit: row 2 is the candidate k
+        assert abs(g.w[2, 0]) <= 1e-30
+        assert abs(g.u[2, 0]) <= 1e-30
+        assert abs(g.b[2]) <= 1e-30
 
 
 def zero_network(dims, n):
@@ -188,7 +183,7 @@ class TestNetForward:
         lower = LstmNetwork([net.layers[0]], np.zeros((3, 5)), np.zeros(3))
         _, cache = net_forward(lower, seq)
         h_seq = cache.layers[0].h[1:, 0]
-        upper = LstmNetwork([net.layers[1]], net.head_w, net.head_b, net.head_activation)
+        upper = LstmNetwork([net.layers[1]], net.head_w, net.head_b)
         pred_upper, _ = net_forward(upper, h_seq)
         assert np.array_equal(pred, pred_upper)
 
@@ -277,24 +272,13 @@ class TestInitParams:
     def test_bias_initialization(self):
         net = init_params([6], 4, 3)
         layer = net.layers[0]
-        assert np.array_equal(layer.b_f, np.ones(6))
-        assert np.array_equal(layer.b_i, np.zeros(6))
-        assert np.array_equal(layer.b_k, np.zeros(6))
-        assert np.array_equal(layer.b_o, np.zeros(6))
+        b_f, b_i, b_k, b_o = np.split(layer.b, 4)
+        assert np.array_equal(b_f, np.ones(6))
+        assert np.array_equal(b_i, np.zeros(6))
+        assert np.array_equal(b_k, np.zeros(6))
+        assert np.array_equal(b_o, np.zeros(6))
         assert np.array_equal(net.head_b, np.zeros(4))
 
     def test_empty_dims_rejected(self):
         with pytest.raises(ValueError):
             init_params([], 3, 0)
-
-    def test_gate_view_shapes(self):
-        net = init_params([5], 3, 1)
-        layer = net.layers[0]
-        for block in (layer.w_f, layer.w_i, layer.w_k, layer.w_o):
-            assert block.shape == (5, 3)
-        for block in (layer.u_f, layer.u_i, layer.u_k, layer.u_o):
-            assert block.shape == (5, 5)
-        for block in (layer.b_f, layer.b_i, layer.b_k, layer.b_o):
-            assert block.shape == (5,)
-        # views share memory with the fused arrays
-        assert layer.w_f.base is layer.w
