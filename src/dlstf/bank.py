@@ -22,7 +22,7 @@ from .dataset import (Normalizer, TimeSeriesPanel, denormalize, fit_normalizer,
                       format_timestamp, make_samples, normalize, HOUR)
 from .errors import DataError, NumericsError
 from .lstm import LstmLayerParams, LstmNetwork, init_params, net_forward, predict_batches
-from .training import TrainConfig, stack_samples, train_model
+from .training import TrainConfig, train_model
 
 BANK_MAGIC = b"DLSTF\x00"
 BANK_VERSION = 1
@@ -162,11 +162,6 @@ class ForecastBlock:
         object.__setattr__(self, "block_start", np.datetime64(self.block_start, "s"))
 
 
-def _fill_overlay(overlay_row: np.ndarray, net: LstmNetwork, samples, chunk: int) -> None:
-    """Write the net's forecast for every sample's target row, `chunk` samples per pass."""
-    overlay_row[samples.target_indices] = predict_batches(net, stack_samples(samples)[0], chunk)
-
-
 def train_bank(train_panel: TimeSeriesPanel, val_panel: TimeSeriesPanel,
                cfg: HorizonConfig, progress=None) -> ModelBank:
     """Cascade-train all h models on raw (missing-repaired) panels.
@@ -212,8 +207,9 @@ def train_bank(train_panel: TimeSeriesPanel, val_panel: TimeSeriesPanel,
         if progress is not None:
             progress(i, history)
         if i < cfg.h:
-            _fill_overlay(ov_train[i - 1], trained, tr, tc.batch_size)
-            _fill_overlay(ov_val[i - 1], trained, va, tc.batch_size)
+            for ov, samples in ((ov_train, tr), (ov_val, va)):
+                ov[i - 1, samples.target_indices] = predict_batches(trained, samples.x,
+                                                                    tc.batch_size)
     return ModelBank(config=cfg, models=models, normalizer=nz)
 
 

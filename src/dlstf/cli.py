@@ -359,13 +359,18 @@ def _cmd_baseline(args) -> int:
 def _cmd_forecast(args) -> int:
     cfg = RunConfig.build(args.config, {"seed": args.seed})
     _require(args, "model", "data", "at")
+    try:
+        at = parse_timestamp(args.at)
+    except DataError:
+        raise UsageError(f"--at {args.at!r} is not a valid timestamp "
+                         "(YYYY-MM-DDTHH:00:00Z)") from None
     _log(f"seed = {cfg.values['seed']}  config_digest = {cfg.digest()}")
     bank = load_bank(args.model)
     panel = _load_panel(cfg, args.data)
     if panel.n_stations != bank.config.n:
         raise DataError(
             f"bank expects {bank.config.n} stations, data has {panel.n_stations}")
-    block = forecast_block(bank, panel, parse_timestamp(args.at))
+    block = forecast_block(bank, panel, at)
     lines = ["timestamp," + ",".join(panel.station_ids)]
     for k in range(bank.config.h):
         ts = format_timestamp(block.block_start + k * HOUR)

@@ -3,12 +3,14 @@
 A panel holds n stations by T hourly observations (m/s) with NaN marking
 missing values. The CSV schema is: UTF-8, header ``timestamp,<id1>,<id2>,...``,
 then one line per hour ``YYYY-MM-DDTHH:00:00Z`` followed by one decimal value
-per station; an empty field or the literal ``NA`` means missing. LF line
-endings, optionally with a trailing CR.
+per station; an empty field or the literal ``NA`` means missing, and no other
+non-finite value is accepted. Station ids are unique. LF line endings,
+optionally with a trailing CR.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -108,6 +110,9 @@ def ingest_csv(path) -> TimeSeriesPanel:
     station_ids = header[1:]
     if any(not s for s in station_ids):
         raise DataError(f"{path}: empty station id in header")
+    for k, sid in enumerate(station_ids):
+        if sid in station_ids[:k]:
+            raise DataError(f"{path}: duplicate station id {sid!r} in header")
     n = len(station_ids)
 
     stamps: list[np.datetime64] = []
@@ -134,11 +139,16 @@ def ingest_csv(path) -> TimeSeriesPanel:
                 row.append(np.nan)
                 continue
             try:
-                row.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise DataError(
                     f"{path}: line {lineno}, column {station_ids[col]!r}: "
                     f"non-numeric cell {cell!r}") from None
+            if not math.isfinite(value):
+                raise DataError(
+                    f"{path}: line {lineno}, column {station_ids[col]!r}: "
+                    f"non-finite cell {cell!r}")
+            row.append(value)
         stamps.append(ts)
         rows.append(row)
     if not rows:
@@ -324,23 +334,22 @@ def split(panel: TimeSeriesPanel, spec: SplitSpec
     return out[0], out[1], out[2]
 
 
+@dataclass(frozen=True)
 class SampleSet:
-    """Training samples for one horizon offset, iterable as (sequence, target) pairs."""
+    """Training samples for one horizon offset as the arrays the LSTM kernel runs on.
 
-    def __init__(self, samples: list[tuple[np.ndarray, np.ndarray]],
-                 target_indices: list[int], skipped: int):
-        self.samples = samples
-        self.target_indices = target_indices
-        self.skipped = skipped
+    `x` holds the time-major (ell, N, n) inputs, `y` the (N, n) targets and
+    `target_indices` the panel row of each target; `skipped` counts the
+    samples dropped for a missing input or target value.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    target_indices: np.ndarray
+    skipped: int
 
     def __len__(self):
-        return len(self.samples)
-
-    def __iter__(self):
-        return iter(self.samples)
-
-    def __getitem__(self, idx):
-        return self.samples[idx]
+        return self.y.shape[0]
 
 
 def make_samples(panel: TimeSeriesPanel, forecast_overlay, ell: int, i: int) -> SampleSet:
@@ -361,27 +370,18 @@ def make_samples(panel: TimeSeriesPanel, forecast_overlay, ell: int, i: int) -> 
     values = panel.values
     T, n = values.shape
     n_fc = min(i - 1, ell)
+    n_real = ell - n_fc
+    # row r of the input for target t = ell + k is position p = k + r
+    rows = np.arange(ell)[:, None] + np.arange(max(T - ell, 0))
+    x = values[rows]
     if n_fc > 0:
         overlay = np.asarray(forecast_overlay, dtype=np.float64)
         if overlay.ndim != 3 or overlay.shape[0] < i - 1 or overlay.shape[1:] != (T, n):
             raise ValueError(
                 f"forecast_overlay must be (>= {i - 1}, {T}, {n}), got "
                 f"{None if forecast_overlay is None else overlay.shape}")
-    samples: list[tuple[np.ndarray, np.ndarray]] = []
-    target_indices: list[int] = []
-    skipped = 0
-    for t in range(ell, T):
-        seq = np.empty((ell, n))
-        n_real = ell - n_fc
-        if n_real:
-            seq[:n_real] = values[t - ell:t - ell + n_real]
-        for row in range(n_real, ell):
-            p = t - ell + row
-            seq[row] = overlay[p - t + i - 1, p]
-        target = values[t]
-        if np.all(np.isfinite(seq)) and np.all(np.isfinite(target)):
-            samples.append((seq, target.copy()))
-            target_indices.append(t)
-        else:
-            skipped += 1
-    return SampleSet(samples, target_indices, skipped)
+        x[n_real:] = overlay[np.arange(i - 1 - n_fc, i - 1)[:, None], rows[n_real:]]
+    y = values[ell:]
+    keep = np.isfinite(x).all(axis=(0, 2)) & np.isfinite(y).all(axis=1)
+    return SampleSet(x[:, keep], y[keep], np.flatnonzero(keep) + ell,
+                     int(np.count_nonzero(~keep)))

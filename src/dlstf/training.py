@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import SampleSet
 from .errors import NumericsError
 from .lstm import LstmNetwork, net_backward, net_forward, predict_batches
 
@@ -98,22 +99,16 @@ def rmsprop_update(params: list[np.ndarray], grads: list[np.ndarray],
         p -= cfg.learning_rate * g / np.sqrt(s + cfg.epsilon)
 
 
-def stack_samples(samples) -> tuple[np.ndarray, np.ndarray]:
-    """(sequence, target) pairs as one time-major (L, N, n) input and (N, n) targets."""
-    x = np.stack([np.asarray(seq, dtype=np.float64) for seq, _ in samples], axis=1)
-    y = np.stack([np.asarray(target, dtype=np.float64) for _, target in samples])
-    return x, y
-
-
-def _mean_val_mae(net: LstmNetwork, val_samples, chunk: int = TrainConfig.batch_size) -> float:
+def _mean_val_mae(net: LstmNetwork, val_samples: SampleSet,
+                 chunk: int = TrainConfig.batch_size) -> float:
     """Mean over samples of the per-sample MAE, forward only in chunks of `chunk` samples."""
-    x, y = stack_samples(val_samples)
-    return float(np.mean(np.mean(np.abs(predict_batches(net, x, chunk) - y), axis=1)))
+    pred = predict_batches(net, val_samples.x, chunk)
+    return float(np.mean(np.mean(np.abs(pred - val_samples.y), axis=1)))
 
 
-def train_model(net: LstmNetwork, train_samples, val_samples, cfg: TrainConfig,
-                _val_loss_fn=None) -> tuple[LstmNetwork, TrainHistory]:
-    """Train a copy of `net` on (sequence, target) samples.
+def train_model(net: LstmNetwork, train_samples: SampleSet, val_samples: SampleSet | None,
+                cfg: TrainConfig, _val_loss_fn=None) -> tuple[LstmNetwork, TrainHistory]:
+    """Train a copy of `net` on a SampleSet's time-major inputs and targets.
 
     Each epoch shuffles the samples with the seeded PRNG
     Generator(PCG64(SeedSequence([seed, 1]))) and cuts the permutation into
@@ -126,7 +121,6 @@ def train_model(net: LstmNetwork, train_samples, val_samples, cfg: TrainConfig,
 
     `_val_loss_fn(net, epoch) -> float` is a test-only validation override.
     """
-    train_samples = list(train_samples)
     if not train_samples:
         raise ValueError("training set is empty")
     if _val_loss_fn is None and not val_samples:
@@ -137,7 +131,7 @@ def train_model(net: LstmNetwork, train_samples, val_samples, cfg: TrainConfig,
     state = RmspropState(params)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 1])))
     history = TrainHistory()
-    x_train, y_train = stack_samples(train_samples)
+    x_train, y_train = train_samples.x, train_samples.y
 
     best_val = np.inf
     best_params: list[np.ndarray] = [p.copy() for p in params]

@@ -97,7 +97,8 @@ class TestAssembleInput:
         cfg = tiny_cfg(n, h=h, ell=ell)
         for i in (2, 3, 6):
             out = make_samples(panel, overlay, ell, i)
-            for (seq, _), t in list(zip(out, out.target_indices))[:5]:
+            for k, t in enumerate(out.target_indices[:5]):
+                seq = out.x[:, k]
                 if model_index(t, h) != i:
                     continue
                 real = {p: vals[p] for p in range(t - ell, t - i + 1)}
@@ -138,6 +139,11 @@ class TestTrainBank:
         stub = train.slice_rows(0, cfg.ell + cfg.h)
         with pytest.raises(DataError, match="enough"):
             train_bank(stub, val, cfg)
+
+    def test_validation_panel_shorter_than_ell_rejected(self, small_bank_setup):
+        _, train, val, _, cfg, _ = small_bank_setup
+        with pytest.raises(DataError, match="model 1: no usable validation samples"):
+            train_bank(train, val.slice_rows(0, cfg.ell - 1), cfg)
 
 
 class TestForecastBlock:

@@ -171,6 +171,15 @@ class TestTrainEvaluate:
         assert run("evaluate", "--model", str(bad), "--data", str(data),
                    "--report", str(tmp_path / "r.csv")) == 2
 
+    def test_validation_range_shorter_than_ell_exit_2(self, tiny_data, tmp_path, capsys):
+        # 400 rows: the validation range is rows 360..363, shorter than ell = 6
+        _, data, cfg, _ = tiny_data
+        out = tmp_path / "x.bank"
+        assert run("train", "--data", str(data), "--config", str(cfg), "--out", str(out),
+                   "--train-frac", "0.9", "--val-frac", "0.01") == 2
+        assert "model 1: no usable validation samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_data_exit_2(self, tiny_data, tmp_path):
         _, _, _, bank_path = tiny_data
         bad = tmp_path / "bad.csv"
@@ -220,6 +229,12 @@ class TestForecast:
         _, data, _, bank_path = tiny_data
         assert run("forecast", "--model", str(bank_path), "--data", str(data),
                    "--at", "1999-01-01T00:00:00Z") == 2
+
+    def test_malformed_time_exit_1(self, tiny_data, capsys):
+        _, data, _, bank_path = tiny_data
+        assert run("forecast", "--model", str(bank_path), "--data", str(data),
+                   "--at", "garbage") == 1
+        assert "--at 'garbage' is not a valid timestamp" in capsys.readouterr().err
 
 
 class TestDumpConfig:

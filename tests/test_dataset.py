@@ -60,6 +60,13 @@ class TestIngest:
         with pytest.raises(DataError, match="duplicate timestamp 2014-01-01T00:00:00Z"):
             ingest_csv(path)
 
+    def test_duplicate_station_id_named(self, tmp_path):
+        path = tmp_path / "dupid.csv"
+        path.write_text("timestamp,S00,S00,S02\n"
+                        "2014-01-01T00:00:00Z,1.0,2.0,3.0\n")
+        with pytest.raises(DataError, match="duplicate station id 'S00'"):
+            ingest_csv(path)
+
     def test_gap_named_with_row(self, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text("timestamp,AAA\n"
@@ -69,11 +76,13 @@ class TestIngest:
             ingest_csv(path)
 
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
+        # non-finite numbers are refused too: only empty and NA mark missing
         path = tmp_path / "cell.csv"
-        path.write_text("timestamp,AAA,BBB\n"
-                        "2014-01-01T00:00:00Z,1.0,oops\n")
-        with pytest.raises(DataError, match=r"line 2.*'BBB'.*'oops'"):
-            ingest_csv(path)
+        for cell in ("oops", "inf", "nan", "1e999"):
+            path.write_text("timestamp,AAA,BBB\n"
+                            f"2014-01-01T00:00:00Z,1.0,{cell}\n")
+            with pytest.raises(DataError, match=rf"line 2.*'BBB'.*'{cell}'"):
+                ingest_csv(path)
 
     def test_roundtrip_write_read(self, tmp_path):
         rng = seeded_rng(8)
@@ -191,7 +200,7 @@ class TestMakeSamples:
         out = make_samples(p, None, ell=12, i=1)
         assert len(out) == 88
         assert out.skipped == 0
-        seq, target = out[0]
+        seq, target = out.x[:, 0], out.y[0]
         assert seq.shape == (12, 2)
         assert np.array_equal(seq, p.values[0:12])
         assert np.array_equal(target, p.values[12])
@@ -203,7 +212,7 @@ class TestMakeSamples:
         overlay[0] = 1000.0 + np.arange(T)[:, None]  # offset-1 forecasts
         overlay[1] = 2000.0 + np.arange(T)[:, None]  # offset-2 forecasts
         out = make_samples(p, overlay, ell=5, i=3)
-        seq, _ = out[0]
+        seq = out.x[:, 0]
         t = out.target_indices[0]
         # 3 real rows for positions t-5 .. t-3, then overlay offsets 1 and 2
         assert np.array_equal(seq[0:3], p.values[t - 5:t - 2])
@@ -216,7 +225,7 @@ class TestMakeSamples:
         overlay = np.stack([k * 100.0 + np.arange(T)[:, None] * np.ones((1, n))
                             for k in range(1, 5)])
         out = make_samples(p, overlay, ell=3, i=5)
-        seq, _ = out[0]
+        seq = out.x[:, 0]
         t = out.target_indices[0]
         # all three rows come from forecasts at offsets i-ell..i-1 = 2, 3, 4
         assert np.array_equal(seq[0], overlay[1, t - 3])
@@ -242,6 +251,48 @@ class TestMakeSamples:
             p = panel_from(rng.uniform(0, 1, (T, 2)))
             out = make_samples(p, None, ell=ell, i=1)
             assert len(out) == T - ell - out.skipped
+
+    def test_matches_per_target_loop(self):
+        def per_target_loop(values, overlay, ell, i):
+            # one sample at a time, as make_samples assembled them before
+            T, n = values.shape
+            n_real = ell - min(i - 1, ell)
+            seqs, targets, kept, skipped = [], [], [], 0
+            for t in range(ell, T):
+                seq = np.empty((ell, n))
+                seq[:n_real] = values[t - ell:t - ell + n_real]
+                for row in range(n_real, ell):
+                    p = t - ell + row
+                    seq[row] = overlay[p - t + i - 1, p]
+                if np.all(np.isfinite(seq)) and np.all(np.isfinite(values[t])):
+                    seqs.append(seq)
+                    targets.append(values[t].copy())
+                    kept.append(t)
+                else:
+                    skipped += 1
+            x = np.stack(seqs, axis=1) if seqs else np.empty((ell, 0, n))
+            y = np.stack(targets) if targets else np.empty((0, n))
+            return x, y, np.array(kept, dtype=np.intp), skipped
+
+        rng = seeded_rng(14)
+        for trial in range(200):
+            ell = int(rng.integers(1, 7))
+            T = int(rng.integers(1, 3 * ell + 12))  # T <= ell happens
+            n = int(rng.integers(1, 4))
+            i = int(rng.integers(1, ell + 4))  # i - 1 >= ell happens
+            nan_frac = (0.0, 0.03, 0.2)[trial % 3]
+            vals = rng.uniform(0, 1, (T, n))
+            vals[rng.uniform(size=(T, n)) < nan_frac] = np.nan
+            overlay = rng.uniform(0, 1, (i - 1, T, n))
+            overlay[rng.uniform(size=overlay.shape) < nan_frac] = np.nan
+            p = panel_from(vals)
+            out = make_samples(p, overlay if i > 1 else None, ell, i)
+            x, y, kept, skipped = per_target_loop(p.values, overlay, ell, i)
+            for got, want in ((out.x, x), (out.y, y), (out.target_indices, kept)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert out.skipped == skipped
+            assert len(out) == len(kept)
 
     def test_invalid_arguments(self):
         p = panel_from(np.arange(30.0))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dlstf.training as training_mod
+from dlstf.dataset import SampleSet
 from dlstf.errors import NumericsError
 from dlstf.lstm import NetworkGradients, init_params, net_backward, net_forward
 from dlstf.training import (RmspropState, TrainConfig, clip_global_norm, mae_loss,
@@ -92,11 +93,14 @@ class TestRmsprop:
 def make_linear_task(n_samples, length, n, seed):
     """Toy task: target = 0.5 * mean of the input rows."""
     rng = seeded_rng(seed)
-    samples = []
-    for _ in range(n_samples):
-        seq = rng.uniform(0.0, 1.0, (length, n))
-        samples.append((seq, 0.5 * seq.mean(axis=0)))
-    return samples
+    seqs = [rng.uniform(0.0, 1.0, (length, n)) for _ in range(n_samples)]
+    x = np.stack(seqs, axis=1) if seqs else np.empty((length, 0, n))
+    return SampleSet(x, 0.5 * x.mean(axis=0), np.arange(n_samples), 0)
+
+
+def rows(samples, a, b):
+    """Samples a..b-1 of a SampleSet."""
+    return SampleSet(samples.x[:, a:b], samples.y[a:b], samples.target_indices[a:b], 0)
 
 
 class TestTrainModel:
@@ -104,8 +108,8 @@ class TestTrainModel:
         samples = make_linear_task(60, 4, 2, 31)
         cfg = TrainConfig(max_epochs=4, batch_size=16, seed=5)
         net = init_params([6], 2, 5)
-        m1, h1 = train_model(net, samples[:48], samples[48:], cfg)
-        m2, h2 = train_model(net, samples[:48], samples[48:], cfg)
+        m1, h1 = train_model(net, rows(samples, 0, 48), rows(samples, 48, 60), cfg)
+        m2, h2 = train_model(net, rows(samples, 0, 48), rows(samples, 48, 60), cfg)
         assert h1.train_losses == h2.train_losses
         assert h1.val_losses == h2.val_losses
         for a, b in zip(m1.param_arrays(), m2.param_arrays()):
@@ -115,7 +119,7 @@ class TestTrainModel:
         samples = make_linear_task(200, 5, 3, 77)
         cfg = TrainConfig(max_epochs=12, batch_size=32, seed=7)
         net = init_params([8], 3, 7)
-        _, hist = train_model(net, samples[:170], samples[170:], cfg)
+        _, hist = train_model(net, rows(samples, 0, 170), rows(samples, 170, 200), cfg)
         assert hist.train_losses[-1] < hist.train_losses[0]
 
     def test_batch_gradient_is_mean_of_sample_gradients(self, monkeypatch):
@@ -128,14 +132,14 @@ class TestTrainModel:
 
         monkeypatch.setattr(training_mod, "rmsprop_update", fake_update)
         cfg = TrainConfig(max_epochs=1, batch_size=10, seed=21, patience=1)
-        train_model(net, samples, samples[:2], cfg)
+        train_model(net, samples, rows(samples, 0, 2), cfg)
         assert len(captured) == 1
 
         order = seeded_rng(21, 1).permutation(10)
         manual = NetworkGradients.zeros_like(net)
         manual_arrays = manual.arrays()
         for idx in order:
-            seq, target = samples[idx]
+            seq, target = samples.x[:, idx], samples.y[idx]
             pred, cache = net_forward(net, seq)
             _, dpred = mae_loss(pred, target)
             g = net_backward(net, cache, dpred)
@@ -171,15 +175,16 @@ class TestTrainModel:
         samples = make_linear_task(80, 4, 2, 55)
         cfg = TrainConfig(max_epochs=6, batch_size=16, seed=4)
         net = init_params([5], 2, 4)
-        best, hist = train_model(net, samples[:64], samples[64:], cfg)
+        best, hist = train_model(net, rows(samples, 0, 64), rows(samples, 64, 80), cfg)
         assert hist.best_epoch == int(np.argmin(hist.val_losses)) + 1
         from dlstf.training import _mean_val_mae
-        assert _mean_val_mae(best, samples[64:]) == hist.val_losses[hist.best_epoch - 1]
+        assert _mean_val_mae(best, rows(samples, 64, 80)) == hist.val_losses[hist.best_epoch - 1]
 
     def test_empty_training_set_rejected(self):
         net = init_params([4], 2, 0)
         with pytest.raises(ValueError, match="empty"):
-            train_model(net, [], make_linear_task(2, 3, 2, 1), TrainConfig())
+            train_model(net, make_linear_task(0, 3, 2, 1), make_linear_task(2, 3, 2, 1),
+                        TrainConfig())
 
     def test_nan_abort_names_epoch_and_batch(self):
         samples = make_linear_task(64, 3, 2, 17)
@@ -187,4 +192,4 @@ class TestTrainModel:
         net = init_params([4], 2, 2)
         with np.errstate(all="ignore"):
             with pytest.raises(NumericsError, match=r"epoch 1, batch 2"):
-                train_model(net, samples, samples[:4], cfg)
+                train_model(net, samples, rows(samples, 0, 4), cfg)
