@@ -191,7 +191,10 @@ def _split_train_val(panel: TimeSeriesPanel, cfg: RunConfig
                      ) -> tuple[TimeSeriesPanel, TimeSeriesPanel]:
     train_end = cfg.get_timestamp("train_end")
     val_end = cfg.get_timestamp("val_end")
-    if train_end is not None and val_end is not None:
+    if (train_end is None) != (val_end is None):
+        given, missing = ("train_end", "val_end") if val_end is None else ("val_end", "train_end")
+        raise UsageError(f"{given} needs {missing}: set both or neither")
+    if train_end is not None:
         a = int(np.searchsorted(panel.timestamps, train_end, side="right"))
         b = int(np.searchsorted(panel.timestamps, val_end, side="right"))
         if not 0 < a < b <= panel.n_times:
@@ -457,7 +460,8 @@ def _cmd_plot(args) -> int:
     if args.stations == "all":
         stations = list(panel.station_ids)
     else:
-        stations = [s.strip() for s in args.stations.split(",") if s.strip()]
+        # dict keys drop repeated ids and keep the first-seen order
+        stations = list(dict.fromkeys(s.strip() for s in args.stations.split(",") if s.strip()))
         for sid in stations:
             panel.station_index(sid)
     sliced, first = _test_window(panel, cfg, bank.config.ell, bank.config.h)

@@ -34,8 +34,8 @@ def parse_timestamp(text: str) -> np.datetime64:
 
 
 def format_timestamp(ts: np.datetime64) -> str:
-    dt = ts.astype("datetime64[s]").item()
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+    """Format as ``YYYY-MM-DDTHH:MM:SSZ``, the form `parse_timestamp` reads back."""
+    return np.datetime_as_string(np.datetime64(ts, "s"), unit="s") + "Z"
 
 
 @dataclass(frozen=True)
@@ -95,11 +95,65 @@ class TimeSeriesPanel:
         return TimeSeriesPanel(self.station_ids, self.timestamps[lo:hi], self.values[lo:hi])
 
 
+# data lines per array pass of ingest_csv and write_csv; bounds the memory
+# a pass holds beyond the panel itself
+CSV_CHUNK_ROWS = 1024
+
+
+def _parse_line(path, lineno: int, line: str, station_ids: list[str], prev):
+    """Check and parse one data line; returns (timestamp, row of n floats).
+
+    This is the only code that writes the error message of a data line.
+    `prev` is the timestamp of the line before, or None for the first data line.
+    """
+    n = len(station_ids)
+    fields = line.split(",")
+    if len(fields) != n + 1:
+        raise DataError(f"{path}: line {lineno} has {len(fields)} fields, expected {n + 1}")
+    try:
+        ts = parse_timestamp(fields[0])
+    except DataError as exc:
+        raise DataError(f"{path}: line {lineno}: {exc}") from None
+    if prev is not None:
+        if ts == prev:
+            raise DataError(f"{path}: line {lineno}: duplicate timestamp {fields[0]}")
+        if ts != prev + HOUR:
+            raise DataError(
+                f"{path}: line {lineno}: timestamp {fields[0]} breaks the hourly grid "
+                f"(previous was {format_timestamp(prev)})")
+    row = []
+    for col, cell in enumerate(fields[1:]):
+        if cell == "" or cell == "NA":
+            row.append(np.nan)
+            continue
+        try:
+            value = float(cell)
+        except ValueError:
+            raise DataError(
+                f"{path}: line {lineno}, column {station_ids[col]!r}: "
+                f"non-numeric cell {cell!r}") from None
+        if not math.isfinite(value):
+            raise DataError(
+                f"{path}: line {lineno}, column {station_ids[col]!r}: "
+                f"non-finite cell {cell!r}")
+        row.append(value)
+    return ts, row
+
+
 def ingest_csv(path) -> TimeSeriesPanel:
-    """Parse a panel CSV; empty cells and ``NA`` become missing values."""
+    """Parse a panel CSV; empty cells and ``NA`` become missing values.
+
+    Data lines are read in chunks of CSV_CHUNK_ROWS. A chunk is split in
+    one pass, its timestamps compared as strings with the canonical hourly
+    grid that starts at the first line's timestamp, and its cells parsed and
+    checked together. A line that fails any of these checks goes through
+    `_parse_line`, which accepts what `parse_timestamp` accepts and otherwise
+    reports the file's first error in line order.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         raw = fh.read()
     lines = [ln[:-1] if ln.endswith("\r") else ln for ln in raw.split("\n")]
+    del raw
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -114,58 +168,54 @@ def ingest_csv(path) -> TimeSeriesPanel:
         if sid in station_ids[:k]:
             raise DataError(f"{path}: duplicate station id {sid!r} in header")
     n = len(station_ids)
-
-    stamps: list[np.datetime64] = []
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != n + 1:
-            raise DataError(f"{path}: line {lineno} has {len(fields)} fields, expected {n + 1}")
-        try:
-            ts = parse_timestamp(fields[0])
-        except DataError as exc:
-            raise DataError(f"{path}: line {lineno}: {exc}") from None
-        if stamps:
-            if ts == stamps[-1]:
-                raise DataError(
-                    f"{path}: line {lineno}: duplicate timestamp {fields[0]}")
-            if ts != stamps[-1] + HOUR:
-                raise DataError(
-                    f"{path}: line {lineno}: timestamp {fields[0]} breaks the hourly grid "
-                    f"(previous was {format_timestamp(stamps[-1])})")
-        row = []
-        for col, cell in enumerate(fields[1:]):
-            if cell == "" or cell == "NA":
-                row.append(np.nan)
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: line {lineno}, column {station_ids[col]!r}: "
-                    f"non-numeric cell {cell!r}") from None
-            if not math.isfinite(value):
-                raise DataError(
-                    f"{path}: line {lineno}, column {station_ids[col]!r}: "
-                    f"non-finite cell {cell!r}")
-            row.append(value)
-        stamps.append(ts)
-        rows.append(row)
-    if not rows:
+    T = len(lines) - 1
+    if T == 0:
         raise DataError(f"{path}: no data rows")
-    return TimeSeriesPanel(tuple(station_ids), np.array(stamps, dtype="datetime64[s]"),
-                           np.array(rows, dtype=np.float64))
+
+    values = np.empty((T, n))
+    t0, values[0] = _parse_line(path, 2, lines[1], station_ids, None)
+    stamps = t0 + np.arange(T) * HOUR
+    for lo in range(1, T, CSV_CHUNK_ROWS):
+        hi = min(lo + CSV_CHUNK_ROWS, T)
+        chunk = lines[lo + 1:hi + 1]
+        counted = [ln.count(",") == n for ln in chunk]
+        rows = np.flatnonzero(counted)
+        ok = np.zeros(hi - lo, dtype=bool)
+        if rows.size:
+            fields = ",".join([chunk[r] for r in rows.tolist()]).split(",")
+            grid = np.datetime_as_string(stamps[lo:hi][rows], unit="s").tolist()
+            on_grid = [a == b + "Z" for a, b in zip(fields[::n + 1], grid)]
+            del fields[::n + 1]
+            try:
+                cells = np.array([float(c) if c != "" and c != "NA" else np.nan
+                                  for c in fields]).reshape(-1, n)
+            except ValueError:  # a non-numeric cell: every number reads as invalid below,
+                # so each line with one goes through _parse_line
+                cells = np.full((rows.size, n), np.nan)
+            # a cell is valid when finite or marked missing (empty or NA)
+            valid = np.isfinite(cells)
+            nan_cells = np.flatnonzero(~valid).tolist()
+            valid.flat[nan_cells] = [fields[k] == "" or fields[k] == "NA" for k in nan_cells]
+            good = np.asarray(on_grid) & valid.all(axis=1)
+            ok[rows[good]] = True
+            values[lo + rows[good]] = cells[good]
+        for r in np.flatnonzero(~ok).tolist():
+            _, values[lo + r] = _parse_line(path, lo + r + 2, chunk[r], station_ids,
+                                            stamps[lo + r - 1])
+    return TimeSeriesPanel(tuple(station_ids), stamps, values)
 
 
 def write_csv(panel: TimeSeriesPanel, path) -> None:
     """Write a panel in the ingestion schema; missing values become ``NA``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("timestamp," + ",".join(panel.station_ids) + "\n")
-        for t in range(panel.n_times):
-            cells = [format_timestamp(panel.timestamps[t])]
-            for v in panel.values[t]:
-                cells.append("NA" if np.isnan(v) else repr(float(v)))
-            fh.write(",".join(cells) + "\n")
+        for lo in range(0, panel.n_times, CSV_CHUNK_ROWS):
+            stamps = np.datetime_as_string(panel.timestamps[lo:lo + CSV_CHUNK_ROWS], unit="s")
+            rows = panel.values[lo:lo + CSV_CHUNK_ROWS].tolist()
+            # v != v only for NaN
+            fh.writelines(
+                ts + "Z," + ",".join(["NA" if v != v else repr(v) for v in row]) + "\n"
+                for ts, row in zip(stamps.tolist(), rows))
 
 
 @dataclass(frozen=True)
@@ -198,29 +248,30 @@ def fill_missing(panel: TimeSeriesPanel, max_gap: int) -> tuple[TimeSeriesPanel,
     if max_gap < 0:
         raise ValueError("max_gap must be >= 0")
     values = panel.values.copy()
-    runs: list[GapRun] = []
     T = panel.n_times
-    for s, sid in enumerate(panel.station_ids):
-        col = values[:, s]
-        missing = np.isnan(col)
-        t = 0
-        while t < T:
-            if not missing[t]:
-                t += 1
-                continue
-            start = t
-            while t < T and missing[t]:
-                t += 1
-            length = t - start
-            interior = start > 0 and t < T
-            if interior and length <= max_gap:
-                left, right = col[start - 1], col[t]
-                for j in range(length):
-                    frac = (j + 1) / (length + 1)
-                    col[start + j] = left + frac * (right - left)
-                runs.append(GapRun(sid, start, length, True))
-            else:
-                runs.append(GapRun(sid, start, length, False))
+    # station-major missing mask, padded so that every run starts and ends
+    # inside its own station's row of the flattened mask
+    padded = np.zeros((panel.n_stations, T + 2), dtype=np.int8)
+    padded[:, 1:-1] = np.isnan(values.T)
+    edges = np.diff(padded.reshape(-1))
+    station, start = np.divmod(np.flatnonzero(edges == 1), T + 2)
+    stop = np.flatnonzero(edges == -1) % (T + 2)
+    length = stop - start
+    filled = (start > 0) & (stop < T) & (length <= max_gap)
+
+    lens = length[filled]
+    cols = np.repeat(station[filled], lens)
+    first = np.repeat(start[filled], lens)
+    run_len = np.repeat(lens, lens)
+    j = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
+    left = values[first - 1, cols]
+    right = values[first + run_len, cols]
+    frac = (j + 1) / (run_len + 1)
+    values[first + j, cols] = left + frac * (right - left)
+
+    ids = panel.station_ids
+    runs = [GapRun(ids[s], a, k, f) for s, a, k, f in zip(
+        station.tolist(), start.tolist(), length.tolist(), filled.tolist())]
     return TimeSeriesPanel(panel.station_ids, panel.timestamps, values), GapReport(runs)
 
 

@@ -108,6 +108,32 @@ class TestUsageErrors:
         assert "train_frac must lie strictly between 0 and 1" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("given, missing", [("train-end", "val_end"),
+                                                ("val-end", "train_end")])
+    def test_lone_split_timestamp(self, tiny_data, tmp_path, capsys, given, missing):
+        _, data, cfg, _ = tiny_data
+        out = tmp_path / "x.bank"
+        assert run("train", "--data", str(data), "--config", str(cfg), "--out", str(out),
+                   f"--{given}", "2000-01-05T00:00:00Z") == 1
+        assert f"needs {missing}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_learning_rate(self, tiny_data, tmp_path, capsys):
+        _, data, cfg, _ = tiny_data
+        assert run("train", "--data", str(data), "--config", str(cfg),
+                   "--out", str(tmp_path / "x.bank"), "--learning-rate", "nan") == 1
+        assert "learning_rate must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["clip_norm = nan", "epsilon = -1", "epsilon = inf"])
+    def test_invalid_optimizer_setting_in_config(self, tiny_data, tmp_path, capsys, line):
+        _, data, cfg, _ = tiny_data
+        bad = tmp_path / "opt.cfg"
+        bad.write_text(cfg.read_text() + line + "\n")
+        assert run("train", "--data", str(data), "--config", str(bad),
+                   "--out", str(tmp_path / "x.bank")) == 1
+        assert f"{line.split()[0]} must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "x.bank").exists()
+
 
 class TestSynth:
     def test_writes_csv_and_manifest(self, tmp_path):
@@ -305,6 +331,17 @@ class TestPlot:
             t = int(t_str)
             assert float(actual_str) == panel.values[t, col]
             assert float(fc_str) == preds[t, col]
+
+    def test_repeated_station_written_once(self, wide_bank, tmp_path):
+        root, data, bank = wide_bank
+        out_dir = tmp_path / "plots3"
+        assert run("plot", "--model", str(bank), "--data", str(data),
+                   "--stations", "S03,S01,S03", "--out", str(out_dir)) == 0
+        index = (out_dir / "index.csv").read_text().strip().split("\n")
+        assert index == ["station,file", "S03,S03.csv", "S01,S01.csv"]
+        manifest = (out_dir / "run.txt").read_text().split("\n")
+        assert [ln.split(" = ")[0] for ln in manifest if ln.startswith("sha256.")] == [
+            "sha256.S03.csv", "sha256.S01.csv", "sha256.index.csv"]
 
     def test_unknown_station_exit_2(self, wide_bank, tmp_path):
         root, data, bank = wide_bank

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from dlstf.dataset import (HOUR, Normalizer, SplitSpec, TimeSeriesPanel, denormalize,
+from dlstf import dataset
+from dlstf.dataset import (HOUR, GapRun, Normalizer, SplitSpec, TimeSeriesPanel, denormalize,
                            fill_missing, fit_normalizer, fraction_split, ingest_csv,
                            make_samples, normalize, parse_timestamp, split, write_csv)
 from dlstf.errors import DataError
@@ -96,6 +99,179 @@ class TestIngest:
         assert np.array_equal(q.timestamps, p.timestamps)
         assert np.array_equal(q.values, p.values, equal_nan=True)
 
+    @pytest.mark.parametrize("chunk", [3, dataset.CSV_CHUNK_ROWS])
+    def test_write_matches_per_row_writer(self, tmp_path, monkeypatch, chunk):
+        def per_row_writer(panel, path):
+            # one formatted timestamp and one cell at a time, as write_csv wrote before
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write("timestamp," + ",".join(panel.station_ids) + "\n")
+                for t in range(panel.n_times):
+                    dt = panel.timestamps[t].astype("datetime64[s]").item()
+                    cells = [dt.strftime("%Y-%m-%dT%H:%M:%SZ")]
+                    for v in panel.values[t]:
+                        cells.append("NA" if np.isnan(v) else repr(float(v)))
+                    fh.write(",".join(cells) + "\n")
+
+        monkeypatch.setattr(dataset, "CSV_CHUNK_ROWS", chunk)
+        rng = seeded_rng(17, chunk)
+        special = np.array([0.0, -0.0, 5e-324, -1e-300, 1e300, 0.1, 1 / 3, np.nan])
+        for trial in range(60):
+            T, n = int(rng.integers(1, 50)), int(rng.integers(1, 5))
+            vals = rng.normal(5.0, 3.0, (T, n)) * 10.0 ** rng.integers(-8, 9, (T, n))
+            pick = rng.uniform(size=(T, n)) < 0.2
+            vals[pick] = rng.choice(special, size=int(pick.sum()))
+            # years 1000 to about 8990
+            start = (np.datetime64("1000-01-01T00:00:00", "s")
+                     + int(rng.integers(0, 7 * 10 ** 7)) * HOUR)
+            p = TimeSeriesPanel(tuple(f"S{k:02d}" for k in range(n)),
+                                start + np.arange(T) * HOUR, vals)
+            write_csv(p, tmp_path / "new.csv")
+            per_row_writer(p, tmp_path / "old.csv")
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_year_before_1000_round_trips(self, tmp_path):
+        p = panel_from([[1.0], [2.0]], start="0005-01-01T23:00:00Z")
+        path = tmp_path / "old.csv"
+        write_csv(p, path)
+        assert path.read_text().split("\n")[1] == "0005-01-01T23:00:00Z,1.0"
+        assert np.array_equal(ingest_csv(path).timestamps, p.timestamps)
+
+    @pytest.mark.parametrize("chunk", [3, 8, dataset.CSV_CHUNK_ROWS])
+    def test_matches_per_line_loop(self, tmp_path, monkeypatch, chunk):
+        def per_line_loop(path):
+            # one line at a time, as ingest_csv parsed files before
+            def fmt(ts):
+                return ts.astype("datetime64[s]").item().strftime("%Y-%m-%dT%H:%M:%SZ")
+
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                raw = fh.read()
+            lines = [ln[:-1] if ln.endswith("\r") else ln for ln in raw.split("\n")]
+            if lines and lines[-1] == "":
+                lines.pop()
+            station_ids = lines[0].split(",")[1:]
+            n = len(station_ids)
+            stamps, rows = [], []
+            for lineno, line in enumerate(lines[1:], start=2):
+                fields = line.split(",")
+                if len(fields) != n + 1:
+                    raise DataError(
+                        f"{path}: line {lineno} has {len(fields)} fields, expected {n + 1}")
+                try:
+                    ts = parse_timestamp(fields[0])
+                except DataError as exc:
+                    raise DataError(f"{path}: line {lineno}: {exc}") from None
+                if stamps:
+                    if ts == stamps[-1]:
+                        raise DataError(
+                            f"{path}: line {lineno}: duplicate timestamp {fields[0]}")
+                    if ts != stamps[-1] + HOUR:
+                        raise DataError(
+                            f"{path}: line {lineno}: timestamp {fields[0]} breaks the "
+                            f"hourly grid (previous was {fmt(stamps[-1])})")
+                row = []
+                for col, cell in enumerate(fields[1:]):
+                    if cell == "" or cell == "NA":
+                        row.append(np.nan)
+                        continue
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: line {lineno}, column {station_ids[col]!r}: "
+                            f"non-numeric cell {cell!r}") from None
+                    if not math.isfinite(value):
+                        raise DataError(
+                            f"{path}: line {lineno}, column {station_ids[col]!r}: "
+                            f"non-finite cell {cell!r}")
+                    row.append(value)
+                stamps.append(ts)
+                rows.append(row)
+            return (tuple(station_ids), np.array(stamps, dtype="datetime64[s]"),
+                    np.array(rows, dtype=np.float64))
+
+        def array_passes(path):
+            panel = ingest_csv(path)
+            return panel.station_ids, panel.timestamps, panel.values
+
+        def outcome(parse, path):
+            try:
+                ids, stamps, values = parse(path)
+            except DataError as exc:
+                return str(exc)
+            return ids, stamps.dtype, stamps.tobytes(), values.shape, values.tobytes()
+
+        def set_field(line, k, text):
+            fields = line.split(",")
+            fields[k] = text
+            return ",".join(fields)
+
+        def stamp_of(line):
+            return parse_timestamp(line.split(",")[0])
+
+        def unpadded(ts):
+            d = ts.item()
+            return f"{d.year}-{d.month}-{d.day}T{d.hour}:0:00Z"
+
+        # each defect rewrites data row r of `lines` (the header is lines[0])
+        defects = {
+            "extra_field": lambda lines, r, rng: lines[r + 1] + ",1.5",
+            "missing_field": lambda lines, r, rng: lines[r + 1].rsplit(",", 1)[0],
+            "bad_stamp": lambda lines, r, rng: set_field(
+                lines[r + 1], 0, str(rng.choice(["2000-13-01T00:00:00Z", "yesterday", ""]))),
+            "off_hour": lambda lines, r, rng: set_field(
+                lines[r + 1], 0, lines[r + 1].split(",")[0][:14] + "30:00Z"),
+            # on row 0, the stamp of row 1, which then repeats it
+            "duplicate": lambda lines, r, rng: set_field(
+                lines[r + 1], 0, lines[r if r else min(2, len(lines) - 1)].split(",")[0]),
+            "off_grid": lambda lines, r, rng: set_field(
+                lines[r + 1], 0, dataset.format_timestamp(
+                    stamp_of(lines[r + 1]) + int(rng.choice([-2, 1, 5])) * HOUR)),
+            "non_numeric": lambda lines, r, rng: set_field(
+                lines[r + 1], 1 + int(rng.integers(n)), str(rng.choice(["abc", "1.2.3", "N/A"]))),
+            "non_finite": lambda lines, r, rng: set_field(
+                lines[r + 1], 1 + int(rng.integers(n)),
+                str(rng.choice(["inf", "nan", "-Infinity", "1e999"]))),
+            # accepted by the per-line parse: same values as the canonical line
+            "unpadded_stamp": lambda lines, r, rng: set_field(
+                lines[r + 1], 0, unpadded(stamp_of(lines[r + 1]))),
+            "missing_cell": lambda lines, r, rng: set_field(
+                lines[r + 1], 1 + int(rng.integers(n)), str(rng.choice(["", "NA"]))),
+            "spaced_cell": lambda lines, r, rng: set_field(lines[r + 1], 1, " 2.5 "),
+        }
+
+        monkeypatch.setattr(dataset, "CSV_CHUNK_ROWS", chunk)
+        rng = seeded_rng(16, chunk)
+        path = tmp_path / "panel.csv"
+        cases = [(kind, pos) for kind in defects for pos in ("first", "boundary", "last")]
+        cases += [(None, None)] * (120 if chunk < 100 else 4)
+        for trial, (kind, pos) in enumerate(cases):
+            n = int(rng.integers(1, 5))
+            T = chunk + 2 if kind is not None else int(rng.integers(1, 3 * chunk + 3))
+            start = np.datetime64("2000-01-01T00:00:00", "s") + int(rng.integers(0, 10 ** 6)) * HOUR
+            vals = rng.normal(5.0, 3.0, (T, n))
+            stamps = np.datetime_as_string(start + np.arange(T) * HOUR, unit="s")
+            lines = ["timestamp," + ",".join(f"S{k}" for k in range(n))]
+            for ts, row in zip(stamps, vals.tolist()):
+                cells = [str(rng.choice(["", "NA"])) if rng.uniform() < 0.05 else repr(v)
+                         for v in row]
+                lines.append(ts + "Z," + ",".join(cells))
+            if kind is not None:
+                # row `chunk` ends the first array pass, row chunk + 1 starts the second
+                r = {"first": 0, "boundary": chunk + int(rng.integers(2)), "last": T - 1}[pos]
+                lines[r + 1] = defects[kind](lines, r, rng)
+            else:
+                for _ in range(int(rng.integers(0, 4))):
+                    kind = str(rng.choice(list(defects)))
+                    r = int(rng.integers(T))
+                    try:
+                        lines[r + 1] = defects[kind](lines, r, rng)
+                    except DataError:  # a stamp-based defect on an already broken stamp
+                        pass
+            eol = "\r\n" if trial % 4 == 1 else "\n"
+            text = eol.join(lines) + ("" if trial % 5 == 2 else eol)
+            path.write_bytes(text.encode("utf-8"))
+            assert outcome(array_passes, path) == outcome(per_line_loop, path), (trial, kind, pos)
+
 
 class TestFillMissing:
     def test_interpolates_short_run(self):
@@ -129,6 +305,47 @@ class TestFillMissing:
         p = panel_from([0.0, np.nan, np.nan, 3.0])
         fixed, _ = fill_missing(p, max_gap=2)
         assert np.allclose(fixed.values[:, 0], [0.0, 1.0, 2.0, 3.0], atol=1e-12)
+
+
+    def test_matches_per_run_loop(self):
+        def per_run_loop(panel, max_gap):
+            # one run at a time, one element at a time, as fill_missing filled them before
+            values = panel.values.copy()
+            runs = []
+            T = panel.n_times
+            for s, sid in enumerate(panel.station_ids):
+                col = values[:, s]
+                missing = np.isnan(col)
+                t = 0
+                while t < T:
+                    if not missing[t]:
+                        t += 1
+                        continue
+                    start = t
+                    while t < T and missing[t]:
+                        t += 1
+                    length = t - start
+                    if start > 0 and t < T and length <= max_gap:
+                        left, right = col[start - 1], col[t]
+                        for j in range(length):
+                            frac = (j + 1) / (length + 1)
+                            col[start + j] = left + frac * (right - left)
+                        runs.append(GapRun(sid, start, length, True))
+                    else:
+                        runs.append(GapRun(sid, start, length, False))
+            return values, runs
+
+        rng = seeded_rng(18)
+        for trial in range(300):
+            T, n = int(rng.integers(1, 60)), int(rng.integers(1, 5))
+            vals = rng.normal(5.0, 3.0, (T, n))
+            vals[rng.uniform(size=(T, n)) < (0.0, 0.05, 0.3, 0.7, 1.0)[trial % 5]] = np.nan
+            max_gap = int(rng.integers(0, 6))
+            fixed, report = fill_missing(panel_from(vals), max_gap)
+            want_values, want_runs = per_run_loop(panel_from(vals), max_gap)
+            assert fixed.values.tobytes() == want_values.tobytes()
+            assert report.runs == want_runs
+            assert all(type(v) is int for r in report.runs for v in (r.start, r.length))
 
 
 class TestNormalizer:

@@ -12,6 +12,18 @@ from dlstf.training import (RmspropState, TrainConfig, clip_global_norm, mae_los
 from conftest import seeded_rng
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("name", ["learning_rate", "epsilon", "clip_norm"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_optimizer_settings_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            TrainConfig(**{name: value})
+
+    def test_nan_rho_rejected(self):
+        with pytest.raises(ValueError, match="rho"):
+            TrainConfig(rho=math.nan)
+
+
 class TestMaeLoss:
     def test_perfect_prediction(self):
         loss, grad = mae_loss(np.array([1.0, -2.0]), np.array([1.0, -2.0]))
