@@ -3,16 +3,15 @@
 Real data arrives only every h hours. Offset 1's model sees ell real rows;
 offset i's model replaces the most recent i-1 rows with the forecasts made
 earlier in the same block. The bank trains one model per offset in cascade.
-Scaled down here (4 stations, small widths, few epochs); takes about two
-minutes on one core.
+Scaled down here (4 stations, small widths, few epochs); takes about ten
+seconds on one core.
 """
 
-from dlstf import (HorizonConfig, forecast_block, fraction_split, split,
-                   synth_generate, train_bank)
+from dlstf import HorizonConfig, forecast_block, fraction_split, synth_generate, train_bank
 from dlstf.evaluation import bank_forecaster, evaluate, persistence_forecaster
 
 panel = synth_generate(n=4, T=1500, seed=7, coupling=0.8)
-train_panel, val_panel, test_panel = split(panel, fraction_split(panel, 0.7, 0.15))
+train_panel, val_panel, test_panel = fraction_split(panel, 0.7, 0.15)
 
 cfg = HorizonConfig.default(n=4, h=6, ell=12, seed=1,
                             first_widths=(16,), later_widths=(24, 24),

@@ -9,15 +9,15 @@ binary model format.
 
 from .bank import (HorizonConfig, ModelBank, ForecastBlock, assemble_input,
                    forecast_block, load_bank, model_index, save_bank, train_bank)
-from .dataset import (GapReport, Normalizer, SampleSet, SplitSpec, TimeSeriesPanel,
-                      denormalize, fill_missing, fit_normalizer, fraction_split,
-                      ingest_csv, make_samples, normalize, split, write_csv)
+from .dataset import (GapReport, Normalizer, SampleSet, TimeSeriesPanel, denormalize,
+                      fill_missing, fit_normalizer, fraction_split, ingest_csv,
+                      make_samples, normalize, write_csv)
 from .errors import DataError, NumericsError
 from .evaluation import (ArModel, ErrorReport, ar_fit, ar_forecast, bank_forecaster,
                          compute_metrics, evaluate, persistence_forecast,
                          persistence_forecaster)
-from .lstm import (LstmLayerParams, LstmNetwork, LstmStepState, gradient_check,
-                   init_params, lstm_step_forward, net_backward, net_forward)
+from .lstm import (LstmLayerParams, LstmNetwork, gradient_check, init_params,
+                   net_backward, net_forward)
 from .synth import synth_generate
 from .training import RmspropState, TrainConfig, TrainHistory, mae_loss, \
     rmsprop_update, train_model

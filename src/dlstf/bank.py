@@ -314,14 +314,16 @@ def load_bank(path) -> ModelBank:
 
     models: list[LstmNetwork] = []
     widths: list[tuple[int, ...]] = []
-    for _ in range(h):
+    for i in range(1, h + 1):
         layer_count = r.u32()
         if layer_count < 1:
             raise DataError(f"{path}: model with zero layers")
         layers = []
         expected_in = n
-        for _ in range(layer_count):
+        for j in range(1, layer_count + 1):
             d, hid = r.u32(), r.u32()
+            if hid < 1:
+                raise DataError(f"{path}: model {i} layer {j} has hidden width 0")
             if d != expected_in:
                 raise DataError(
                     f"{path}: layer input dim {d} breaks the dimension chain "

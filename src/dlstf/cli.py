@@ -20,7 +20,7 @@ import numpy as np
 
 from .bank import HorizonConfig, ModelBank, forecast_block, load_bank, save_bank, train_bank
 from .dataset import (HOUR, TimeSeriesPanel, fill_missing, format_timestamp,
-                      ingest_csv, parse_timestamp, write_csv)
+                      fraction_cuts, ingest_csv, parse_timestamp, write_csv)
 from .errors import DataError, NumericsError
 from .evaluation import (ar_forecaster, bank_forecaster, block_walk, evaluate,
                          fit_ar_models, persistence_forecaster)
@@ -141,7 +141,7 @@ class RunConfig:
 def parse_config_file(path) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -200,12 +200,10 @@ def _split_train_val(panel: TimeSeriesPanel, cfg: RunConfig
         if not 0 < a < b <= panel.n_times:
             raise DataError("train_end/val_end do not cut the panel into nonempty ranges")
     else:
-        frac_a = cfg.get_float("train_frac")
-        frac_b = frac_a + cfg.get_float("val_frac")
-        if not 0 < frac_a < frac_b <= 1:
+        train_frac, val_frac = cfg.get_float("train_frac"), cfg.get_float("val_frac")
+        if not 0 < train_frac < train_frac + val_frac <= 1:
             raise UsageError("train_frac and val_frac must be positive and sum to at most 1")
-        a = int(panel.n_times * frac_a)
-        b = int(panel.n_times * frac_b)
+        a, b = fraction_cuts(panel.n_times, train_frac, val_frac)
         if not 0 < a < b:
             raise DataError(f"panel too short (T={panel.n_times}) for the requested fractions")
     return panel.slice_rows(0, a), panel.slice_rows(a, b)

@@ -150,8 +150,11 @@ def ingest_csv(path) -> TimeSeriesPanel:
     `_parse_line`, which accepts what `parse_timestamp` accepts and otherwise
     reports the file's first error in line order.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            raw = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     lines = [ln[:-1] if ln.endswith("\r") else ln for ln in raw.split("\n")]
     del raw
     if lines and lines[-1] == "":
@@ -335,54 +338,23 @@ def denormalize(values: np.ndarray, nz: Normalizer) -> np.ndarray:
     return values * nz.spans + nz.mins
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Inclusive [start, end] timestamp intervals, ordered train < val < test."""
-
-    train: tuple[np.datetime64, np.datetime64]
-    val: tuple[np.datetime64, np.datetime64]
-    test: tuple[np.datetime64, np.datetime64]
-
-    def __post_init__(self):
-        for name, (a, b) in zip(("train", "val", "test"),
-                                (self.train, self.val, self.test)):
-            if a > b:
-                raise ValueError(f"{name} range is empty ({a} > {b})")
-        if not (self.train[1] < self.val[0] and self.val[1] < self.test[0]):
-            raise ValueError("ranges must be ordered and non-overlapping: train < val < test")
+def fraction_cuts(n_times: int, train_frac: float, val_frac: float) -> tuple[int, int]:
+    """The rows (a, b) that end the training and validation ranges of an
+    n_times-row panel cut at the given fractions: training is rows [0, a),
+    validation [a, b), and the rest is held out. Callers check the result."""
+    return int(n_times * train_frac), int(n_times * (train_frac + val_frac))
 
 
-def fraction_split(panel: TimeSeriesPanel, train_frac: float, val_frac: float) -> SplitSpec:
-    """Build a SplitSpec cutting the panel at the given index fractions."""
+def fraction_split(panel: TimeSeriesPanel, train_frac: float, val_frac: float
+                   ) -> tuple[TimeSeriesPanel, TimeSeriesPanel, TimeSeriesPanel]:
+    """Cut the panel into nonempty train, validation and test sub-panels."""
     if not (0 < train_frac < 1 and 0 < val_frac < 1 and train_frac + val_frac < 1):
         raise ValueError("fractions must be positive and sum to less than 1")
     T = panel.n_times
-    a = int(T * train_frac)
-    b = int(T * (train_frac + val_frac))
+    a, b = fraction_cuts(T, train_frac, val_frac)
     if not (0 < a < b < T):
         raise ValueError(f"panel too short (T={T}) for the requested fractions")
-    ts = panel.timestamps
-    return SplitSpec((ts[0], ts[a - 1]), (ts[a], ts[b - 1]), (ts[b], ts[-1]))
-
-
-def split(panel: TimeSeriesPanel, spec: SplitSpec
-          ) -> tuple[TimeSeriesPanel, TimeSeriesPanel, TimeSeriesPanel]:
-    """Cut the panel into train/val/test sub-panels per the spec's ranges."""
-    out = []
-    for name, (start, end) in zip(("train", "val", "test"),
-                                  (spec.train, spec.val, spec.test)):
-        start = np.datetime64(start, "s")
-        end = np.datetime64(end, "s")
-        if start < panel.timestamps[0] or end > panel.timestamps[-1]:
-            raise DataError(
-                f"{name} range [{format_timestamp(start)}, {format_timestamp(end)}] "
-                "lies outside the panel")
-        lo = int(np.searchsorted(panel.timestamps, start, side="left"))
-        hi = int(np.searchsorted(panel.timestamps, end, side="right"))
-        if hi <= lo:
-            raise DataError(f"{name} range selects no rows")
-        out.append(panel.slice_rows(lo, hi))
-    return out[0], out[1], out[2]
+    return panel.slice_rows(0, a), panel.slice_rows(a, b), panel.slice_rows(b, T)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import affine_combine, as_vector, sigmoid
 
 # Test-only hook: when True, the candidate-gate term of every backward step
 # has its sign flipped. Used to prove gradient_check detects a wrong backward.
@@ -62,18 +61,6 @@ class LstmLayerParams:
     def clone(self) -> "LstmLayerParams":
         return LstmLayerParams(self.input_dim, self.hidden_dim,
                                self.w.copy(), self.u.copy(), self.b.copy())
-
-
-@dataclass
-class LstmStepState:
-    """Gate activations, cell state and output of one recurrence step."""
-
-    f: np.ndarray
-    i: np.ndarray
-    k: np.ndarray
-    o: np.ndarray
-    c: np.ndarray
-    h: np.ndarray
 
 
 @dataclass
@@ -166,11 +153,15 @@ class ForwardCache:
     prediction: np.ndarray    # as net_forward returned it: (n,) or (B, n)
 
 
-def _cell(p: LstmLayerParams, pre: np.ndarray, c_prev: np.ndarray):
-    """The gate equations of one step, given the pre-activation x_t W^T + b + h_{t-1} U^T.
+def sigmoid(v) -> np.ndarray:
+    """Elementwise 1/(1+exp(-v)) without overflow; exact at 0, saturates to 0 and 1."""
+    return 0.5 * (np.tanh(0.5 * np.asarray(v, dtype=np.float64)) + 1.0)
 
-    Works on single rows and on (B, ·) blocks alike. Returns the activated
-    gates (f, i, k, o fused like the pre-activations), c_t, tanh(c_t) and h_t.
+
+def _cell(p: LstmLayerParams, pre: np.ndarray, c_prev: np.ndarray):
+    """The gate equations of one step, given the (B, 4H) pre-activation
+    x_t W^T + b + h_{t-1} U^T. Returns the activated gates (f, i, k, o fused
+    like the pre-activations), c_t, tanh(c_t) and h_t.
     """
     hid = p.hidden_dim
     # one sigmoid call over the fused block, then tanh over the candidate
@@ -181,17 +172,6 @@ def _cell(p: LstmLayerParams, pre: np.ndarray, c_prev: np.ndarray):
     c += gates[..., hid:2 * hid] * gates[..., 2 * hid:3 * hid]
     tanh_c = np.tanh(c)
     return gates, c, tanh_c, gates[..., 3 * hid:] * tanh_c
-
-
-def lstm_step_forward(p: LstmLayerParams, x_t: np.ndarray, h_prev: np.ndarray,
-                      c_prev: np.ndarray) -> LstmStepState:
-    """One recurrence step on single vectors, through the same gate code as net_forward."""
-    hid = p.hidden_dim
-    c_prev = as_vector(c_prev)
-    if c_prev.shape != (hid,):
-        raise ValueError(f"c_prev must have length {hid}, got {c_prev.shape[0]}")
-    gates, c, _, h = _cell(p, affine_combine(p.w, x_t, p.u, h_prev, p.b), c_prev)
-    return LstmStepState(*(gates[g * hid:(g + 1) * hid] for g in range(4)), c=c, h=h)
 
 
 def _layer_forward(p: LstmLayerParams, x: np.ndarray, keep_cache: bool):
@@ -322,12 +302,15 @@ def gradient_check(net: LstmNetwork, sample, eps: float) -> float:
 
     `sample` is a (sequence, target) pair. The scalar functional checked is
     the smooth quadratic 0.5 * mean((prediction - target)^2); relative error
-    for each parameter is |a - fd| / max(1e-8, |a| + |fd|).
+    for each parameter is |a - fd| / max(1e-8, |a| + |fd|). A NaN error in
+    any parameter makes the result NaN, which fails every `<` gate.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     seq, target = sample
-    target = as_vector(target)
+    target = np.asarray(target, dtype=np.float64)
+    if target.ndim != 1:
+        raise ValueError(f"target must be a 1-D vector, got shape {target.shape}")
     m = target.shape[0]
 
     def loss_of(network: LstmNetwork) -> float:
@@ -352,9 +335,9 @@ def gradient_check(net: LstmNetwork, sample, eps: float) -> float:
             fd = (up - down) / (2.0 * eps)
             a = gflat[idx]
             rel = abs(a - fd) / max(1e-8, abs(a) + abs(fd))
-            if rel > worst:
-                worst = rel
-    return worst
+            # np.maximum, unlike max and >, carries a NaN through
+            worst = np.maximum(worst, rel)
+    return float(worst)
 
 
 def init_params(layer_dims: list[int], n: int, seed: int) -> LstmNetwork:

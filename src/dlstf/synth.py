@@ -38,8 +38,8 @@ def synth_generate(n: int, T: int, seed: int, coupling: float = 0.8,
         raise ValueError("need at least 100 time steps")
     if not 0.0 <= coupling <= 1.0:
         raise ValueError("coupling must lie in [0, 1]")
-    if noise < 0.0:
-        raise ValueError("noise must be nonnegative")
+    if not 0.0 <= noise < np.inf:
+        raise ValueError("noise must be finite and nonnegative")
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     phase_drift = 0.25  # rad/hour random-walk step of the driver phases

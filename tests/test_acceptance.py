@@ -22,14 +22,14 @@ from dlstf.bank import (BANK_MAGIC, HorizonConfig, ModelBank, forecast_block,
                         load_bank, model_index, save_bank, train_bank)
 from dlstf.cli import run_cli
 from dlstf.dataset import (TimeSeriesPanel, fill_missing, fit_normalizer,
-                           fraction_split, ingest_csv, parse_timestamp, split)
+                           fraction_split, ingest_csv, parse_timestamp)
 from dlstf.errors import DataError
 from dlstf.evaluation import (ar_fit, bank_forecaster, evaluate, fit_ar_models,
                               ar_forecaster, persistence_forecaster)
-from dlstf.lstm import (LstmLayerParams, gradient_check, init_params,
-                        lstm_step_forward, net_forward)
+from dlstf.lstm import LstmLayerParams, gradient_check, init_params, net_forward
 from dlstf.synth import TARGET_STATION, synth_generate
-from conftest import GRADCHECK_CASES, gradcheck_instance, seeded_rng
+from conftest import (GRADCHECK_CASES, gradcheck_instance, layer_record, scalar_unroll,
+                      seeded_rng)
 
 SYNTH_SEED = 20240809
 BANK_SEED = 11
@@ -58,7 +58,7 @@ def synth_panel():
 
 @pytest.fixture(scope="session")
 def synth_splits(synth_panel):
-    return split(synth_panel, fraction_split(synth_panel, 0.70, 0.15))
+    return fraction_split(synth_panel, 0.70, 0.15)
 
 
 @pytest.fixture(scope="session")
@@ -80,7 +80,7 @@ def trained_bank(synth_splits, bank_config):
 def solo_bank(synth_panel):
     solo = TimeSeriesPanel((TARGET_STATION,), synth_panel.timestamps,
                            synth_panel.values[:, :1])
-    train_panel, val_panel, test_panel = split(solo, fraction_split(solo, 0.70, 0.15))
+    train_panel, val_panel, test_panel = fraction_split(solo, 0.70, 0.15)
     cfg = HorizonConfig.default(n=1, seed=BANK_SEED, max_epochs=8, patience=4)
     start = time.monotonic()
     bank = train_bank(train_panel, val_panel, cfg)
@@ -99,25 +99,22 @@ def test_criterion_02_forward_oracle():
     with criterion(2, "forward pass matches hand computations", 1):
         # scalar cell, all weights 1, all biases 0, input 1
         p_scalar = LstmLayerParams(1, 1, np.ones((4, 1)), np.ones((4, 1)), np.zeros(4))
-        st = lstm_step_forward(p_scalar, np.array([1.0]), np.zeros(1), np.zeros(1))
+        gates, c, h = layer_record(p_scalar, [[1.0]])
+        f, _, k, _ = gates[0]
         sig1 = 1.0 / (1.0 + math.exp(-1.0))
         c_expect = sig1 * math.tanh(1.0)
         h_expect = sig1 * math.tanh(c_expect)
-        assert abs(st.f[0] - sig1) < 1e-4
-        assert abs(st.k[0] - math.tanh(1.0)) < 1e-4
-        assert abs(st.c[0] - c_expect) < 1e-4
-        assert abs(st.h[0] - h_expect) < 1e-4
+        assert abs(f - sig1) < 1e-4
+        assert abs(k - math.tanh(1.0)) < 1e-4
+        assert abs(c[1, 0] - c_expect) < 1e-4
+        assert abs(h[1, 0] - h_expect) < 1e-4
 
-        # 3-step single-layer network equals a manual unroll to rounding: the
-        # network projects all input rows in one product, the unroll one by one
+        # 3-step single-layer network equals a scalar math unroll to rounding:
+        # the two sum and round in their own orders
         net = init_params([5], 3, seed=17)
         seq = seeded_rng(17, 4).uniform(-1, 1, (3, 3))
         pred, _ = net_forward(net, seq)
-        h, c = np.zeros(5), np.zeros(5)
-        for t in range(3):
-            state = lstm_step_forward(net.layers[0], seq[t], h, c)
-            h, c = state.h, state.c
-        manual = net.head_w @ h + net.head_b
+        manual = scalar_unroll(net, seq)
         assert np.allclose(pred, manual, rtol=1e-12, atol=1e-15)
 
 

@@ -6,8 +6,7 @@ import pytest
 
 from dlstf.bank import (BANK_MAGIC, HorizonConfig, ModelBank, assemble_input,
                         forecast_block, load_bank, model_index, save_bank, train_bank)
-from dlstf.dataset import (HOUR, Normalizer, TimeSeriesPanel, fraction_split,
-                           make_samples, split)
+from dlstf.dataset import HOUR, Normalizer, TimeSeriesPanel, fraction_split, make_samples
 from dlstf.errors import DataError
 from dlstf.lstm import init_params, net_forward
 from dlstf.synth import synth_generate
@@ -109,7 +108,7 @@ class TestAssembleInput:
 @pytest.fixture(scope="module")
 def small_bank_setup():
     panel = synth_generate(3, 320, seed=404, coupling=0.7, noise=0.2)
-    train, val, test = split(panel, fraction_split(panel, 0.6, 0.2))
+    train, val, test = fraction_split(panel, 0.6, 0.2)
     cfg = HorizonConfig.default(n=3, h=2, ell=6, seed=5,
                                 first_widths=(4,), later_widths=(4,),
                                 max_epochs=2, batch_size=16, patience=2)

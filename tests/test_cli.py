@@ -1,10 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
-from dlstf.bank import BANK_MAGIC, HorizonConfig, load_bank
-from dlstf.cli import run_cli
-from dlstf.dataset import ingest_csv
+from dlstf.bank import BANK_MAGIC, BANK_VERSION, HorizonConfig, load_bank
+from dlstf.cli import RunConfig, _split_train_val, run_cli
+from dlstf.dataset import fraction_split, ingest_csv
 from dlstf.evaluation import bank_forecaster, block_walk
+from dlstf.synth import synth_generate
 
 
 def run(*argv):
@@ -47,6 +50,10 @@ class TestGradcheck:
         monkeypatch.setenv("DLSTF_SEED", "31")
         assert run("gradcheck", "--seed", "8") == 0
         assert "seed = 8" in capsys.readouterr().err
+
+    def test_nan_gradient_exit_3(self, capsys, nan_gradient):
+        assert run("gradcheck", "--seed", "7") == 3
+        assert "FAIL" in capsys.readouterr().out
 
 
 class TestUsageErrors:
@@ -157,6 +164,14 @@ class TestSynth:
     def test_invalid_sizes_exit_1(self):
         assert run("synth", "--n", "1", "--T", "120", "--out", "x.csv") == 1
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_exit_1(self, tmp_path, capsys, noise):
+        out = tmp_path / "s.csv"
+        assert run("synth", "--n", "2", "--T", "120", "--noise", noise,
+                   "--out", str(out)) == 1
+        assert "noise must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainEvaluate:
     def test_bank_loads_and_has_config(self, tiny_data):
@@ -205,6 +220,38 @@ class TestTrainEvaluate:
                    "--train-frac", "0.9", "--val-frac", "0.01") == 2
         assert "model 1: no usable validation samples" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_zero_width_layer_exit_2(self, tiny_data, tmp_path, capsys):
+        # h = 1, ell = 2, n = 3; one model whose only layer has hidden width 0
+        _, data, _, _ = tiny_data
+        n = 3
+        raw = BANK_MAGIC + struct.pack("<IIII", BANK_VERSION, 1, 2, n)
+        raw += struct.pack(f"<{2 * n}d", *[0.0, 1.0] * n)
+        raw += struct.pack("<III", 1, n, 0)
+        raw += struct.pack(f"<{n}d", *[0.0] * n)  # head bias; every other block is empty
+        raw += struct.pack("<Q", 3 * n)
+        bad = tmp_path / "zero.bank"
+        bad.write_bytes(raw)
+        assert run("forecast", "--model", str(bad), "--data", str(data),
+                   "--at", "2000-01-03T00:00:00Z") == 2
+        assert "model 1 layer 1 has hidden width 0" in capsys.readouterr().err
+
+    def test_non_utf8_data_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"timestamp,A,B\n2000-01-01T00:00:00Z,1.0,\xff\n")
+        assert run("baseline", "--method", "persistence", "--data", str(bad),
+                   "--report", str(tmp_path / "r.csv")) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "UTF-8" in err
+
+    def test_non_utf8_config_exit_2(self, tiny_data, tmp_path, capsys):
+        _, data, _, _ = tiny_data
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes(b"# caf\xe9\nh = 2\n")
+        assert run("train", "--data", str(data), "--config", str(bad),
+                   "--out", str(tmp_path / "x.bank")) == 2
+        assert f"cannot read config file {bad}" in capsys.readouterr().err
+        assert not (tmp_path / "x.bank").exists()
 
     def test_corrupt_data_exit_2(self, tiny_data, tmp_path):
         _, _, _, bank_path = tiny_data
@@ -347,3 +394,27 @@ class TestPlot:
         root, data, bank = wide_bank
         assert run("plot", "--model", str(bank), "--data", str(data),
                    "--stations", "NOPE", "--out", str(tmp_path / "x")) == 2
+
+
+class TestSplitRule:
+    def test_train_val_match_fraction_split(self):
+        # the CLI and fraction_split cut at the same rows wherever both accept
+        fracs = [0.05, 0.1, 0.15, 0.3, 1 / 3, 0.45, 0.5, 0.6, 0.7, 0.85, 0.9]
+        full = synth_generate(2, 400, seed=3)
+        compared = 0
+        for T in (2, 3, 7, 10, 19, 40, 101, 400):
+            panel = full.slice_rows(0, T)
+            for train_frac in fracs:
+                for val_frac in fracs:
+                    try:
+                        train, val, _ = fraction_split(panel, train_frac, val_frac)
+                    except ValueError:
+                        continue
+                    cfg = RunConfig.build(None, {"train_frac": train_frac,
+                                                 "val_frac": val_frac})
+                    cli_train, cli_val = _split_train_val(panel, cfg)
+                    for a, b in ((cli_train, train), (cli_val, val)):
+                        assert np.array_equal(a.timestamps, b.timestamps)
+                        assert np.array_equal(a.values, b.values)
+                    compared += 1
+        assert compared > 300

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from dlstf import dataset
-from dlstf.dataset import (HOUR, GapRun, Normalizer, SplitSpec, TimeSeriesPanel, denormalize,
+from dlstf.dataset import (HOUR, GapRun, Normalizer, TimeSeriesPanel, denormalize,
                            fill_missing, fit_normalizer, fraction_split, ingest_csv,
-                           make_samples, normalize, parse_timestamp, split, write_csv)
+                           make_samples, normalize, parse_timestamp, write_csv)
 from dlstf.errors import DataError
 from conftest import seeded_rng
 
@@ -390,24 +390,17 @@ class TestNormalizer:
 class TestSplit:
     def test_split_by_index_sizes(self):
         p = panel_from(np.arange(100.0))
-        spec = fraction_split(p, 0.7, 0.1)
-        train, val, test = split(p, spec)
+        train, val, test = fraction_split(p, 0.7, 0.1)
         assert (train.n_times, val.n_times, test.n_times) == (70, 10, 20)
         assert train.station_ids == p.station_ids
+        assert np.array_equal(np.concatenate([train.values, val.values, test.values]),
+                              p.values)
 
-    def test_overlapping_ranges_rejected(self):
-        p = panel_from(np.arange(30.0))
-        ts = p.timestamps
-        with pytest.raises(ValueError, match="ordered"):
-            SplitSpec((ts[0], ts[10]), (ts[10], ts[19]), (ts[20], ts[29]))
-
-    def test_out_of_range_rejected(self):
-        p = panel_from(np.arange(10.0))
-        ts = p.timestamps
-        spec = SplitSpec((ts[0], ts[3]), (ts[4], ts[6]), (ts[7], ts[9]))
-        shorter = p.slice_rows(0, 8)
-        with pytest.raises(DataError, match="outside"):
-            split(shorter, spec)
+    @pytest.mark.parametrize("T,train_frac,val_frac", [(10, 0.5, 0.5), (10, 0.6, 0.5),
+                                                        (3, 0.3, 0.3), (10, 0.7, 0.05)])
+    def test_every_range_must_be_nonempty(self, T, train_frac, val_frac):
+        with pytest.raises(ValueError):
+            fraction_split(panel_from(np.arange(float(T))), train_frac, val_frac)
 
 
 class TestMakeSamples:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import dlstf.lstm as lstm_mod
-from dlstf.lstm import (LstmLayerParams, LstmNetwork, NetworkGradients,
-                        gradient_check, init_params, lstm_step_forward,
-                        net_backward, net_forward)
-from conftest import GRADCHECK_CASES, gradcheck_instance, seeded_rng
+from dlstf.lstm import (LstmLayerParams, LstmNetwork, gradient_check, init_params,
+                        net_backward, net_forward, sigmoid)
+from conftest import (GRADCHECK_CASES, gradcheck_instance, layer_record, scalar_unroll,
+                      seeded_rng)
 
 
 def scalar_params(weight=1.0, bias=0.0, **bias_overrides):
@@ -25,16 +25,24 @@ def random_layer(input_dim, hidden_dim, seed):
         rng.uniform(-1, 1, 4 * hidden_dim))
 
 
+def split_gates(gates):
+    """(..., 4H) fused gates -> f, i, k, o."""
+    return np.split(gates, 4, axis=-1)
+
+
 class TestStepForward:
+    """The gate equations of one step, read from net_forward's forward record."""
+
     def test_all_zero_parameters(self):
         p = LstmLayerParams(2, 3, np.zeros((12, 2)), np.zeros((12, 3)), np.zeros(12))
-        st = lstm_step_forward(p, np.array([5.0, -1.0]), np.zeros(3), np.zeros(3))
-        assert np.array_equal(st.f, np.full(3, 0.5))
-        assert np.array_equal(st.i, np.full(3, 0.5))
-        assert np.array_equal(st.o, np.full(3, 0.5))
-        assert np.array_equal(st.k, np.zeros(3))
-        assert np.array_equal(st.c, np.zeros(3))
-        assert np.array_equal(st.h, np.zeros(3))
+        gates, c, h = layer_record(p, [[5.0, -1.0]])
+        f, i, k, o = split_gates(gates[0])
+        assert np.array_equal(f, np.full(3, 0.5))
+        assert np.array_equal(i, np.full(3, 0.5))
+        assert np.array_equal(o, np.full(3, 0.5))
+        assert np.array_equal(k, np.zeros(3))
+        assert np.array_equal(c[1], np.zeros(3))
+        assert np.array_equal(h[1], np.zeros(3))
 
     def test_scalar_hand_computation(self):
         # independent scalar oracle computed with math formulas only
@@ -42,38 +50,44 @@ class TestStepForward:
         tanh1 = math.tanh(1.0)
         c_expect = sig1 * tanh1
         h_expect = sig1 * math.tanh(c_expect)
-        st = lstm_step_forward(scalar_params(), np.array([1.0]), np.zeros(1), np.zeros(1))
-        assert abs(st.f[0] - sig1) < 1e-4
-        assert abs(st.i[0] - sig1) < 1e-4
-        assert abs(st.o[0] - sig1) < 1e-4
-        assert abs(st.k[0] - tanh1) < 1e-4
-        assert abs(st.c[0] - c_expect) < 1e-4
-        assert abs(st.h[0] - h_expect) < 1e-4
-        assert abs(st.c[0] - 0.55677) < 1e-4
-        assert abs(st.h[0] - 0.3696) < 1e-4
+        gates, c, h = layer_record(scalar_params(), [[1.0]])
+        f, i, k, o = gates[0]
+        assert abs(f - sig1) < 1e-4
+        assert abs(i - sig1) < 1e-4
+        assert abs(o - sig1) < 1e-4
+        assert abs(k - tanh1) < 1e-4
+        assert abs(c[1, 0] - c_expect) < 1e-4
+        assert abs(h[1, 0] - h_expect) < 1e-4
+        assert abs(c[1, 0] - 0.55677) < 1e-4
+        assert abs(h[1, 0] - 0.3696) < 1e-4
 
     def test_saturated_gates_preserve_memory(self):
-        p = scalar_params(weight=0.0, f=100.0, i=-100.0)
-        c_prev = np.array([0.37])
-        st = lstm_step_forward(p, np.array([2.0]), np.array([0.5]), c_prev)
-        assert abs(st.c[0] - c_prev[0]) < 1e-12
+        # step 1 writes c_1 = tanh(atanh(0.37)) through an open input gate;
+        # step 2 saturates the forget gate open and the input gate shut
+        p = LstmLayerParams(1, 1, np.array([[0.0], [100.0], [math.atanh(0.37)], [0.0]]),
+                            np.zeros((4, 1)), np.array([100.0, 0.0, 0.0, 0.0]))
+        gates, c, _ = layer_record(p, [[1.0], [-1.0]])
+        assert gates[1, 0] == 1.0 and gates[1, 1] == 0.0
+        assert abs(c[1, 0] - 0.37) < 1e-12
+        assert abs(c[2, 0] - c[1, 0]) < 1e-12
 
     def test_gate_ranges(self):
+        # two steps, so that step 2 starts from a nonzero h and c
         for seed in range(10):
             p = random_layer(3, 5, seed)
-            rng = seeded_rng(seed, 9)
-            st = lstm_step_forward(p, rng.uniform(-10, 10, 3),
-                                   rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 5))
-            for gate in (st.f, st.i, st.o):
+            gates, c, _ = layer_record(p, seeded_rng(seed, 9).uniform(-10, 10, (2, 3)))
+            assert np.all(c[1] != 0.0)
+            f, i, k, o = split_gates(gates)
+            for gate in (f, i, o):
                 assert np.all(gate > 0.0) and np.all(gate < 1.0)
-            assert np.all(st.k > -1.0) and np.all(st.k < 1.0)
+            assert np.all(k > -1.0) and np.all(k < 1.0)
 
     def test_shape_mismatch(self):
-        p = random_layer(3, 5, 0)
-        with pytest.raises(ValueError):
-            lstm_step_forward(p, np.zeros(4), np.zeros(5), np.zeros(5))
-        with pytest.raises(ValueError):
-            lstm_step_forward(p, np.zeros(3), np.zeros(5), np.zeros(4))
+        net = one_layer_network(random_layer(3, 5, 0), 2, 0)
+        with pytest.raises(ValueError, match="expected"):
+            net_forward(net, np.zeros((1, 4)))
+        with pytest.raises(ValueError, match="expected"):
+            net_forward(net, np.zeros((1, 2, 4)))
 
 
 def one_layer_network(p, n_out, seed):
@@ -162,17 +176,12 @@ class TestNetForward:
             net_forward(net, [])
 
     def test_manual_unroll_oracle(self):
-        # the unroll projects one input row at a time, the network all rows
-        # in one product, so the two agree to rounding
+        # a scalar math loop sums and rounds in its own order, so the two
+        # agree to rounding
         net = init_params([5], 3, 17)
         seq = seeded_rng(17, 4).uniform(-1, 1, (3, 3))
         pred, _ = net_forward(net, seq)
-        p = net.layers[0]
-        h, c = np.zeros(5), np.zeros(5)
-        for t in range(3):
-            st = lstm_step_forward(p, seq[t], h, c)
-            h, c = st.h, st.c
-        manual = net.head_w @ h + net.head_b
+        manual = scalar_unroll(net, seq)
         assert np.allclose(pred, manual, rtol=1e-12, atol=1e-15)
 
     def test_two_layer_composition_exact(self):
@@ -253,6 +262,17 @@ class TestGradientCheck:
         with pytest.raises(ValueError):
             gradient_check(net, (np.zeros((3, 2)), np.zeros(2)), 0.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        net = zero_network([3], 2)
+        with pytest.raises(ValueError, match="finite"):
+            gradient_check(net, (np.zeros((3, 2)), np.zeros(2)), eps)
+
+    def test_nan_gradient_fails_the_gate(self, nan_gradient):
+        net, sample = gradcheck_instance([6], 2, 4, 1276)
+        err = gradient_check(net, sample, 1e-5)
+        assert not err < 1e-6
+
 
 class TestInitParams:
     def test_same_seed_bit_identical(self):
@@ -282,3 +302,29 @@ class TestInitParams:
     def test_empty_dims_rejected(self):
         with pytest.raises(ValueError):
             init_params([], 3, 0)
+
+
+class TestActivations:
+    def test_analytic_points(self):
+        assert sigmoid(np.array([0.0]))[0] == 0.5
+
+    def test_sigmoid_derivative_at_zero(self):
+        s = sigmoid(np.array([0.0]))[0]
+        d = s * (1.0 - s)
+        assert d == 0.25
+        eps = 1e-6
+        fd = (sigmoid(np.array([eps]))[0] - sigmoid(np.array([-eps]))[0]) / (2 * eps)
+        assert abs(d - fd) < 1e-8
+
+    def test_sigmoid_derivative_matches_finite_differences(self):
+        z = seeded_rng(4, 0).uniform(-5.0, 5.0, 1000)
+        eps = 1e-6
+        s = sigmoid(z)
+        analytic = s * (1.0 - s)
+        fd = (sigmoid(z + eps) - sigmoid(z - eps)) / (2 * eps)
+        rel = np.abs(analytic - fd) / np.maximum(1e-8, np.abs(analytic) + np.abs(fd))
+        assert rel.max() < 1e-6
+
+    def test_sigmoid_extreme_inputs_stay_finite(self):
+        out = sigmoid(np.array([-1e4, 1e4]))
+        assert np.array_equal(out, np.array([0.0, 1.0]))
