@@ -162,6 +162,12 @@ class ForecastBlock:
         object.__setattr__(self, "block_start", np.datetime64(self.block_start, "s"))
 
 
+def check_train_rows(T: int, ell: int, h: int) -> None:
+    """A training range of T rows must be longer than ell + h rows."""
+    if T <= ell + h:
+        raise DataError(f"not enough training history: T={T} must exceed ell + h = {ell + h}")
+
+
 def train_bank(train_panel: TimeSeriesPanel, val_panel: TimeSeriesPanel,
                cfg: HorizonConfig, progress=None) -> ModelBank:
     """Cascade-train all h models on raw (missing-repaired) panels.
@@ -176,10 +182,7 @@ def train_bank(train_panel: TimeSeriesPanel, val_panel: TimeSeriesPanel,
         raise DataError("train and validation panels must share the same stations")
     if train_panel.n_stations != cfg.n:
         raise DataError(f"config expects {cfg.n} stations, panel has {train_panel.n_stations}")
-    if train_panel.n_times <= cfg.ell + cfg.h:
-        raise DataError(
-            f"not enough training history: T={train_panel.n_times} must exceed "
-            f"ell + h = {cfg.ell + cfg.h}")
+    check_train_rows(train_panel.n_times, cfg.ell, cfg.h)
 
     nz = fit_normalizer(train_panel)
     norm_train = normalize(train_panel, nz)

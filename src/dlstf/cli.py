@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bank import HorizonConfig, ModelBank, forecast_block, load_bank, save_bank, train_bank
+from .bank import (HorizonConfig, ModelBank, check_train_rows, forecast_block, load_bank,
+                   save_bank, train_bank)
 from .dataset import (HOUR, TimeSeriesPanel, fill_missing, format_timestamp,
                       fraction_cuts, ingest_csv, parse_timestamp, write_csv)
 from .errors import DataError, NumericsError
@@ -68,16 +69,15 @@ class RunConfig:
     @classmethod
     def build(cls, config_path: str | None, flag_overrides: dict[str, str | None]) -> "RunConfig":
         values = dict(CONFIG_DEFAULTS)
-        if config_path is not None:
-            for key, val in parse_config_file(config_path).items():
-                if key not in values:
-                    raise UsageError(f"{config_path}: unknown config key {key!r}")
-                values[key] = val
-        if "seed" not in {k for k, v in flag_overrides.items() if v is not None}:
-            env_seed = os.environ.get("DLSTF_SEED")
-            if env_seed is not None and (config_path is None
-                                         or "seed" not in parse_config_file(config_path)):
-                values["seed"] = env_seed
+        file_values = {} if config_path is None else parse_config_file(config_path)
+        for key, val in file_values.items():
+            if key not in values:
+                raise UsageError(f"{config_path}: unknown config key {key!r}")
+            values[key] = val
+        env_seed = os.environ.get("DLSTF_SEED")
+        if env_seed is not None and "seed" not in file_values \
+                and flag_overrides.get("seed") is None:
+            values["seed"] = env_seed
         for key, val in flag_overrides.items():
             if val is not None:
                 values[key] = str(val)
@@ -187,6 +187,15 @@ def _load_panel(cfg: RunConfig, data_path: str) -> TimeSeriesPanel:
     return panel
 
 
+def _load_bank_and_panel(cfg: RunConfig, args) -> tuple[ModelBank, TimeSeriesPanel]:
+    bank = load_bank(args.model)
+    panel = _load_panel(cfg, args.data)
+    if panel.n_stations != bank.config.n:
+        raise DataError(
+            f"bank expects {bank.config.n} stations, data has {panel.n_stations}")
+    return bank, panel
+
+
 def _split_train_val(panel: TimeSeriesPanel, cfg: RunConfig
                      ) -> tuple[TimeSeriesPanel, TimeSeriesPanel]:
     train_end = cfg.get_timestamp("train_end")
@@ -279,6 +288,7 @@ def _cmd_train(args) -> int:
     _log(f"seed = {cfg.values['seed']}  config_digest = {cfg.digest()}")
     panel = _load_panel(cfg, args.data)
     train_panel, val_panel = _split_train_val(panel, cfg)
+    check_train_rows(train_panel.n_times, cfg.get_int("ell"), cfg.get_int("h"))
     hcfg = cfg.horizon_config(panel.n_stations)
 
     def progress(i, hist):
@@ -299,11 +309,7 @@ def _cmd_evaluate(args) -> int:
     })
     _require(args, "model", "data", "report")
     _log(f"seed = {cfg.values['seed']}  config_digest = {cfg.digest()}")
-    bank = load_bank(args.model)
-    panel = _load_panel(cfg, args.data)
-    if panel.n_stations != bank.config.n:
-        raise DataError(
-            f"bank expects {bank.config.n} stations, data has {panel.n_stations}")
+    bank, panel = _load_bank_and_panel(cfg, args)
     sliced, first = _test_window(panel, cfg, bank.config.ell, bank.config.h)
     report = evaluate(bank_forecaster(bank), sliced, bank.config, first_block_index=first)
     out = Path(args.report)
@@ -326,7 +332,6 @@ def _cmd_baseline(args) -> int:
     _log(f"seed = {cfg.values['seed']}  config_digest = {cfg.digest()}")
     panel = _load_panel(cfg, args.data)
     h, ell = cfg.get_int("h"), cfg.get_int("ell")
-    hcfg_schedule = cfg.horizon_config(panel.n_stations)
     if cfg.get_timestamp("test_start") is None:
         # without an explicit window, hold out the tail past train_frac
         train_frac = cfg.get_float("train_frac")
@@ -340,6 +345,8 @@ def _cmd_baseline(args) -> int:
             raise DataError("panel too short for a baseline block after the training range")
     else:
         sliced, first = _test_window(panel, cfg, ell, h)
+    # built after the window checks: it holds h widths and train configs
+    hcfg_schedule = cfg.horizon_config(panel.n_stations)
     if args.method == "persistence":
         forecaster = persistence_forecaster(h)
     else:
@@ -366,11 +373,7 @@ def _cmd_forecast(args) -> int:
         raise UsageError(f"--at {args.at!r} is not a valid timestamp "
                          "(YYYY-MM-DDTHH:00:00Z)") from None
     _log(f"seed = {cfg.values['seed']}  config_digest = {cfg.digest()}")
-    bank = load_bank(args.model)
-    panel = _load_panel(cfg, args.data)
-    if panel.n_stations != bank.config.n:
-        raise DataError(
-            f"bank expects {bank.config.n} stations, data has {panel.n_stations}")
+    bank, panel = _load_bank_and_panel(cfg, args)
     block = forecast_block(bank, panel, at)
     lines = ["timestamp," + ",".join(panel.station_ids)]
     for k in range(bank.config.h):
@@ -450,11 +453,7 @@ def _cmd_plot(args) -> int:
     })
     _require(args, "model", "data", "stations", "out")
     _log(f"seed = {cfg.values['seed']}  config_digest = {cfg.digest()}")
-    bank = load_bank(args.model)
-    panel = _load_panel(cfg, args.data)
-    if panel.n_stations != bank.config.n:
-        raise DataError(
-            f"bank expects {bank.config.n} stations, data has {panel.n_stations}")
+    bank, panel = _load_bank_and_panel(cfg, args)
     if args.stations == "all":
         stations = list(panel.station_ids)
     else:

@@ -1,10 +1,11 @@
 """Reference forecasters and block-walk evaluation with MAE/RMSE/NRMSE reports.
 
-A forecaster here is any callable taking the (t, n) array of real history
-rows and returning the (h, n) block of forecasts for the next h hours;
-`bank_forecaster`, `persistence_forecaster` and `ar_forecaster` adapt the
-bank and the baselines to that shape. Metrics are always computed on
-denormalized (m/s) values.
+A forecaster here is a batch callable `forecast(values, starts)` returning the
+(h, B, n) forecasts of the B blocks that start at rows `starts` of the (T, n)
+values; block j may read only `values[:starts[j]]`. `bank_forecaster`,
+`persistence_forecaster` and `ar_forecaster` adapt the bank and the baselines
+to it; each also takes a lone history as the B = 1 case and returns (h, n).
+Metrics are always computed on denormalized (m/s) values.
 """
 
 from __future__ import annotations
@@ -80,16 +81,22 @@ def ar_fit(series: np.ndarray, p: int) -> ArModel:
 
 
 def ar_forecast(model: ArModel, history: np.ndarray, h: int) -> np.ndarray:
-    """Recursive h-step forecast; each prediction feeds the later lags."""
+    """Recursive h-step forecast; each prediction feeds the later lags.
+
+    A (t,) history gives (h,), a (B, t) one (h, B): the sum runs elementwise
+    in lag order, so a block's bits do not depend on B."""
     history = np.asarray(history, dtype=np.float64)
-    if history.ndim != 1 or history.shape[0] < model.order:
+    if history.ndim not in (1, 2) or history.shape[-1] < model.order:
         raise ValueError(
             f"need at least {model.order} history values, got shape {history.shape}")
-    lags = list(history[-model.order:][::-1])  # lags[0] = most recent
-    out = np.empty(h)
+    lags = list(history.T[::-1][:model.order])  # lags[0] = most recent
+    c = model.coefficients
+    out = np.empty((h,) + history.shape[:-1])
     for step in range(h):
-        nxt = model.intercept + float(np.dot(model.coefficients, lags))
-        out[step] = nxt
+        acc = c[0] * lags[0]
+        for j in range(1, model.order):
+            acc += c[j] * lags[j]
+        out[step] = nxt = model.intercept + acc
         lags = [nxt] + lags[:-1]
     return out
 
@@ -133,16 +140,13 @@ class ErrorReport:
         return float(self.mae[idx]), float(self.rmse[idx]), float(self.nrmse[idx])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv_text())
-
-    def to_csv_text(self) -> str:
         lines = ["station,mae,rmse,nrmse"]
         for s, sid in enumerate(self.station_ids):
             lines.append(f"{sid},{float(self.mae[s])!r},{float(self.rmse[s])!r},"
                          f"{float(self.nrmse[s])!r}")
         lines.append(f"MEAN,{self.mean_mae!r},{self.mean_rmse!r},{self.mean_nrmse!r}")
-        return "\n".join(lines) + "\n"
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
 
 
 def block_walk(forecaster, panel: TimeSeriesPanel, cfg: HorizonConfig,
@@ -151,29 +155,27 @@ def block_walk(forecaster, panel: TimeSeriesPanel, cfg: HorizonConfig,
 
     Blocks start at `first_block_index` (default ell) and step by h; each
     forecast sees only the rows before its block. Blocks whose ell-row history
-    window is incomplete are skipped. Returns the (T, n) matrix of stitched
-    predictions (NaN where no forecast was made) and the block start indices.
+    window is incomplete are skipped. The forecaster is called once with every
+    kept start. Returns the (T, n) matrix of stitched predictions (NaN where no
+    forecast was made) and the block start indices.
     """
     h, ell = cfg.h, cfg.ell
     start = ell if first_block_index is None else first_block_index
     if start < ell:
         raise DataError(f"first block at index {start} leaves less than ell={ell} history rows")
     T, n = panel.values.shape
-    preds = np.full((T, n), np.nan)
-    starts: list[int] = []
-    for b in range(start, T - h + 1, h):
-        window = panel.values[b - ell:b]
-        if not np.all(np.isfinite(window)):
-            continue
-        block = forecaster(panel.values[:b])
-        block = np.asarray(block, dtype=np.float64)
-        if block.shape != (h, n):
-            raise ValueError(f"forecaster returned {block.shape}, expected {(h, n)}")
-        preds[b:b + h] = block
-        starts.append(b)
-    if not starts:
+    # bad[t] counts the rows before t with a missing value
+    bad = np.concatenate(([0], np.cumsum(~np.all(np.isfinite(panel.values), axis=1))))
+    starts = np.arange(start, T - h + 1, h)
+    starts = starts[bad[starts] == bad[starts - ell]]
+    if starts.size == 0:
         raise DataError("test panel is too short or too gappy for a single complete block")
-    return preds, starts
+    blocks = np.asarray(forecaster(panel.values, starts), dtype=np.float64)
+    if blocks.shape != (h, starts.size, n):
+        raise ValueError(f"forecaster returned {blocks.shape}, expected {(h, starts.size, n)}")
+    preds = np.full((T, n), np.nan)
+    preds[starts + np.arange(h)[:, None]] = blocks
+    return preds, starts.tolist()
 
 
 def evaluate(forecaster, test_panel: TimeSeriesPanel, cfg: HorizonConfig,
@@ -186,37 +188,49 @@ def evaluate(forecaster, test_panel: TimeSeriesPanel, cfg: HorizonConfig,
     """
     preds, _ = block_walk(forecaster, test_panel, cfg, first_block_index)
     mask = np.isfinite(preds) & np.isfinite(test_panel.values)
-    n = test_panel.n_stations
-    mae = np.empty(n)
-    rmse = np.empty(n)
-    nrmse = np.empty(n)
-    total = 0
-    for s in range(n):
+    rows = []
+    for s, sid in enumerate(test_panel.station_ids):
         sel = mask[:, s]
-        count = int(sel.sum())
-        if count == 0:
-            raise DataError(f"station {test_panel.station_ids[s]!r} has no evaluable forecasts")
-        total += count
-        mae[s], rmse[s], nrmse[s] = compute_metrics(preds[sel, s], test_panel.values[sel, s])
+        if not sel.any():
+            raise DataError(f"station {sid!r} has no evaluable forecasts")
+        rows.append(compute_metrics(preds[sel, s], test_panel.values[sel, s]))
+    mae, rmse, nrmse = (np.array(col) for col in zip(*rows))
     return ErrorReport(
-        station_ids=test_panel.station_ids,
-        mae=mae, rmse=rmse, nrmse=nrmse,
-        mean_mae=float(np.mean(mae)),
-        mean_rmse=float(np.mean(rmse)),
-        mean_nrmse=float(np.mean(nrmse)),
-        sample_count=total,
-    )
+        station_ids=test_panel.station_ids, mae=mae, rmse=rmse, nrmse=nrmse,
+        mean_mae=float(np.mean(mae)), mean_rmse=float(np.mean(rmse)),
+        mean_nrmse=float(np.mean(nrmse)), sample_count=int(mask.sum()))
+
+
+def _batch_forecaster(blocks):
+    """Wrap `blocks(values, starts) -> (h, B, n)` so it also takes a lone history."""
+    def forecast(values: np.ndarray, starts=None) -> np.ndarray:
+        values = np.asarray(values, dtype=np.float64)
+        if starts is None:  # one block after the last row, as (h, n)
+            return forecast(values, [values.shape[0]])[:, 0]
+        starts = np.asarray(starts, dtype=np.intp)
+        if values.ndim != 2 or starts.ndim != 1 or np.any((starts < 1) | (starts > len(values))):
+            raise ValueError(f"bad history shape {values.shape} or block starts")
+        return blocks(values, starts)
+    return forecast
 
 
 def bank_forecaster(bank: ModelBank):
-    """Adapt a ModelBank to the evaluate() forecaster shape."""
-    return bank.predict_block
+    """Adapt a ModelBank to the evaluate() forecaster shape, one block at a time."""
+    return _batch_forecaster(lambda values, starts: np.stack(
+        [bank.predict_block(values[:b]) for b in starts], axis=1))
 
 
 def persistence_forecaster(h: int):
-    def forecast(history: np.ndarray) -> np.ndarray:
-        return persistence_forecast(history, history.shape[0], h)
-    return forecast
+    """Each station's last real row before every start, from one forward-filled index."""
+    def blocks(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        seen = np.where(np.isfinite(values), np.arange(values.shape[0])[:, None], -1)
+        rows = np.maximum.accumulate(seen, axis=0)[starts - 1]
+        if np.any(rows < 0):
+            s = int(np.argwhere(rows < 0)[0, 1])
+            raise DataError(f"station column {s} has no real observation before the block")
+        last = np.take_along_axis(values, rows, axis=0)
+        return np.repeat(last[None], h, axis=0)
+    return _batch_forecaster(blocks)
 
 
 def fit_ar_models(panel: TimeSeriesPanel, p: int) -> list[ArModel]:
@@ -230,13 +244,17 @@ def fit_ar_models(panel: TimeSeriesPanel, p: int) -> list[ArModel]:
 
 def ar_forecaster(models: list[ArModel], h: int):
     """Adapt per-station AR models; each forecasts from its station's last `order` rows."""
-    def forecast(history: np.ndarray) -> np.ndarray:
-        out = np.empty((h, len(models)))
+    def blocks(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        out = np.empty((h, starts.size, len(models)))
+        observed = np.empty((starts.size, len(models)), dtype=bool)
         for s, m in enumerate(models):
-            lags = history[-m.order:, s]
-            if not np.all(np.isfinite(lags)):
-                raise DataError(f"station {m.station_id!r}: the last {m.order} history rows "
-                                "must all be observed for an AR forecast")
-            out[:, s] = ar_forecast(m, lags, h)
+            rows = starts[:, None] - m.order + np.arange(m.order)
+            lags = values[rows, s]
+            observed[:, s] = np.all(np.isfinite(lags) & (rows >= 0), axis=1)
+            out[:, :, s] = ar_forecast(m, lags, h)
+        if not observed.all():
+            m = models[int(np.argwhere(~observed)[0, 1])]
+            raise DataError(f"station {m.station_id!r}: the last {m.order} history rows "
+                            "must all be observed for an AR forecast")
         return out
-    return forecast
+    return _batch_forecaster(blocks)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dlstf.bank import BANK_MAGIC, BANK_VERSION, HorizonConfig, load_bank
+from dlstf import cli as cli_module
 from dlstf.cli import RunConfig, _split_train_val, run_cli
 from dlstf.dataset import fraction_split, ingest_csv
 from dlstf.evaluation import bank_forecaster, block_walk
@@ -330,6 +331,49 @@ class TestDumpConfig:
         assert run("train", "--config", str(cfg), "--h", "5", "--dump-config") == 0
         assert "h = 5" in capsys.readouterr().out
 
+
+    @pytest.mark.parametrize("has_seed", [True, False])
+    def test_config_file_parsed_once_with_env_seed(self, tmp_path, monkeypatch, has_seed):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("h = 3\n" + ("seed = 9\n" if has_seed else ""))
+        monkeypatch.setenv("DLSTF_SEED", "4")
+        calls = []
+        parse = cli_module.parse_config_file
+        monkeypatch.setattr(cli_module, "parse_config_file",
+                            lambda path: calls.append(path) or parse(path))
+        built = RunConfig.build(str(cfg), {"seed": None, "h": None})
+        assert len(calls) == 1
+        assert built.values["seed"] == ("9" if has_seed else "4")
+        assert built.values["h"] == "3"
+        assert RunConfig.build(str(cfg), {"seed": "7"}).values["seed"] == "7"
+
+
+class TestHugeHorizon:
+    """A horizon longer than the panel is a data error found before the bank shape
+    (h widths and h train configs) is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_horizon_config(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("HorizonConfig.default called")
+        monkeypatch.setattr(HorizonConfig, "default", refuse)
+
+    @pytest.mark.parametrize("window", [[], ["--test-start", "2000-01-15T00:00:00Z"]])
+    def test_baseline_exit_2(self, tiny_data, tmp_path, capsys, window):
+        _, data, _, _ = tiny_data
+        assert run("baseline", "--method", "ar", "--order", "3", "--h", "100000000",
+                   "--data", str(data), "--report", str(tmp_path / "r.csv"), *window) == 2
+        err = capsys.readouterr().err
+        assert ("panel too short for a baseline block" in err
+                or "test window is too short for a single block" in err)
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_train_exit_2(self, tiny_data, tmp_path, capsys):
+        _, data, _, _ = tiny_data
+        assert run("train", "--data", str(data), "--out", str(tmp_path / "x.bank"),
+                   "--h", "100000000") == 2
+        assert "not enough training history: T=280 must exceed" in capsys.readouterr().err
+        assert not (tmp_path / "x.bank").exists()
 
 @pytest.fixture(scope="module")
 def wide_bank(tmp_path_factory):

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from dlstf.bank import HorizonConfig
+from dlstf.bank import HorizonConfig, ModelBank
 from dlstf.dataset import HOUR, TimeSeriesPanel, parse_timestamp
 from dlstf.errors import DataError
-from dlstf.evaluation import (ArModel, ar_fit, ar_forecast, ar_forecaster, block_walk,
-                              compute_metrics, evaluate, persistence_forecast,
-                              persistence_forecaster)
+from dlstf.dataset import Normalizer
+from dlstf.evaluation import (ArModel, ar_fit, ar_forecast, ar_forecaster, bank_forecaster,
+                              block_walk, compute_metrics, evaluate, fit_ar_models,
+                              persistence_forecast, persistence_forecaster)
+from dlstf.lstm import init_params
 from conftest import seeded_rng
 
 
@@ -137,6 +139,12 @@ class TestArForecaster:
         with pytest.raises(DataError, match="last 2 history rows"):
             ar_forecaster([m], 3)(history)
 
+    def test_history_shorter_than_order_rejected(self):
+        # the lag rows before row 0 must not wrap around to the panel's end
+        m = ArModel("X", 3, 0.0, np.array([0.1, 0.1, 0.1]))
+        with pytest.raises(DataError, match="last 3 history rows"):
+            ar_forecaster([m], 2)(np.ones((2, 1)))
+
 
 class TestComputeMetrics:
     def test_perfect(self):
@@ -173,9 +181,8 @@ class TestEvaluate:
         panel = panel_from(rng.uniform(0, 10, (60, 3)))
         h = 4
 
-        def oracle(history):
-            b = history.shape[0]
-            return panel.values[b:b + h]
+        def oracle(values, starts):
+            return np.stack([panel.values[b:b + h] for b in starts], axis=1)
 
         report = evaluate(oracle, panel, schedule_cfg(3, h=h, ell=6))
         assert report.mean_mae == 0.0
@@ -195,7 +202,8 @@ class TestEvaluate:
         panel = panel_from(rng.uniform(0, 10, (70, 2)))
         cfg = schedule_cfg(2, h=5, ell=8)
         _, starts_a = block_walk(persistence_forecaster(5), panel, cfg)
-        _, starts_b = block_walk(lambda hist: np.zeros((5, 2)), panel, cfg)
+        _, starts_b = block_walk(lambda values, starts: np.zeros((5, len(starts), 2)),
+                                 panel, cfg)
         assert starts_a == starts_b
         assert starts_a[0] == 8
         assert all(b - a == 5 for a, b in zip(starts_a, starts_a[1:]))
@@ -242,3 +250,184 @@ class TestEvaluate:
         report = evaluate(persistence_forecaster(4), panel, schedule_cfg(3, h=4, ell=6))
         assert report.mean_mae == pytest.approx(float(np.mean(report.mae)), abs=1e-15)
         assert report.mean_rmse == pytest.approx(float(np.mean(report.rmse)), abs=1e-15)
+
+
+def gappy_values(seed, T=160, n=3, gaps=6, max_len=4):
+    """Seeded AR-like panel with `gaps` NaN runs of 1..max_len rows after row 40."""
+    rng = seeded_rng(seed)
+    values = 5.0 + np.cumsum(rng.normal(0.0, 0.3, (T, n)), axis=0)
+    for _ in range(gaps):
+        start = int(rng.integers(40, T - max_len))
+        values[start:start + int(rng.integers(1, max_len + 1)), int(rng.integers(n))] = np.nan
+    return values
+
+
+def reference_walk(forecast_one, values, start, h, ell):
+    """The per-block walk: one forecast per complete-window start, history values[:b]."""
+    T, n = values.shape
+    preds = np.full((T, n), np.nan)
+    starts = []
+    for b in range(start, T - h + 1, h):
+        if not np.all(np.isfinite(values[b - ell:b])):
+            continue
+        preds[b:b + h] = forecast_one(values[:b])
+        starts.append(b)
+    if not starts:
+        raise DataError("test panel is too short or too gappy for a single complete block")
+    return preds, starts
+
+
+def batch_forecasters(values, h, ell):
+    """Persistence, AR(ell) fit on the gap-free head, and a small untrained bank."""
+    n = values.shape[1]
+    models = fit_ar_models(panel_from(values[:40]), ell)
+    cfg = HorizonConfig.default(n=n, h=h, ell=ell, first_widths=(4,), later_widths=(5, 3))
+    bank = ModelBank(config=cfg,
+                     models=[init_params(list(w), n, 20 + i) for i, w in enumerate(cfg.widths)],
+                     normalizer=Normalizer(tuple(f"S{k:02d}" for k in range(n)),
+                                           np.zeros(n), np.full(n, 12.0)))
+    return {"persistence": persistence_forecaster(h), "ar": ar_forecaster(models, h),
+            "bank": bank_forecaster(bank)}
+
+
+class TestBatchForecasters:
+    H, ELL = 3, 4
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    @pytest.mark.parametrize("kind", ["persistence", "ar", "bank"])
+    def test_each_block_matches_its_lone_forecast(self, seed, kind):
+        values = gappy_values(seed)
+        forecast = batch_forecasters(values, self.H, self.ELL)[kind]
+        _, starts = block_walk(forecast, panel_from(values), schedule_cfg(3, self.H, self.ELL))
+        full = forecast(values, starts)
+        assert full.shape == (self.H, len(starts), 3)
+        for j, b in enumerate(starts):
+            assert full[:, j].tobytes() == forecast(values[:b], [b])[:, 0].tobytes()
+            assert full[:, j].tobytes() == forecast(values[:b]).tobytes()
+
+    @pytest.mark.parametrize("poison", [np.nan, 1e300])
+    @pytest.mark.parametrize("kind", ["persistence", "ar", "bank"])
+    def test_rows_at_or_after_a_start_are_never_read(self, kind, poison):
+        values = gappy_values(13)
+        forecast = batch_forecasters(values, self.H, self.ELL)[kind]
+        _, starts = block_walk(forecast, panel_from(values), schedule_cfg(3, self.H, self.ELL))
+        full = forecast(values, starts)
+        for j in range(0, len(starts), 5):
+            poisoned = values.copy()
+            poisoned[starts[j]:] = poison
+            got = forecast(poisoned, starts[:j + 1])
+            assert got.tobytes() == full[:, :j + 1].tobytes()
+
+    def test_ar_forecast_is_the_single_block_case(self):
+        rng = seeded_rng(14)
+        m = ArModel("X", 5, 0.3, rng.uniform(-0.4, 0.4, 5))
+        history = rng.uniform(0, 10, (40, 9))
+        batch = ar_forecast(m, history, 6)
+        assert batch.shape == (6, 40)
+        for j in range(40):
+            assert batch[:, j].tobytes() == ar_forecast(m, history[j], 6).tobytes()
+
+    def test_bad_starts_rejected(self):
+        values = np.ones((10, 2))
+        forecast = persistence_forecaster(2)
+        for starts in ([0], [11], [[3]]):
+            with pytest.raises(ValueError):
+                forecast(values, starts)
+
+
+class TestBlockWalkStarts:
+    H, ELL = 4, 5
+
+    def recording(self, calls):
+        def forecast(values, starts):
+            calls.append(list(starts))
+            # block j, offset k holds 1000 j + k, so stitching errors show
+            return (1000.0 * np.arange(len(starts))[None, :, None]
+                    + np.arange(self.H)[:, None, None] + np.zeros((1, 1, values.shape[1])))
+        return forecast
+
+    def reference_stitch(self, values, start):
+        count = [0]
+
+        def one(history):
+            j = count[0]
+            count[0] += 1
+            return 1000.0 * j + np.arange(self.H)[:, None] + np.zeros((1, values.shape[1]))
+        return reference_walk(one, values, start, self.H, self.ELL)
+
+    @pytest.mark.parametrize("seed", [21, 22, 23, 24])
+    def test_matches_the_per_block_loop(self, seed):
+        values = gappy_values(seed, T=120, gaps=12, max_len=6)
+        T = values.shape[0]
+        # NaN on both edges of some window: rows b - ell and b - 1
+        values[60 - self.ELL, 0] = np.nan
+        values[80 - 1, 2] = np.nan
+        panel = panel_from(values)
+        cfg = schedule_cfg(3, self.H, self.ELL)
+        for first in (self.ELL, T // 2, T // 2 + 1, T - self.H):
+            calls = []
+            try:
+                expected = self.reference_stitch(values, first)
+            except DataError as exc:
+                with pytest.raises(DataError, match=str(exc)):
+                    block_walk(self.recording(calls), panel, cfg, first_block_index=first)
+                assert calls == []
+                continue
+            preds, starts = block_walk(self.recording(calls), panel, cfg,
+                                       first_block_index=first)
+            assert starts == expected[1]
+            assert all(type(b) is int for b in starts)
+            assert calls == [starts]
+            assert preds.tobytes() == expected[0].tobytes()
+
+    def test_window_edges(self):
+        values = np.ones((40, 2))
+        values[10 - self.ELL, 1] = np.nan  # first row of block 10's window
+        values[18 - 1, 0] = np.nan  # last row of block 18's window
+        _, starts = block_walk(self.recording([]), panel_from(values),
+                               schedule_cfg(2, self.H, self.ELL), first_block_index=6)
+        assert starts == [b for b in range(6, 37, 4) if b not in (6, 10, 18, 22)]
+
+    def test_no_complete_window_same_error(self):
+        values = np.ones((30, 1))
+        values[::3] = np.nan
+        with pytest.raises(DataError) as ref:
+            reference_walk(lambda hist: None, values, self.ELL, self.H, self.ELL)
+        calls = []
+        with pytest.raises(DataError) as got:
+            block_walk(self.recording(calls), panel_from(values),
+                       schedule_cfg(1, self.H, self.ELL))
+        assert str(got.value) == str(ref.value)
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", [31, 32, 33, 34, 35])
+    def test_ar_missing_lag_names_the_first_failing_station_in_walk_order(self, seed):
+        # order > ell, so the AR lags reach past the complete ell-row window
+        h, ell, order = 3, 2, 6
+        values = gappy_values(seed, T=150, n=4, gaps=10, max_len=2)
+        models = fit_ar_models(panel_from(values[:40]), order)
+        forecast = ar_forecaster(models, h)
+        expected = None
+        for b in reference_walk(lambda hist: np.zeros((h, 4)), values, 40, h, ell)[1]:
+            bad = [s for s in range(4) if not np.all(np.isfinite(values[b - order:b, s]))]
+            if bad:
+                expected = models[bad[0]].station_id
+                break
+        assert expected is not None
+        with pytest.raises(DataError, match=f"station {expected!r}: the last {order}"):
+            block_walk(forecast, panel_from(values), schedule_cfg(4, h, ell),
+                       first_block_index=40)
+
+    def test_persistence_names_the_first_station_without_history(self):
+        values = np.ones((20, 3))
+        values[:12, 2] = np.nan
+        values[:10, 1] = np.nan
+        # block 10 lacks stations 1 and 2, block 11 only station 2
+        with pytest.raises(DataError, match="station column 1 has"):
+            persistence_forecast(values, 10, 2)
+        with pytest.raises(DataError, match="station column 1 has"):
+            persistence_forecaster(2)(values, [14, 10, 11])
+        with pytest.raises(DataError, match="station column 2 has"):
+            persistence_forecaster(2)(values, [14, 11, 10])
+        assert persistence_forecaster(2)(values, [13, 16]).tobytes() == np.stack(
+            [persistence_forecast(values, b, 2) for b in (13, 16)], axis=1).tobytes()
