@@ -19,7 +19,6 @@ from .evaluation import (ArModel, ErrorReport, ar_fit, ar_forecast, bank_forecas
 from .lstm import (LstmLayerParams, LstmNetwork, gradient_check, init_params,
                    net_backward, net_forward)
 from .synth import synth_generate
-from .training import RmspropState, TrainConfig, TrainHistory, mae_loss, \
-    rmsprop_update, train_model
+from .training import TrainConfig, TrainHistory, mae_loss, rmsprop_update, train_model
 
 __version__ = "0.1.0"

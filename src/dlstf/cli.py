@@ -99,6 +99,12 @@ class RunConfig:
     def get_int(self, key: str) -> int:
         return self._parse(key, int, "integer")
 
+    def get_seed(self) -> int:
+        seed = self.get_int("seed")
+        if seed < 0:
+            raise UsageError(f"config key 'seed' must be a non-negative integer, got {seed}")
+        return seed
+
     def get_float(self, key: str) -> float:
         return self._parse(key, float, "number")
 
@@ -123,7 +129,7 @@ class RunConfig:
                 n=n,
                 h=self.get_int("h"),
                 ell=self.get_int("ell"),
-                seed=self.get_int("seed"),
+                seed=self.get_seed(),
                 first_widths=self.get_widths("m1_layers"),
                 later_widths=self.get_widths("mi_layers"),
                 learning_rate=self.get_float("learning_rate"),
@@ -218,9 +224,10 @@ def _split_train_val(panel: TimeSeriesPanel, cfg: RunConfig
     return panel.slice_rows(0, a), panel.slice_rows(a, b)
 
 
-def _test_window(panel: TimeSeriesPanel, cfg: RunConfig, ell: int, h: int
-                 ) -> tuple[TimeSeriesPanel, int]:
-    """Resolve --test-start/--test-end into (panel slice, first block index)."""
+def _test_window(panel: TimeSeriesPanel, cfg: RunConfig, ell: int, h: int,
+                 default_first: int | None = None) -> tuple[TimeSeriesPanel, int]:
+    """Resolve --test-start/--test-end into (panel slice, first block index);
+    without test_start the first block is default_first, or ell if that is None."""
     test_start = cfg.get_timestamp("test_start")
     test_end = cfg.get_timestamp("test_end")
     sliced = panel
@@ -230,7 +237,7 @@ def _test_window(panel: TimeSeriesPanel, cfg: RunConfig, ell: int, h: int
             raise DataError("test_end precedes the panel")
         sliced = panel.slice_rows(0, hi)
     if test_start is None:
-        first = ell
+        first = ell if default_first is None else default_first
     else:
         first = sliced.index_of(np.datetime64(test_start, "s"))
         if first < ell:
@@ -266,26 +273,25 @@ def emit_plot_data(predictions: np.ndarray, panel: TimeSeriesPanel,
     return written
 
 
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
+def _run_config(args, *required: str) -> RunConfig:
+    """A command's effective config, with every flag whose dest is a config key
+    as an override; then the `required` options are checked and the seed and
+    digest logged. `train --dump-config` skips the check and the log."""
+    cfg = RunConfig.build(args.config, {k: getattr(args, k, None) for k in KNOWN_KEYS})
+    if getattr(args, "dump_config", False):
+        return cfg
+    for name in required:
+        if getattr(args, name) is None:
             raise UsageError(f"the --{name} option is required")
+    _log(f"seed = {cfg.values['seed']}  config_digest = {cfg.digest()}")
+    return cfg
 
 
 def _cmd_train(args) -> int:
-    cfg = RunConfig.build(args.config, {
-        "seed": args.seed, "h": args.h, "ell": args.ell,
-        "max_epochs": args.max_epochs, "learning_rate": args.learning_rate,
-        "batch_size": args.batch_size, "patience": args.patience,
-        "m1_layers": args.m1_layers, "mi_layers": args.mi_layers,
-        "train_frac": args.train_frac, "val_frac": args.val_frac,
-        "train_end": args.train_end, "val_end": args.val_end,
-    })
+    cfg = _run_config(args, "data", "out")
     if args.dump_config:
         sys.stdout.write(cfg.dump())
         return 0
-    _require(args, "data", "out")
-    _log(f"seed = {cfg.values['seed']}  config_digest = {cfg.digest()}")
     panel = _load_panel(cfg, args.data)
     train_panel, val_panel = _split_train_val(panel, cfg)
     check_train_rows(train_panel.n_times, cfg.get_int("ell"), cfg.get_int("h"))
@@ -304,11 +310,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = RunConfig.build(args.config, {
-        "seed": args.seed, "test_start": args.test_start, "test_end": args.test_end,
-    })
-    _require(args, "model", "data", "report")
-    _log(f"seed = {cfg.values['seed']}  config_digest = {cfg.digest()}")
+    cfg = _run_config(args, "model", "data", "report")
     bank, panel = _load_bank_and_panel(cfg, args)
     sliced, first = _test_window(panel, cfg, bank.config.ell, bank.config.h)
     report = evaluate(bank_forecaster(bank), sliced, bank.config, first_block_index=first)
@@ -321,30 +323,19 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    cfg = RunConfig.build(args.config, {
-        "seed": args.seed, "h": args.h, "ell": args.ell,
-        "test_start": args.test_start, "test_end": args.test_end,
-        "train_frac": args.train_frac,
-    })
-    _require(args, "data", "report")
+    cfg = _run_config(args, "data", "report")
     if args.method == "ar" and args.order < 1:
         raise UsageError(f"--order must be >= 1, got {args.order}")
-    _log(f"seed = {cfg.values['seed']}  config_digest = {cfg.digest()}")
     panel = _load_panel(cfg, args.data)
     h, ell = cfg.get_int("h"), cfg.get_int("ell")
+    default_first = None
     if cfg.get_timestamp("test_start") is None:
         # without an explicit window, hold out the tail past train_frac
         train_frac = cfg.get_float("train_frac")
         if not 0 < train_frac < 1:
             raise UsageError(f"train_frac must lie strictly between 0 and 1, got {train_frac}")
-        first = max(ell, int(panel.n_times * train_frac))
-        sliced = panel
-        if cfg.get_timestamp("test_end") is not None:
-            sliced, _ = _test_window(panel, cfg, ell, h)
-        if first + h > sliced.n_times:
-            raise DataError("panel too short for a baseline block after the training range")
-    else:
-        sliced, first = _test_window(panel, cfg, ell, h)
+        default_first = max(ell, int(panel.n_times * train_frac))
+    sliced, first = _test_window(panel, cfg, ell, h, default_first)
     # built after the window checks: it holds h widths and train configs
     hcfg_schedule = cfg.horizon_config(panel.n_stations)
     if args.method == "persistence":
@@ -365,14 +356,12 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_forecast(args) -> int:
-    cfg = RunConfig.build(args.config, {"seed": args.seed})
-    _require(args, "model", "data", "at")
+    cfg = _run_config(args, "model", "data", "at")
     try:
         at = parse_timestamp(args.at)
     except DataError:
         raise UsageError(f"--at {args.at!r} is not a valid timestamp "
                          "(YYYY-MM-DDTHH:00:00Z)") from None
-    _log(f"seed = {cfg.values['seed']}  config_digest = {cfg.digest()}")
     bank, panel = _load_bank_and_panel(cfg, args)
     block = forecast_block(bank, panel, at)
     lines = ["timestamp," + ",".join(panel.station_ids)]
@@ -408,7 +397,7 @@ def _gradcheck_instance(seed: int):
             target = rng.uniform(-1.0, 1.0, size=2)
             pred, cache = net_forward(net, seq)
             grads = net_backward(net, cache, (pred - target) / 2.0)
-            floor = min(np.abs(a).min() for a in grads.arrays())
+            floor = min(np.abs(a).min() for a in grads.param_arrays())
             if best is None or floor > best[0]:
                 best = (floor, net, seq, target)
         if best[0] >= 3e-5:
@@ -418,10 +407,7 @@ def _gradcheck_instance(seed: int):
 
 
 def _cmd_gradcheck(args) -> int:
-    cfg = RunConfig.build(args.config, {"seed": args.seed})
-    seed = cfg.get_int("seed")
-    _log(f"seed = {seed}  config_digest = {cfg.digest()}")
-    net, sample = _gradcheck_instance(seed)
+    net, sample = _gradcheck_instance(_run_config(args).get_seed())
     err = gradient_check(net, sample, eps=1e-5)
     print(f"max relative error: {err:.3e}")
     if err < GRADCHECK_TOLERANCE:
@@ -432,11 +418,9 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    cfg = RunConfig.build(args.config, {"seed": args.seed})
-    _require(args, "out")
-    _log(f"seed = {cfg.values['seed']}  config_digest = {cfg.digest()}")
+    cfg = _run_config(args, "out")
     try:
-        panel = synth_generate(args.n, args.T, cfg.get_int("seed"),
+        panel = synth_generate(args.n, args.T, cfg.get_seed(),
                                coupling=args.coupling, noise=args.noise)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -448,17 +432,15 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    cfg = RunConfig.build(args.config, {
-        "seed": args.seed, "test_start": args.test_start, "test_end": args.test_end,
-    })
-    _require(args, "model", "data", "stations", "out")
-    _log(f"seed = {cfg.values['seed']}  config_digest = {cfg.digest()}")
+    cfg = _run_config(args, "model", "data", "stations", "out")
     bank, panel = _load_bank_and_panel(cfg, args)
     if args.stations == "all":
         stations = list(panel.station_ids)
     else:
         # dict keys drop repeated ids and keep the first-seen order
         stations = list(dict.fromkeys(s.strip() for s in args.stations.split(",") if s.strip()))
+        if not stations:
+            raise UsageError(f"--stations {args.stations!r} lists no station ids")
         for sid in stations:
             panel.station_index(sid)
     sliced, first = _test_window(panel, cfg, bank.config.ell, bank.config.h)

@@ -64,19 +64,6 @@ class LstmLayerParams:
 
 
 @dataclass
-class LayerGrads:
-    """Gradients for one layer in the same fused layout as LstmLayerParams."""
-
-    w: np.ndarray
-    u: np.ndarray
-    b: np.ndarray
-
-
-def _flat_arrays(obj) -> list[np.ndarray]:
-    return [a for l in obj.layers for a in (l.w, l.u, l.b)] + [obj.head_w, obj.head_b]
-
-
-@dataclass
 class LstmNetwork:
     """Stacked LSTM layers plus a dense head mapping the final h to n outputs."""
 
@@ -113,24 +100,7 @@ class LstmNetwork:
 
     def param_arrays(self) -> list[np.ndarray]:
         """Flat parameter list in a fixed order: per layer w, u, b; then head."""
-        return _flat_arrays(self)
-
-
-@dataclass
-class NetworkGradients:
-    layers: list[LayerGrads]
-    head_w: np.ndarray
-    head_b: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, net: LstmNetwork) -> "NetworkGradients":
-        return cls([LayerGrads(np.zeros_like(l.w), np.zeros_like(l.u), np.zeros_like(l.b))
-                    for l in net.layers],
-                   np.zeros_like(net.head_w), np.zeros_like(net.head_b))
-
-    def arrays(self) -> list[np.ndarray]:
-        """Gradient arrays in the order of LstmNetwork.param_arrays."""
-        return _flat_arrays(self)
+        return [a for l in self.layers for a in (l.w, l.u, l.b)] + [self.head_w, self.head_b]
 
 
 @dataclass
@@ -233,7 +203,7 @@ def predict_batches(net: LstmNetwork, x: np.ndarray, chunk: int) -> np.ndarray:
 
 
 def _layer_backward(p: LstmLayerParams, lc: _LayerCache, dh_seq: np.ndarray,
-                    g: LayerGrads) -> np.ndarray:
+                    g: LstmLayerParams) -> np.ndarray:
     """BPTT through one layer, given the (L, B, H) gradient arriving at each h_t
     from above. Adds the parameter gradients into g; returns the (L*B, 4H)
     gradient at the gate pre-activations."""
@@ -264,11 +234,12 @@ def _layer_backward(p: LstmLayerParams, lc: _LayerCache, dh_seq: np.ndarray,
 
 
 def net_backward(net: LstmNetwork, cache: ForwardCache,
-                 dloss_dpred: np.ndarray) -> NetworkGradients:
+                 dloss_dpred: np.ndarray) -> LstmNetwork:
     """Exact loss gradient w.r.t. every parameter, by backpropagation through time.
 
     `dloss_dpred` has the shape of the prediction net_forward returned; the
-    gradients of a batch are the sums over its sequences.
+    gradients of a batch are the sums over its sequences. They come back as an
+    LstmNetwork of net's shape whose arrays are the gradients.
     """
     if len(cache.layers) != len(net.layers):
         raise ValueError("cache does not match network: layer count differs")
@@ -280,7 +251,10 @@ def net_backward(net: LstmNetwork, cache: ForwardCache,
         raise ValueError(f"dloss_dpred must have shape {cache.prediction.shape}, "
                          f"got {dloss_dpred.shape}")
 
-    grads = NetworkGradients.zeros_like(net)
+    grads = LstmNetwork([LstmLayerParams(p.input_dim, p.hidden_dim, np.zeros_like(p.w),
+                                         np.zeros_like(p.u), np.zeros_like(p.b))
+                         for p in net.layers],
+                        np.zeros_like(net.head_w), np.zeros_like(net.head_b))
     # the head is linear: its pre-activation gradient is dloss_dpred itself
     dpre_head = dloss_dpred.reshape(-1, net.output_dim)
     top = cache.layers[-1]
@@ -322,7 +296,7 @@ def gradient_check(net: LstmNetwork, sample, eps: float) -> float:
     analytic = net_backward(net, cache, (pred - target) / m)
 
     worst = 0.0
-    for arr, garr in zip(net.param_arrays(), analytic.arrays()):
+    for arr, garr in zip(net.param_arrays(), analytic.param_arrays()):
         flat = arr.reshape(-1)
         gflat = garr.reshape(-1)
         for idx in range(flat.shape[0]):

@@ -38,13 +38,6 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
 
 
-class RmspropState:
-    """Running mean-square accumulators, one per parameter array, zero-initialized."""
-
-    def __init__(self, param_arrays: list[np.ndarray]):
-        self.acc = [np.zeros_like(p) for p in param_arrays]
-
-
 @dataclass
 class TrainHistory:
     train_losses: list[float] = field(default_factory=list)
@@ -83,18 +76,20 @@ def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
 
 
 def rmsprop_update(params: list[np.ndarray], grads: list[np.ndarray],
-                   state: RmspropState, cfg: TrainConfig) -> None:
+                   acc: list[np.ndarray], cfg: TrainConfig) -> None:
     """One RMSprop step, in place: s <- rho*s + (1-rho)*g^2; p -= lr*g/sqrt(s+eps).
 
-    The gradient is globally norm-clipped at cfg.clip_norm first.
+    `acc` holds the running mean squares s, one array per parameter array,
+    zero before the first step. The gradient is globally norm-clipped at
+    cfg.clip_norm first.
     """
-    if len(params) != len(grads) or len(params) != len(state.acc):
-        raise ValueError("params, grads and state must have the same number of arrays")
-    for p, g, s in zip(params, grads, state.acc):
+    if len(params) != len(grads) or len(params) != len(acc):
+        raise ValueError("params, grads and acc must have the same number of arrays")
+    for p, g, s in zip(params, grads, acc):
         if p.shape != g.shape or p.shape != s.shape:
-            raise ValueError(f"shape mismatch: param {p.shape}, grad {g.shape}, state {s.shape}")
+            raise ValueError(f"shape mismatch: param {p.shape}, grad {g.shape}, acc {s.shape}")
     clip_global_norm(grads, cfg.clip_norm)
-    for p, g, s in zip(params, grads, state.acc):
+    for p, g, s in zip(params, grads, acc):
         s *= cfg.rho
         s += (1.0 - cfg.rho) * g * g
         p -= cfg.learning_rate * g / np.sqrt(s + cfg.epsilon)
@@ -129,7 +124,7 @@ def train_model(net: LstmNetwork, train_samples: SampleSet, val_samples: SampleS
 
     work = net.clone()
     params = work.param_arrays()
-    state = RmspropState(params)
+    acc = [np.zeros_like(p) for p in params]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 1])))
     history = TrainHistory()
     x_train, y_train = train_samples.x, train_samples.y
@@ -149,7 +144,7 @@ def train_model(net: LstmNetwork, train_samples: SampleSet, val_samples: SampleS
                 raise NumericsError(
                     f"non-finite training loss at epoch {epoch}, batch {batch_no}")
             loss_sum += loss * len(batch)
-            rmsprop_update(params, net_backward(work, cache, dpred).arrays(), state, cfg)
+            rmsprop_update(params, net_backward(work, cache, dpred).param_arrays(), acc, cfg)
 
         train_loss = loss_sum / len(train_samples)
         if _val_loss_fn is not None:

@@ -1,3 +1,4 @@
+import argparse
 import struct
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from dlstf.bank import BANK_MAGIC, BANK_VERSION, HorizonConfig, load_bank
 from dlstf import cli as cli_module
-from dlstf.cli import RunConfig, _split_train_val, run_cli
+from dlstf.cli import KNOWN_KEYS, RunConfig, _split_train_val, run_cli
 from dlstf.dataset import fraction_split, ingest_csv
 from dlstf.evaluation import bank_forecaster, block_walk
 from dlstf.synth import synth_generate
@@ -141,6 +142,59 @@ class TestUsageErrors:
                    "--out", str(tmp_path / "x.bank")) == 1
         assert f"{line.split()[0]} must be finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "x.bank").exists()
+
+
+class TestSeed:
+    """The seed is a non-negative integer from the flag, the config file or DLSTF_SEED;
+    anything else is a usage error naming the key, for every command that uses it."""
+
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    @pytest.mark.parametrize("command", ["gradcheck", "synth", "train"])
+    @pytest.mark.parametrize("seed,reason", [("-3", "must be a non-negative integer"),
+                                             ("1.5", "is not a valid integer")])
+    def test_invalid_seed_exit_1(self, tiny_data, tmp_path, capsys, monkeypatch,
+                                 source, command, seed, reason):
+        _, data, _, _ = tiny_data
+        out = tmp_path / "out"
+        argv = {"gradcheck": ["gradcheck"],
+                "synth": ["synth", "--n", "2", "--T", "120", "--out", str(out)],
+                "train": ["train", "--data", str(data), "--out", str(out)]}[command]
+        if source == "flag":
+            argv += ["--seed", seed]
+        elif source == "config":
+            cfg = tmp_path / "seed.cfg"
+            cfg.write_text(f"seed = {seed}\n")
+            argv += ["--config", str(cfg)]
+        else:
+            monkeypatch.setenv("DLSTF_SEED", seed)
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert "config key 'seed'" in err and reason in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestFlagWiring:
+    def test_every_key_flag_overrides_its_key(self):
+        parser = cli_module._build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        wired = set()
+        for name, sub in commands.items():
+            required = [arg for a in sub._actions if a.required
+                        for arg in (a.option_strings[0], a.choices[0])]
+            for action in sub._actions:
+                if action.dest not in KNOWN_KEYS:
+                    continue
+                # a key flag is a plain string option named after its key
+                assert action.option_strings == ["--" + action.dest.replace("_", "-")]
+                assert action.default is None and action.type is None
+                assert action.nargs is None and action.const is None
+                value = f"v-{name}-{action.dest}"
+                args = parser.parse_args([name, action.option_strings[0], value, *required])
+                assert cli_module._run_config(args).values[action.dest] == value
+                wired.add(action.dest)
+        assert wired == set(KNOWN_KEYS) - {"rho", "epsilon", "clip_norm", "max_gap"}
 
 
 class TestSynth:
@@ -438,6 +492,14 @@ class TestPlot:
         root, data, bank = wide_bank
         assert run("plot", "--model", str(bank), "--data", str(data),
                    "--stations", "NOPE", "--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize("stations", [",", "", " , ,"])
+    def test_no_station_ids_exit_1(self, wide_bank, tmp_path, capsys, stations):
+        root, data, bank = wide_bank
+        assert run("plot", "--model", str(bank), "--data", str(data),
+                   "--stations", stations, "--out", str(tmp_path / "x")) == 1
+        assert "lists no station ids" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestSplitRule:

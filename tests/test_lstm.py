@@ -103,7 +103,7 @@ class TestStepBackward:
         net = one_layer_network(random_layer(2, 4, 1), 2, 1)
         _, cache = net_forward(net, np.ones((1, 3, 2)))
         grads = net_backward(net, cache, np.zeros((3, 2)))
-        for arr in grads.arrays():
+        for arr in grads.param_arrays():
             assert np.array_equal(arr, np.zeros_like(arr))
 
     @pytest.mark.parametrize("input_dim,hidden_dim,seed", [(1, 1, 6), (3, 4, 21)])
@@ -122,7 +122,7 @@ class TestStepBackward:
         grads = net_backward(net, cache, readout)
         eps = 1e-5
         worst = 0.0
-        for arr, garr in zip(net.param_arrays(), grads.arrays()):
+        for arr, garr in zip(net.param_arrays(), grads.param_arrays()):
             flat, gflat = arr.reshape(-1), garr.reshape(-1)
             for idx in range(flat.size):
                 saved = flat[idx]
@@ -218,7 +218,7 @@ class TestNetBackward:
         net = init_params([4, 3], 2, 5)
         _, cache = net_forward(net, seeded_rng(5, 4).uniform(-1, 1, (4, 2)))
         grads = net_backward(net, cache, np.zeros(2))
-        for arr in grads.arrays():
+        for arr in grads.param_arrays():
             assert np.array_equal(arr, np.zeros_like(arr))
 
     def test_layer0_gradients_flow_through_depth(self):

@@ -6,8 +6,8 @@ import pytest
 import dlstf.training as training_mod
 from dlstf.dataset import SampleSet
 from dlstf.errors import NumericsError
-from dlstf.lstm import NetworkGradients, init_params, net_backward, net_forward
-from dlstf.training import (RmspropState, TrainConfig, clip_global_norm, mae_loss,
+from dlstf.lstm import init_params, net_backward, net_forward
+from dlstf.training import (TrainConfig, clip_global_norm, mae_loss,
                             rmsprop_update, train_model)
 from conftest import seeded_rng
 
@@ -50,28 +50,28 @@ class TestMaeLoss:
 class TestRmsprop:
     def test_zero_gradient_is_noop(self):
         params = [np.array([1.5, -2.0])]
-        state = RmspropState(params)
-        rmsprop_update(params, [np.zeros(2)], state, TrainConfig())
+        acc = [np.zeros_like(p) for p in params]
+        rmsprop_update(params, [np.zeros(2)], acc, TrainConfig())
         assert np.array_equal(params[0], np.array([1.5, -2.0]))
 
     def test_scalar_hand_computation(self):
         cfg = TrainConfig(learning_rate=0.001, rho=0.9, epsilon=1e-8)
         params = [np.array([0.0])]
-        state = RmspropState(params)
-        rmsprop_update(params, [np.array([2.0])], state, cfg)
+        acc = [np.zeros_like(p) for p in params]
+        rmsprop_update(params, [np.array([2.0])], acc, cfg)
         s_expect = 0.9 * 0.0 + 0.1 * 4.0
         theta_expect = -0.001 * 2.0 / math.sqrt(s_expect + 1e-8)
-        assert abs(state.acc[0][0] - s_expect) < 1e-15
+        assert abs(acc[0][0] - s_expect) < 1e-15
         assert abs(params[0][0] - theta_expect) < 1e-9
         assert abs(params[0][0] - (-0.0031623)) < 1e-6
 
     def test_constant_gradient_moves_monotonically(self):
         cfg = TrainConfig()
         params = [np.array([0.0])]
-        state = RmspropState(params)
+        acc = [np.zeros_like(p) for p in params]
         seen = [0.0]
         for _ in range(10):
-            rmsprop_update(params, [np.array([0.7])], state, cfg)
+            rmsprop_update(params, [np.array([0.7])], acc, cfg)
             seen.append(params[0][0])
         assert all(b < a for a, b in zip(seen, seen[1:]))
 
@@ -83,8 +83,8 @@ class TestRmsprop:
         for g in (0.01, 1.0, 100.0):
             for sign in (1.0, -1.0):
                 params = [np.array([0.0])]
-                state = RmspropState(params)
-                rmsprop_update(params, [np.array([sign * g])], state, cfg)
+                acc = [np.zeros_like(p) for p in params]
+                rmsprop_update(params, [np.array([sign * g])], acc, cfg)
                 assert abs(abs(params[0][0]) - expected) < 1e-6
                 assert params[0][0] * sign < 0  # moves against the gradient
 
@@ -97,9 +97,9 @@ class TestRmsprop:
 
     def test_shape_mismatch(self):
         params = [np.zeros(2)]
-        state = RmspropState(params)
+        acc = [np.zeros_like(p) for p in params]
         with pytest.raises(ValueError):
-            rmsprop_update(params, [np.zeros(3)], state, TrainConfig())
+            rmsprop_update(params, [np.zeros(3)], acc, TrainConfig())
 
 
 def make_linear_task(n_samples, length, n, seed):
@@ -139,7 +139,7 @@ class TestTrainModel:
         net = init_params([4], 2, 3)
         captured = []
 
-        def fake_update(params, grads, state, cfg):
+        def fake_update(params, grads, acc, cfg):
             captured.append([g.copy() for g in grads])
 
         monkeypatch.setattr(training_mod, "rmsprop_update", fake_update)
@@ -148,14 +148,13 @@ class TestTrainModel:
         assert len(captured) == 1
 
         order = seeded_rng(21, 1).permutation(10)
-        manual = NetworkGradients.zeros_like(net)
-        manual_arrays = manual.arrays()
+        manual_arrays = [np.zeros_like(p) for p in net.param_arrays()]
         for idx in order:
             seq, target = samples.x[:, idx], samples.y[idx]
             pred, cache = net_forward(net, seq)
             _, dpred = mae_loss(pred, target)
             g = net_backward(net, cache, dpred)
-            for a, b in zip(manual_arrays, g.arrays()):
+            for a, b in zip(manual_arrays, g.param_arrays()):
                 a += b
         for a in manual_arrays:
             a *= 1.0 / 10
