@@ -18,10 +18,10 @@ import struct
 
 import numpy as np
 
-from .dataset import (Normalizer, TimeSeriesPanel, denormalize, fit_normalizer,
-                      format_timestamp, make_samples, normalize, HOUR)
+from .dataset import (Normalizer, TimeSeriesPanel, assemble_input, denormalize,
+                      fit_normalizer, format_timestamp, make_samples, normalize, HOUR)
 from .errors import DataError, NumericsError
-from .lstm import LstmLayerParams, LstmNetwork, init_params, net_forward, predict_batches
+from .lstm import LstmLayerParams, LstmNetwork, init_params, predict_batches
 from .training import TrainConfig, train_model
 
 BANK_MAGIC = b"DLSTF\x00"
@@ -74,24 +74,6 @@ def model_index(t: int, h: int) -> int:
     return t_hat if t_hat != 0 else h
 
 
-def assemble_input(real_history, forecast_buffer, t: int, cfg: HorizonConfig) -> np.ndarray:
-    """Build the ell-row input for the model serving global hour t.
-
-    `real_history` and `forecast_buffer` map integer hour indices to station
-    vectors; positions up to t-i come from the former, later ones from the
-    latter, where i = model_index(t, cfg.h).
-    """
-    i = model_index(t, cfg.h)
-    rows = []
-    for p in range(t - cfg.ell, t):
-        source = real_history if p <= t - i else forecast_buffer
-        kind = "real" if p <= t - i else "forecast"
-        if p not in source:
-            raise DataError(f"no {kind} coverage at hour {p} (needed for target hour {t})")
-        rows.append(np.asarray(source[p], dtype=np.float64))
-    return np.stack(rows)
-
-
 @dataclass
 class ModelBank:
     """The h trained per-offset networks plus the normalization fitted with them."""
@@ -112,35 +94,40 @@ class ModelBank:
         if len(self.normalizer.station_ids) != self.config.n:
             raise ValueError("normalizer station count does not match the config")
 
-    def predict_block(self, history_values: np.ndarray) -> np.ndarray:
-        """Forecast the next h hours from raw history rows (matched by position).
+    def predict_blocks(self, values: np.ndarray, starts) -> np.ndarray:
+        """Forecast the h hours from each row of `starts` of raw (T, n) values in
+        m/s (stations matched by position); the result is the denormalized
+        (h, B, n) array of the B blocks.
 
-        `history_values` is a (t, n) array in m/s whose last ell rows must be
-        present and finite; the result is the denormalized (h, n) block.
+        Block j reads only the ell rows before starts[j], which must be present
+        and finite. Each offset runs once over all blocks, in fixed chunks of
+        TrainConfig.batch_size, so a walk's bytes do not depend on the bank's
+        own training configs.
         """
         cfg = self.config
-        history_values = np.asarray(history_values, dtype=np.float64)
-        if history_values.ndim != 2 or history_values.shape[1] != cfg.n:
-            raise DataError(f"history must be (t, {cfg.n}), got {history_values.shape}")
-        if history_values.shape[0] < cfg.ell:
-            raise DataError(
-                f"need at least ell={cfg.ell} history rows, got {history_values.shape[0]}")
-        window = history_values[-cfg.ell:]
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[1] != cfg.n:
+            raise DataError(f"history must be (t, {cfg.n}), got {values.shape}")
+        starts = np.asarray(starts, dtype=np.intp)
+        short = starts[starts < cfg.ell]
+        if short.size:
+            raise DataError(f"need at least ell={cfg.ell} history rows, got {short[0]}")
+        window = values[starts - cfg.ell + np.arange(cfg.ell)[:, None]]
         if not np.all(np.isfinite(window)):
             raise DataError("the last ell history rows contain missing values")
         nz = self.normalizer
         window = (window - nz.mins) / nz.spans
-
-        # block-relative indexing: hour 0 is the last real row, targets are 1..h
-        real = {p: window[p + cfg.ell - 1] for p in range(1 - cfg.ell, 1)}
         forecasts: dict[int, np.ndarray] = {}
-        block = np.empty((cfg.h, cfg.n))
         for i in range(1, cfg.h + 1):
-            seq = assemble_input(real, forecasts, i, cfg)
-            pred, _ = net_forward(self.models[i - 1], seq, keep_cache=False)
-            forecasts[i] = pred
-            block[i - 1] = pred
-        return denormalize(block, nz)
+            seq = assemble_input(window, forecasts, i, cfg.ell)
+            forecasts[i] = predict_batches(self.models[i - 1], seq, TrainConfig.batch_size)
+        return denormalize(np.stack(list(forecasts.values())), nz)
+
+    def predict_block(self, history_values: np.ndarray) -> np.ndarray:
+        """The (h, n) block after the last of the (t, n) history rows: the
+        B = 1 case of predict_blocks."""
+        history_values = np.asarray(history_values, dtype=np.float64)
+        return self.predict_blocks(history_values, np.shape(history_values)[:1])[:, 0]
 
 
 @dataclass(frozen=True)

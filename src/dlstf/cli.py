@@ -1,11 +1,11 @@
 """Command-line entry point: train, forecast, evaluate, baseline, gradcheck, synth, plot.
 
-Configuration is a flat key = value text file ('#' starts a comment); CLI
-flags override file values, and the seed falls back to the DLSTF_SEED
-environment variable. Every subcommand that writes files also writes a
-plain-text run manifest recording the command, seed, config digest and a
-sha256 per produced file. Exit codes: 0 success, 1 usage error, 2 data error,
-3 numerical failure.
+Configuration is a flat key = value text file ('#' starts a comment that runs
+to the end of the line, and no key may be set twice); CLI flags override file
+values, and the seed falls back to the DLSTF_SEED environment variable. Every
+subcommand that writes files also writes a plain-text run manifest recording
+the command, seed, config digest and a sha256 per produced file. Exit codes:
+0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -150,14 +150,20 @@ def parse_config_file(path) -> dict[str, str]:
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}
+    seen: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        stripped = line.partition("#")[0].strip()
+        if not stripped:
             continue
         if "=" not in stripped:
             raise UsageError(f"{path}: line {lineno}: expected 'key = value'")
         key, _, val = stripped.partition("=")
-        values[key.strip()] = val.strip()
+        key = key.strip()
+        if key in seen:
+            raise UsageError(
+                f"{path}: config key {key!r} is set twice, on lines {seen[key]} and {lineno}")
+        seen[key] = lineno
+        values[key] = val.strip()
     return values
 
 
@@ -230,6 +236,9 @@ def _test_window(panel: TimeSeriesPanel, cfg: RunConfig, ell: int, h: int,
     without test_start the first block is default_first, or ell if that is None."""
     test_start = cfg.get_timestamp("test_start")
     test_end = cfg.get_timestamp("test_end")
+    if test_start is not None and test_end is not None and test_start > test_end:
+        raise DataError(f"test_start {format_timestamp(test_start)} falls after "
+                        f"test_end {format_timestamp(test_end)}")
     sliced = panel
     if test_end is not None:
         hi = int(np.searchsorted(panel.timestamps, test_end, side="right"))
@@ -461,81 +470,45 @@ def _build_parser() -> _Parser:
                      description="Multi-station moving-horizon wind speed forecasting")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    def common(p):
+    def command(name, help, func, *flags):
+        """A subcommand with --config, --seed and plain string `flags`."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--seed", help="seed (overrides config and DLSTF_SEED)")
+        for flag in flags:
+            p.add_argument(flag)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("train", help="train a model bank")
-    common(p)
-    p.add_argument("--data")
+    p = command("train", "train a model bank", _cmd_train, "--data", "--h", "--ell",
+                "--max-epochs", "--learning-rate", "--batch-size", "--patience", "--m1-layers",
+                "--mi-layers", "--train-frac", "--val-frac", "--train-end", "--val-end")
     p.add_argument("--out", help="output bank file")
-    p.add_argument("--h")
-    p.add_argument("--ell")
-    p.add_argument("--max-epochs")
-    p.add_argument("--learning-rate")
-    p.add_argument("--batch-size")
-    p.add_argument("--patience")
-    p.add_argument("--m1-layers")
-    p.add_argument("--mi-layers")
-    p.add_argument("--train-frac")
-    p.add_argument("--val-frac")
-    p.add_argument("--train-end")
-    p.add_argument("--val-end")
     p.add_argument("--dump-config", action="store_true")
-    p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("forecast", help="forecast one block")
-    common(p)
-    p.add_argument("--model")
-    p.add_argument("--data")
+    p = command("forecast", "forecast one block", _cmd_forecast, "--model", "--data", "--out")
     p.add_argument("--at", help="block start timestamp")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_forecast)
 
-    p = sub.add_parser("evaluate", help="evaluate a bank over a test window")
-    common(p)
-    p.add_argument("--model")
-    p.add_argument("--data")
-    p.add_argument("--report")
-    p.add_argument("--test-start")
-    p.add_argument("--test-end")
-    p.set_defaults(func=_cmd_evaluate)
+    command("evaluate", "evaluate a bank over a test window", _cmd_evaluate,
+            "--model", "--data", "--report", "--test-start", "--test-end")
 
-    p = sub.add_parser("baseline", help="evaluate a reference forecaster")
-    common(p)
+    p = command("baseline", "evaluate a reference forecaster", _cmd_baseline, "--data",
+                "--report", "--h", "--ell", "--train-frac", "--test-start", "--test-end")
     p.add_argument("--method", choices=("persistence", "ar"), required=True)
     p.add_argument("--order", type=int, default=3)
-    p.add_argument("--data")
-    p.add_argument("--report")
-    p.add_argument("--h")
-    p.add_argument("--ell")
-    p.add_argument("--train-frac")
-    p.add_argument("--test-start")
-    p.add_argument("--test-end")
-    p.set_defaults(func=_cmd_baseline)
 
-    p = sub.add_parser("gradcheck", help="verify the backward pass numerically")
-    common(p)
-    p.set_defaults(func=_cmd_gradcheck)
+    command("gradcheck", "verify the backward pass numerically", _cmd_gradcheck)
 
-    p = sub.add_parser("synth", help="generate a synthetic panel CSV")
-    common(p)
+    p = command("synth", "generate a synthetic panel CSV", _cmd_synth, "--out")
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--T", type=int, default=5000)
     p.add_argument("--coupling", type=float, default=0.8)
     p.add_argument("--noise", type=float, default=0.3)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("plot", help="emit per-station actual/forecast data files")
-    common(p)
-    p.add_argument("--model")
-    p.add_argument("--data")
+    p = command("plot", "emit per-station actual/forecast data files", _cmd_plot,
+                "--model", "--data", "--test-start", "--test-end")
     p.add_argument("--stations", help="comma-separated ids or 'all'")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--test-start")
-    p.add_argument("--test-end")
-    p.set_defaults(func=_cmd_plot)
     return parser
 
 

@@ -375,16 +375,38 @@ class SampleSet:
         return self.y.shape[0]
 
 
+def assemble_input(window, forecasts, i: int, ell: int) -> np.ndarray:
+    """The ell-row input of the model at offset i for blocks whose real rows end
+    with `window`.
+
+    Hours count from the block: hour 0 is the last row of `window`, an (m, ...)
+    array of the real rows before the block start, and `forecasts` maps hour
+    j < i to the rows forecast for it earlier in the block. The input is hours
+    i-ell .. i-1: the last ell-i+1 rows of `window` (for m = ell, window[i-1:])
+    followed by forecasts 1 .. i-1, or only the last ell forecasts when
+    i-1 >= ell. At i = 1 the input is a view of `window`, not a copy.
+    """
+    window = np.asarray(window, dtype=np.float64)
+    n_real = max(ell - i + 1, 0)
+    if window.shape[0] < n_real:
+        raise DataError(f"no real coverage at hour {i - ell} (needed for offset {i})")
+    parts = [window[window.shape[0] - n_real:]]
+    for j in range(i - ell + n_real, i):
+        if j not in forecasts:
+            raise DataError(f"no forecast coverage at hour {j} (needed for offset {i})")
+        parts.append(np.asarray(forecasts[j], dtype=np.float64)[None])
+    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+
+
 def make_samples(panel: TimeSeriesPanel, forecast_overlay, ell: int, i: int) -> SampleSet:
     """Assemble supervised samples for the model at horizon offset i.
 
-    For every target row t with a full ell-step history the input sequence
-    mixes real rows (positions p <= t-i) with forecast rows taken from
-    ``forecast_overlay[p-t+i-1][p]`` (positions p > t-i); when i-1 >= ell the
-    input is the last ell forecast rows only. `forecast_overlay` is an
-    (m, T, n) array with m >= i-1 (None is fine when i = 1); NaN entries mark
-    positions with no forecast. Samples touching any NaN input or target are
-    skipped and counted.
+    Every target row t with a full ell-step history is offset i of the block
+    that starts at b = t-i+1, and its input is `assemble_input` of that block's
+    real rows and the forecasts ``forecast_overlay[j-1][b+j-1]`` for its hours
+    j < i. `forecast_overlay` is an (m, T, n) array with m >= i-1 (None is fine
+    when i = 1); NaN entries mark positions with no forecast. Samples touching
+    any NaN input or target are skipped and counted.
     """
     if i < 1:
         raise ValueError("offset i must be >= 1")
@@ -393,17 +415,19 @@ def make_samples(panel: TimeSeriesPanel, forecast_overlay, ell: int, i: int) -> 
     values = panel.values
     T, n = values.shape
     n_fc = min(i - 1, ell)
-    n_real = ell - n_fc
-    # row r of the input for target t = ell + k is position p = k + r
-    rows = np.arange(ell)[:, None] + np.arange(max(T - ell, 0))
-    x = values[rows]
+    # target t = ell + k is offset i of the block that starts at b = t-i+1;
+    # the input keeps that block's real rows b-ell+r with r >= i-1
+    starts = np.arange(max(T - ell, 0)) + ell - i + 1
+    forecasts = {}
     if n_fc > 0:
         overlay = np.asarray(forecast_overlay, dtype=np.float64)
         if overlay.ndim != 3 or overlay.shape[0] < i - 1 or overlay.shape[1:] != (T, n):
             raise ValueError(
                 f"forecast_overlay must be (>= {i - 1}, {T}, {n}), got "
                 f"{None if forecast_overlay is None else overlay.shape}")
-        x[n_real:] = overlay[np.arange(i - 1 - n_fc, i - 1)[:, None], rows[n_real:]]
+        forecasts = {j: overlay[j - 1, starts + j - 1] for j in range(i - n_fc, i)}
+    window = values[starts - ell + np.arange(i - 1, ell)[:, None]]
+    x = assemble_input(window, forecasts, i, ell)
     y = values[ell:]
     keep = np.isfinite(x).all(axis=(0, 2)) & np.isfinite(y).all(axis=1)
     return SampleSet(x[:, keep], y[keep], np.flatnonzero(keep) + ell,

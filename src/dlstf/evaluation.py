@@ -215,9 +215,9 @@ def _batch_forecaster(blocks):
 
 
 def bank_forecaster(bank: ModelBank):
-    """Adapt a ModelBank to the evaluate() forecaster shape, one block at a time."""
-    return _batch_forecaster(lambda values, starts: np.stack(
-        [bank.predict_block(values[:b]) for b in starts], axis=1))
+    """Adapt a ModelBank to the evaluate() forecaster shape: every offset runs
+    once over all blocks of a walk."""
+    return _batch_forecaster(bank.predict_blocks)
 
 
 def persistence_forecaster(h: int):

@@ -4,9 +4,10 @@ import struct
 import numpy as np
 import pytest
 
-from dlstf.bank import (BANK_MAGIC, HorizonConfig, ModelBank, assemble_input,
-                        forecast_block, load_bank, model_index, save_bank, train_bank)
-from dlstf.dataset import HOUR, Normalizer, TimeSeriesPanel, fraction_split, make_samples
+from dlstf.bank import (BANK_MAGIC, HorizonConfig, ModelBank, forecast_block, load_bank,
+                        model_index, save_bank, train_bank)
+from dlstf.dataset import (HOUR, Normalizer, TimeSeriesPanel, assemble_input, fraction_split,
+                           make_samples)
 from dlstf.errors import DataError
 from dlstf.lstm import init_params, net_forward
 from dlstf.synth import synth_generate
@@ -39,70 +40,57 @@ class TestModelIndex:
             model_index(0, 6)
 
 
-def tiny_cfg(n, h=6, ell=12, **kw):
-    return HorizonConfig.default(n=n, h=h, ell=ell, **kw)
-
-
 class TestAssembleInput:
+    # hours count from the block: hour 0 is the window's last real row
     def test_offset_one_is_all_real(self):
-        cfg = tiny_cfg(2, h=6, ell=4)
-        t = 13  # 13 mod 6 = 1
-        real = {p: np.array([p, -p], dtype=float) for p in range(t - 4, t)}
-        seq = assemble_input(real, {}, t, cfg)
+        window = np.array([[p, -p] for p in range(9, 13)], dtype=float)
+        seq = assemble_input(window, {}, 1, 4)
         assert seq.shape == (4, 2)
-        for row, p in enumerate(range(t - 4, t)):
-            assert np.array_equal(seq[row], real[p])
+        for row in range(4):
+            assert np.array_equal(seq[row], window[row])
 
     def test_mixed_composition_counts(self):
-        cfg = tiny_cfg(1, h=6, ell=12)
-        t = 15  # 15 mod 6 = 3 -> 10 real + 2 forecast
-        real = {p: np.array([float(p)]) for p in range(t - 12, t - 2)}
-        fc = {p: np.array([100.0 + p]) for p in (t - 2, t - 1)}
-        seq = assemble_input(real, fc, t, cfg)
+        window = np.arange(12, dtype=float)[:, None]  # i = 3 -> 10 real + 2 forecast
+        fc = {j: np.array([100.0 + j]) for j in (1, 2)}
+        seq = assemble_input(window, fc, 3, 12)
         assert seq.shape == (12, 1)
-        assert np.array_equal(seq[:10, 0], np.arange(t - 12, t - 2, dtype=float))
-        assert np.array_equal(seq[10:, 0], [100.0 + t - 2, 100.0 + t - 1])
+        assert np.array_equal(seq[:10, 0], np.arange(2, 12, dtype=float))
+        assert np.array_equal(seq[10:, 0], [101.0, 102.0])
 
     def test_edge_rule_all_forecast(self):
-        cfg = tiny_cfg(1, h=6, ell=3)
-        t = 5  # i = 5 > ell -> last 3 forecasts only
-        fc = {p: np.array([float(10 * p)]) for p in range(t - 4, t)}
-        seq = assemble_input({}, fc, t, cfg)
+        fc = {j: np.array([float(10 * j)]) for j in range(1, 5)}
+        seq = assemble_input(np.empty((0, 1)), fc, 5, 3)  # i = 5 > ell -> last 3 forecasts only
         assert np.array_equal(seq[:, 0], [20.0, 30.0, 40.0])
 
     def test_missing_real_coverage_names_first_hour(self):
-        cfg = tiny_cfg(1, h=6, ell=4)
-        t = 13
-        real = {p: np.array([0.0]) for p in range(t - 3, t)}  # missing t-4
-        with pytest.raises(DataError, match=r"no real coverage at hour 9"):
-            assemble_input(real, {}, t, cfg)
+        window = np.zeros((3, 1))  # ell = 4 needs hours -3 .. 0
+        with pytest.raises(DataError, match=r"no real coverage at hour -3"):
+            assemble_input(window, {}, 1, 4)
 
     def test_missing_forecast_coverage_named(self):
-        cfg = tiny_cfg(1, h=6, ell=4)
-        t = 15  # i = 3, forecasts needed at 13, 14
-        real = {p: np.array([0.0]) for p in range(t - 4, t)}
-        with pytest.raises(DataError, match=r"no forecast coverage at hour 13"):
-            assemble_input(real, {}, t, cfg)
+        window = np.zeros((4, 1))  # i = 3 needs forecasts for hours 1, 2
+        with pytest.raises(DataError, match=r"no forecast coverage at hour 1"):
+            assemble_input(window, {}, 3, 4)
 
     def test_matches_make_samples_recipe(self):
-        # the dict-based assembler and the array-based sampler implement the
-        # same mixing rule; cross-validate them on a random case
+        # each sample of make_samples is offset i of the block that starts at
+        # b = t-i+1; build that block's real window and forecasts by hand
         rng = seeded_rng(77)
         T, n, ell, h = 40, 3, 5, 6
         vals = rng.uniform(0, 1, (T, n))
         t0 = np.datetime64("2020-01-01T00:00:00", "s")
         panel = TimeSeriesPanel(("A", "B", "C"), t0 + np.arange(T) * HOUR, vals)
         overlay = rng.uniform(0, 1, (h - 1, T, n))
-        cfg = tiny_cfg(n, h=h, ell=ell)
-        for i in (2, 3, 6):
+        for i in (1, 2, 3, 6):
             out = make_samples(panel, overlay, ell, i)
-            for k, t in enumerate(out.target_indices[:5]):
-                seq = out.x[:, k]
-                if model_index(t, h) != i:
-                    continue
-                real = {p: vals[p] for p in range(t - ell, t - i + 1)}
-                fc = {p: overlay[p - t + i - 1, p] for p in range(max(t - ell, t - i + 1), t)}
-                assert np.array_equal(assemble_input(real, fc, t, cfg), seq)
+            ks = [k for k, t in enumerate(out.target_indices) if t - i + 1 >= ell][:5]
+            blocks = [int(out.target_indices[k]) - i + 1 for k in ks]
+            for k, b in zip(ks, blocks):
+                fc = {j: overlay[j - 1, b + j - 1] for j in range(1, i)}
+                assert np.array_equal(assemble_input(vals[b - ell:b], fc, i, ell), out.x[:, k])
+            window = np.stack([vals[b - ell:b] for b in blocks], axis=1)
+            fc = {j: np.stack([overlay[j - 1, b + j - 1] for b in blocks]) for j in range(1, i)}
+            assert np.array_equal(assemble_input(window, fc, i, ell), out.x[:, ks])
 
 
 @pytest.fixture(scope="module")

@@ -1,13 +1,14 @@
 import argparse
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dlstf.bank import BANK_MAGIC, BANK_VERSION, HorizonConfig, load_bank
 from dlstf import cli as cli_module
-from dlstf.cli import KNOWN_KEYS, RunConfig, _split_train_val, run_cli
-from dlstf.dataset import fraction_split, ingest_csv
+from dlstf.cli import CONFIG_DEFAULTS, KNOWN_KEYS, RunConfig, _split_train_val, run_cli
+from dlstf.dataset import format_timestamp, fraction_split, ingest_csv
 from dlstf.evaluation import bank_forecaster, block_walk
 from dlstf.synth import synth_generate
 
@@ -340,6 +341,23 @@ class TestTrainEvaluate:
         assert outputs[0][1] == outputs[1][1]
 
 
+class TestTestWindow:
+    @pytest.mark.parametrize("command", ["baseline", "evaluate"])
+    def test_start_after_end_exit_2(self, tiny_data, tmp_path, capsys, command):
+        _, data, _, bank = tiny_data
+        ts = ingest_csv(data).timestamps
+        start, end = (format_timestamp(ts[k]) for k in (300, 250))
+        argv = (["baseline", "--method", "persistence"] if command == "baseline"
+                else ["evaluate", "--model", str(bank)])
+        report = tmp_path / "r.csv"
+        assert run(*argv, "--data", str(data), "--report", str(report),
+                   "--test-start", start, "--test-end", end) == 2
+        err = capsys.readouterr().err
+        assert f"test_start {start} falls after test_end {end}" in err
+        assert "is not in the panel" not in err
+        assert not report.exists()
+
+
 class TestForecast:
     def test_prints_block(self, tiny_data, capsys):
         _, data, _, bank_path = tiny_data
@@ -400,6 +418,36 @@ class TestDumpConfig:
         assert built.values["seed"] == ("9" if has_seed else "4")
         assert built.values["h"] == "3"
         assert RunConfig.build(str(cfg), {"seed": "7"}).values["seed"] == "7"
+
+    def test_readme_keys_and_defaults_block(self, tmp_path, capsys):
+        # the block holds inline comments, and `train_end =` has only a comment
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Keys and defaults:\n\n```\n", 1)[1].split("```", 1)[0]
+        assert "max_gap = 3            # longest missing run" in block
+        cfg = tmp_path / "readme.cfg"
+        cfg.write_text(block)
+        assert run("train", "--config", str(cfg), "--dump-config") == 0
+        out = capsys.readouterr().out
+        assert out == "".join(f"{k} = {v}\n" for k, v in CONFIG_DEFAULTS)
+        assert RunConfig.build(str(cfg), {}).digest() == RunConfig(dict(CONFIG_DEFAULTS)).digest()
+
+    def test_comment_runs_to_end_of_line(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("h = 3# three\n  # indented comment\nmi_layers = 8 8 # two layers\n")
+        assert run("train", "--config", str(cfg), "--dump-config") == 0
+        out = capsys.readouterr().out
+        assert "h = 3\n" in out and "mi_layers = 8 8\n" in out
+
+    def test_key_set_twice_exit_1(self, tiny_data, tmp_path, capsys):
+        _, data, _, _ = tiny_data
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("h = 6\n# comment\nell = 4\nh = 3\n")
+        out = tmp_path / "x.bank"
+        assert run("train", "--data", str(data), "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "config key 'h' is set twice, on lines 1 and 4" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestHugeHorizon:

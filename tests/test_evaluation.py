@@ -10,7 +10,8 @@ from dlstf.dataset import Normalizer
 from dlstf.evaluation import (ArModel, ar_fit, ar_forecast, ar_forecaster, bank_forecaster,
                               block_walk, compute_metrics, evaluate, fit_ar_models,
                               persistence_forecast, persistence_forecaster)
-from dlstf.lstm import init_params
+from dlstf import lstm
+from dlstf.lstm import init_params, net_forward
 from conftest import seeded_rng
 
 
@@ -302,8 +303,13 @@ class TestBatchForecasters:
         full = forecast(values, starts)
         assert full.shape == (self.H, len(starts), 3)
         for j, b in enumerate(starts):
-            assert full[:, j].tobytes() == forecast(values[:b], [b])[:, 0].tobytes()
-            assert full[:, j].tobytes() == forecast(values[:b]).tobytes()
+            for lone in (forecast(values[:b], [b])[:, 0], forecast(values[:b])):
+                if kind == "bank":
+                    # the bank runs its walk in chunks of 32 blocks, and a
+                    # chunk's matrix products round apart from a lone block's
+                    assert np.allclose(full[:, j], lone, rtol=1e-12, atol=1e-15)
+                else:
+                    assert full[:, j].tobytes() == lone.tobytes()
 
     @pytest.mark.parametrize("poison", [np.nan, 1e300])
     @pytest.mark.parametrize("kind", ["persistence", "ar", "bank"])
@@ -311,12 +317,41 @@ class TestBatchForecasters:
         values = gappy_values(13)
         forecast = batch_forecasters(values, self.H, self.ELL)[kind]
         _, starts = block_walk(forecast, panel_from(values), schedule_cfg(3, self.H, self.ELL))
-        full = forecast(values, starts)
         for j in range(0, len(starts), 5):
             poisoned = values.copy()
             poisoned[starts[j]:] = poison
             got = forecast(poisoned, starts[:j + 1])
-            assert got.tobytes() == full[:, :j + 1].tobytes()
+            assert got.tobytes() == forecast(values, starts[:j + 1]).tobytes()
+
+    @pytest.mark.parametrize("lone", [False, True])
+    def test_bank_refuses_a_short_or_gappy_window(self, lone):
+        values = gappy_values(15)[:60]
+        forecast = batch_forecasters(values, self.H, self.ELL)["bank"]
+
+        def call(b):
+            return forecast(values[:b]) if lone else forecast(values, [self.ELL, 20, b, 30])
+        with pytest.raises(DataError, match=rf"need at least ell={self.ELL} history rows, got 3"):
+            call(self.ELL - 1)
+        values[24, 1] = np.nan
+        with pytest.raises(DataError, match="the last ell history rows contain missing values"):
+            call(25)
+
+    @pytest.mark.parametrize("blocks", [1, 32, 33, 70])
+    def test_bank_walk_runs_each_offset_once_per_chunk_of_32(self, blocks, monkeypatch):
+        values = gappy_values(16, T=60 + blocks * self.H, gaps=0)
+        forecast = batch_forecasters(values, self.H, self.ELL)["bank"]
+        calls = []
+
+        def counting(net, seq, keep_cache=True):
+            calls.append(np.shape(seq)[1])
+            return net_forward(net, seq, keep_cache)
+        monkeypatch.setattr(lstm, "net_forward", counting)
+        report = evaluate(forecast, panel_from(values), schedule_cfg(3, self.H, self.ELL),
+                          first_block_index=60)
+        assert report.sample_count == 3 * blocks * self.H
+        assert len(calls) == self.H * math.ceil(blocks / 32)
+        assert sorted(calls) == sorted([min(32, blocks - lo) for lo in range(0, blocks, 32)]
+                                       * self.H)
 
     def test_ar_forecast_is_the_single_block_case(self):
         rng = seeded_rng(14)
