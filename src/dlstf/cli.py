@@ -146,7 +146,7 @@ class RunConfig:
 
 def parse_config_file(path) -> dict[str, str]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}

@@ -5,12 +5,14 @@ missing values. The CSV schema is: UTF-8, header ``timestamp,<id1>,<id2>,...``,
 then one line per hour ``YYYY-MM-DDTHH:00:00Z`` followed by one decimal value
 per station; an empty field or the literal ``NA`` means missing, and no other
 non-finite value is accepted. Station ids are unique. LF line endings,
-optionally with a trailing CR.
+optionally with a trailing CR; a leading byte-order mark is ignored.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -140,22 +142,67 @@ def _parse_line(path, lineno: int, line: str, station_ids: list[str], prev):
     return ts, row
 
 
+# what `_read_chunk` expects after a line's day, and the cells it rewrites as nan
+_HOUR_PREFIXES = [f"T{h:02d}:00:00Z," for h in range(24)]
+_NA_CELL = re.compile(r",NA(?=,|\n|\Z)")
+_EMPTY_CELL = re.compile(r",(?=,|\n|\Z)")
+
+
+def _loadtxt(text: str, n: int):
+    """The n cells after the timestamp of each line, or None if loadtxt refuses them."""
+    try:
+        return np.loadtxt(io.StringIO(text), delimiter=",", usecols=range(1, n + 1),
+                          comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+
+
+def _read_chunk(chunk: list[str], stamps: np.ndarray, n: int):
+    """The (len(chunk), n) cells of data lines on the grid `stamps`, or None.
+
+    One np.loadtxt call reads them with float()'s correctly rounded parser.
+    None unless every line is canonical, so `_parse_line` reads the same bits.
+    """
+    days = stamps.astype("datetime64[D]")
+    day_texts = np.datetime_as_string(np.arange(days[0], days[-1] + 1), unit="D").tolist()
+    h0 = int((stamps[0] - days[0]) // HOUR)
+    grid = [day + hour for day in day_texts for hour in _HOUR_PREFIXES][h0:h0 + len(chunk)]
+    text = "\n".join(chunk)
+    # parse_timestamp refuses a 5-digit year; loadtxt strips \x1c-\x1f around a
+    # number as whitespace, where float() refuses the cell
+    if len(day_texts[-1]) != 10 or not all(map(str.startswith, chunk, grid)) \
+            or text.count(",") != n * len(chunk) or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    text, marked = _NA_CELL.subn(",nan", text)
+    cells = _loadtxt(text, n)
+    if cells is None:  # loadtxt refuses empty cells: mark them too and try once more
+        text, empty = _EMPTY_CELL.subn(",nan", text)
+        marked += empty
+        cells = _loadtxt(text, n) if empty else None
+    # a blank line, or a nan, inf or 1e999 cell, shows in the shape or the count
+    if cells is None or cells.shape != (len(chunk), n) \
+            or np.count_nonzero(~np.isfinite(cells)) != marked:
+        return None
+    return cells
+
+
 def ingest_csv(path) -> TimeSeriesPanel:
     """Parse a panel CSV; empty cells and ``NA`` become missing values.
 
-    Data lines are read in chunks of CSV_CHUNK_ROWS. A chunk is split in
-    one pass, its timestamps compared as strings with the canonical hourly
-    grid that starts at the first line's timestamp, and its cells parsed and
-    checked together. A line that fails any of these checks goes through
-    `_parse_line`, which accepts what `parse_timestamp` accepts and otherwise
-    reports the file's first error in line order.
+    The first data line fixes the hourly grid. The lines after it are read
+    in chunks of CSV_CHUNK_ROWS, each with one `_read_chunk` call. A chunk
+    that it refuses goes line by line through `_parse_line`, which accepts
+    what `parse_timestamp` and float() accept and otherwise reports the
+    file's first error in line order.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             raw = fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
-    lines = [ln[:-1] if ln.endswith("\r") else ln for ln in raw.split("\n")]
+    lines = raw.split("\n")
+    if "\r" in raw:
+        lines = [ln[:-1] if ln.endswith("\r") else ln for ln in lines]
     del raw
     if lines and lines[-1] == "":
         lines.pop()
@@ -181,30 +228,11 @@ def ingest_csv(path) -> TimeSeriesPanel:
     for lo in range(1, T, CSV_CHUNK_ROWS):
         hi = min(lo + CSV_CHUNK_ROWS, T)
         chunk = lines[lo + 1:hi + 1]
-        counted = [ln.count(",") == n for ln in chunk]
-        rows = np.flatnonzero(counted)
-        ok = np.zeros(hi - lo, dtype=bool)
-        if rows.size:
-            fields = ",".join([chunk[r] for r in rows.tolist()]).split(",")
-            grid = np.datetime_as_string(stamps[lo:hi][rows], unit="s").tolist()
-            on_grid = [a == b + "Z" for a, b in zip(fields[::n + 1], grid)]
-            del fields[::n + 1]
-            try:
-                cells = np.array([float(c) if c != "" and c != "NA" else np.nan
-                                  for c in fields]).reshape(-1, n)
-            except ValueError:  # a non-numeric cell: every number reads as invalid below,
-                # so each line with one goes through _parse_line
-                cells = np.full((rows.size, n), np.nan)
-            # a cell is valid when finite or marked missing (empty or NA)
-            valid = np.isfinite(cells)
-            nan_cells = np.flatnonzero(~valid).tolist()
-            valid.flat[nan_cells] = [fields[k] == "" or fields[k] == "NA" for k in nan_cells]
-            good = np.asarray(on_grid) & valid.all(axis=1)
-            ok[rows[good]] = True
-            values[lo + rows[good]] = cells[good]
-        for r in np.flatnonzero(~ok).tolist():
-            _, values[lo + r] = _parse_line(path, lo + r + 2, chunk[r], station_ids,
-                                            stamps[lo + r - 1])
+        cells = _read_chunk(chunk, stamps[lo:hi], n)
+        if cells is None:
+            cells = [_parse_line(path, r + 2, line, station_ids, stamps[r - 1])[1]
+                     for r, line in enumerate(chunk, start=lo)]
+        values[lo:hi] = cells
     return TimeSeriesPanel(tuple(station_ids), stamps, values)
 
 

@@ -1,5 +1,8 @@
 import argparse
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,16 @@ from dlstf.synth import synth_generate
 
 def run(*argv):
     return run_cli(list(argv))
+
+
+def test_python_m_dlstf_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).resolve().parents[1] / "src")]
+                                        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "dlstf", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:")
 
 
 @pytest.fixture(scope="module")
@@ -430,6 +443,12 @@ class TestDumpConfig:
         out = capsys.readouterr().out
         assert out == "".join(f"{k} = {v}\n" for k, v in CONFIG_DEFAULTS)
         assert RunConfig.build(str(cfg), {}).digest() == RunConfig(dict(CONFIG_DEFAULTS)).digest()
+
+    def test_leading_byte_order_mark_ignored(self, tmp_path):
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text("h = 3\nseed = 4\n")
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert RunConfig.build(str(bom), {}).digest() == RunConfig.build(str(plain), {}).digest()
 
     def test_comment_runs_to_end_of_line(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -28,6 +28,72 @@ CSV_OK = """timestamp,AAA,BBB
 """
 
 
+def per_line_loop(path):
+    """One line at a time, as ingest_csv parsed files before: the oracle for its output."""
+    def fmt(ts):
+        return ts.astype("datetime64[s]").item().strftime("%Y-%m-%dT%H:%M:%SZ")
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        raw = fh.read()
+    lines = [ln[:-1] if ln.endswith("\r") else ln for ln in raw.split("\n")]
+    if lines and lines[-1] == "":
+        lines.pop()
+    station_ids = lines[0].split(",")[1:]
+    n = len(station_ids)
+    stamps, rows = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != n + 1:
+            raise DataError(
+                f"{path}: line {lineno} has {len(fields)} fields, expected {n + 1}")
+        try:
+            ts = parse_timestamp(fields[0])
+        except DataError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
+        if stamps:
+            if ts == stamps[-1]:
+                raise DataError(
+                    f"{path}: line {lineno}: duplicate timestamp {fields[0]}")
+            if ts != stamps[-1] + HOUR:
+                raise DataError(
+                    f"{path}: line {lineno}: timestamp {fields[0]} breaks the "
+                    f"hourly grid (previous was {fmt(stamps[-1])})")
+        row = []
+        for col, cell in enumerate(fields[1:]):
+            if cell == "" or cell == "NA":
+                row.append(np.nan)
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: line {lineno}, column {station_ids[col]!r}: "
+                    f"non-numeric cell {cell!r}") from None
+            if not math.isfinite(value):
+                raise DataError(
+                    f"{path}: line {lineno}, column {station_ids[col]!r}: "
+                    f"non-finite cell {cell!r}")
+            row.append(value)
+        stamps.append(ts)
+        rows.append(row)
+    return (tuple(station_ids), np.array(stamps, dtype="datetime64[s]"),
+            np.array(rows, dtype=np.float64))
+
+
+def via_ingest_csv(path):
+    panel = ingest_csv(path)
+    return panel.station_ids, panel.timestamps, panel.values
+
+
+def outcome(parse, path):
+    """What `parse` makes of a file: the panel's bytes, or the error text."""
+    try:
+        ids, stamps, values = parse(path)
+    except DataError as exc:
+        return str(exc)
+    return ids, stamps.dtype, stamps.tobytes(), values.shape, values.tobytes()
+
+
 class TestIngest:
     def test_well_formed(self, tmp_path):
         path = tmp_path / "ok.csv"
@@ -138,68 +204,6 @@ class TestIngest:
 
     @pytest.mark.parametrize("chunk", [3, 8, dataset.CSV_CHUNK_ROWS])
     def test_matches_per_line_loop(self, tmp_path, monkeypatch, chunk):
-        def per_line_loop(path):
-            # one line at a time, as ingest_csv parsed files before
-            def fmt(ts):
-                return ts.astype("datetime64[s]").item().strftime("%Y-%m-%dT%H:%M:%SZ")
-
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                raw = fh.read()
-            lines = [ln[:-1] if ln.endswith("\r") else ln for ln in raw.split("\n")]
-            if lines and lines[-1] == "":
-                lines.pop()
-            station_ids = lines[0].split(",")[1:]
-            n = len(station_ids)
-            stamps, rows = [], []
-            for lineno, line in enumerate(lines[1:], start=2):
-                fields = line.split(",")
-                if len(fields) != n + 1:
-                    raise DataError(
-                        f"{path}: line {lineno} has {len(fields)} fields, expected {n + 1}")
-                try:
-                    ts = parse_timestamp(fields[0])
-                except DataError as exc:
-                    raise DataError(f"{path}: line {lineno}: {exc}") from None
-                if stamps:
-                    if ts == stamps[-1]:
-                        raise DataError(
-                            f"{path}: line {lineno}: duplicate timestamp {fields[0]}")
-                    if ts != stamps[-1] + HOUR:
-                        raise DataError(
-                            f"{path}: line {lineno}: timestamp {fields[0]} breaks the "
-                            f"hourly grid (previous was {fmt(stamps[-1])})")
-                row = []
-                for col, cell in enumerate(fields[1:]):
-                    if cell == "" or cell == "NA":
-                        row.append(np.nan)
-                        continue
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: line {lineno}, column {station_ids[col]!r}: "
-                            f"non-numeric cell {cell!r}") from None
-                    if not math.isfinite(value):
-                        raise DataError(
-                            f"{path}: line {lineno}, column {station_ids[col]!r}: "
-                            f"non-finite cell {cell!r}")
-                    row.append(value)
-                stamps.append(ts)
-                rows.append(row)
-            return (tuple(station_ids), np.array(stamps, dtype="datetime64[s]"),
-                    np.array(rows, dtype=np.float64))
-
-        def array_passes(path):
-            panel = ingest_csv(path)
-            return panel.station_ids, panel.timestamps, panel.values
-
-        def outcome(parse, path):
-            try:
-                ids, stamps, values = parse(path)
-            except DataError as exc:
-                return str(exc)
-            return ids, stamps.dtype, stamps.tobytes(), values.shape, values.tobytes()
-
         def set_field(line, k, text):
             fields = line.split(",")
             fields[k] = text
@@ -211,6 +215,13 @@ class TestIngest:
         def unpadded(ts):
             d = ts.item()
             return f"{d.year}-{d.month}-{d.day}T{d.hour}:0:00Z"
+
+        def missing_pair(line, rng):
+            # NA and empty side by side, the second of them at the end of the line
+            fields = line.split(",")
+            k = min(2, len(fields) - 1)
+            fields[-k:] = [str(c) for c in rng.permutation(["NA", ""])[:k]]
+            return ",".join(fields)
 
         # each defect rewrites data row r of `lines` (the header is lines[0])
         defects = {
@@ -237,6 +248,18 @@ class TestIngest:
             "missing_cell": lambda lines, r, rng: set_field(
                 lines[r + 1], 1 + int(rng.integers(n)), str(rng.choice(["", "NA"]))),
             "spaced_cell": lambda lines, r, rng: set_field(lines[r + 1], 1, " 2.5 "),
+            # inputs that np.loadtxt reads unlike the per-line parse
+            "blank_line": lambda lines, r, rng: lines[r + 1] + "\n",
+            "comment_line": lambda lines, r, rng: "#" + lines[r + 1],
+            "literal_nan": lambda lines, r, rng: set_field(
+                lines[r + 1], 1 + int(rng.integers(n)), str(rng.choice(["nan", "NaN", "NAN"]))),
+            "missing_pair": lambda lines, r, rng: missing_pair(lines[r + 1], rng),
+            "inner_cr": lambda lines, r, rng: set_field(
+                lines[r + 1], 1, str(rng.choice(["\r2.5", "2\r5", "2.5\r"]))),
+            "underscore": lambda lines, r, rng: set_field(lines[r + 1], 1, "1_0"),
+            "full_width": lambda lines, r, rng: set_field(lines[r + 1], 1, "\uff11.\uff15"),
+            "five_digit_year": lambda lines, r, rng: set_field(
+                lines[r + 1], 0, "0" + lines[r + 1].split(",")[0]),
         }
 
         monkeypatch.setattr(dataset, "CSV_CHUNK_ROWS", chunk)
@@ -265,12 +288,60 @@ class TestIngest:
                     r = int(rng.integers(T))
                     try:
                         lines[r + 1] = defects[kind](lines, r, rng)
-                    except DataError:  # a stamp-based defect on an already broken stamp
+                    except (DataError, IndexError):  # a defect on an already broken line
                         pass
             eol = "\r\n" if trial % 4 == 1 else "\n"
             text = eol.join(lines) + ("" if trial % 5 == 2 else eol)
             path.write_bytes(text.encode("utf-8"))
-            assert outcome(array_passes, path) == outcome(per_line_loop, path), (trial, kind, pos)
+            assert outcome(via_ingest_csv, path) == outcome(per_line_loop, path), (trial, kind, pos)
+
+    def test_character_sweep_matches_per_line_loop(self, tmp_path):
+        # loadtxt strips \x1c-\x1f around a number as whitespace, where float() refuses
+        # the cell; every other character must also give the per-line outcome
+        path = tmp_path / "sweep.csv"
+        for ch in [chr(c) for c in range(128)] + ["\x85", "\xa0", "\u3000", "\ufeff"]:
+            for cell in ("1.5", "NA", ""):
+                for placed in dict.fromkeys([ch + cell, cell[:1] + ch + cell[1:], cell + ch]):
+                    for row in (f"{placed},3.0", f"3.0,{placed}"):
+                        path.write_bytes(("timestamp,A,B\n"
+                                          "2014-01-01T00:00:00Z,1.0,2.0\n"
+                                          f"2014-01-01T01:00:00Z,{row}\n"
+                                          "2014-01-01T02:00:00Z,4.0,5.0\n").encode("utf-8"))
+                        assert (outcome(via_ingest_csv, path)
+                                == outcome(per_line_loop, path)), (ch, placed, row)
+
+    def test_clean_file_reads_each_chunk_in_one_pass(self, tmp_path, monkeypatch):
+        rng = seeded_rng(23)
+        T = 2 * dataset.CSV_CHUNK_ROWS + 10  # the first line, then three chunks
+        stamps = np.datetime_as_string(parse_timestamp("2014-01-01T00:00:00Z")
+                                       + np.arange(T) * HOUR, unit="s")
+        lines = ["timestamp,A,B,C"]
+        for ts, row in zip(stamps, rng.normal(5.0, 3.0, (T, 3)).tolist()):
+            cells = [str(rng.choice(["", "NA"])) if rng.uniform() < 0.1 else repr(v) for v in row]
+            lines.append(ts + "Z," + ",".join(cells))
+        text = "\r\n".join(lines) + "\r\n"
+        assert all(m in text for m in (",NA,", ",,", ",NA\r\n", ",\r\n", ",NA,\r\n", ",,NA"))
+        path = tmp_path / "clean.csv"
+        path.write_bytes(text.encode("utf-8"))
+        linenos = []
+        parse_line = dataset._parse_line
+        monkeypatch.setattr(dataset, "_parse_line", lambda path, lineno, *rest: (
+            linenos.append(lineno) or parse_line(path, lineno, *rest)))
+        assert outcome(via_ingest_csv, path) == outcome(per_line_loop, path)
+        assert linenos == [2]
+
+    def test_year_10000_on_the_grid_refused(self, tmp_path):
+        path = tmp_path / "y10k.csv"
+        path.write_text("timestamp,A\n9999-12-31T22:00:00Z,1.0\n"
+                        "9999-12-31T23:00:00Z,2.0\n10000-01-01T00:00:00Z,3.0\n")
+        with pytest.raises(DataError, match="line 4: bad timestamp '10000-01-01T00:00:00Z'"):
+            ingest_csv(path)
+
+    def test_leading_byte_order_mark_ignored(self, tmp_path):
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(CSV_OK)
+        bom.write_bytes(b"\xef\xbb\xbf" + CSV_OK.encode("utf-8"))
+        assert outcome(via_ingest_csv, bom) == outcome(via_ingest_csv, plain)
 
 
 class TestFillMissing:
