@@ -20,12 +20,21 @@ target = rng.uniform(-1.0, 1.0, 2)
 err = gradient_check(net, (sequence, target), eps=1e-5)
 print(f"max relative error, healthy backward:   {err:.3e}")
 
-# flip one sign inside the backward pass and watch the check light up
-lstm._CORRUPT_BACKWARD = True
+# flip the sign of one gate's weight gradient and watch the check light up
+exact = lstm._layer_backward
+
+
+def corrupted(p, lc, dh_seq, g):
+    rows = exact(p, lc, dh_seq, g)
+    g.w[2 * p.hidden_dim:3 * p.hidden_dim] *= -1.0  # the candidate gate's rows
+    return rows
+
+
+lstm._layer_backward = corrupted
 try:
     err_bad = gradient_check(net, (sequence, target), eps=1e-5)
 finally:
-    lstm._CORRUPT_BACKWARD = False
+    lstm._layer_backward = exact
 print(f"max relative error, corrupted backward: {err_bad:.3e}")
 
 assert err < 1e-6 < err_bad

@@ -7,15 +7,16 @@ Scaled down here (4 stations, small widths, few epochs); takes about ten
 seconds on one core.
 """
 
-from dlstf import HorizonConfig, forecast_block, fraction_split, synth_generate, train_bank
+from dlstf import (HorizonConfig, TrainConfig, forecast_block, fraction_split, synth_generate,
+                   train_bank)
 from dlstf.evaluation import bank_forecaster, evaluate, persistence_forecaster
 
 panel = synth_generate(n=4, T=1500, seed=7, coupling=0.8)
 train_panel, val_panel, test_panel = fraction_split(panel, 0.7, 0.15)
 
-cfg = HorizonConfig.default(n=4, h=6, ell=12, seed=1,
-                            first_widths=(16,), later_widths=(24, 24),
-                            max_epochs=8, patience=4)
+cfg = HorizonConfig.default(n=4, h=6, ell=12, first_widths=(16,), later_widths=(24, 24))
+# every model shares these settings; model i trains with seed 1 + i - 1
+train = TrainConfig(seed=1, max_epochs=8, patience=4)
 
 
 def progress(i, history):
@@ -23,7 +24,7 @@ def progress(i, history):
           f"best val MAE {min(history.val_losses):.4f}")
 
 
-bank = train_bank(train_panel, val_panel, cfg, progress=progress)
+bank = train_bank(train_panel, val_panel, cfg, train, progress=progress)
 
 block_start = test_panel.timestamps[40]
 block = forecast_block(bank, panel, block_start)

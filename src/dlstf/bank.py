@@ -13,7 +13,7 @@ offset-2 model trains on inputs mixing real rows with that overlay, and so on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 import struct
 
 import numpy as np
@@ -29,6 +29,8 @@ BANK_VERSION = 1
 
 DEFAULT_FIRST_WIDTHS = (32,)
 DEFAULT_LATER_WIDTHS = (64, 64)
+# blocks per forward pass of a walk; the walk's bytes depend on it
+PREDICT_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,6 @@ class HorizonConfig:
     h: int = 6
     ell: int = 12
     widths: tuple[tuple[int, ...], ...] = ()
-    train_configs: tuple[TrainConfig, ...] = ()
 
     def __post_init__(self):
         if self.h < 1 or self.ell < 1 or self.n < 1:
@@ -48,22 +49,14 @@ class HorizonConfig:
             raise ValueError(f"need exactly {self.h} width specifications, got {len(self.widths)}")
         if any(len(w) == 0 or any(d < 1 for d in w) for w in self.widths):
             raise ValueError("every model needs at least one positive layer width")
-        if len(self.train_configs) != self.h:
-            raise ValueError(f"need exactly {self.h} train configs, got {len(self.train_configs)}")
 
     @classmethod
-    def default(cls, n: int, h: int = 6, ell: int = 12, seed: int = 0,
+    def default(cls, n: int, h: int = 6, ell: int = 12,
                 first_widths: tuple[int, ...] = DEFAULT_FIRST_WIDTHS,
-                later_widths: tuple[int, ...] = DEFAULT_LATER_WIDTHS,
-                **train_kwargs) -> "HorizonConfig":
-        """Standard bank: one small net for offset 1, stacked nets for the rest.
-
-        Model i trains with seed `seed + i - 1`; extra keyword arguments go to
-        every TrainConfig.
-        """
+                later_widths: tuple[int, ...] = DEFAULT_LATER_WIDTHS) -> "HorizonConfig":
+        """Standard bank: one small net for offset 1, stacked nets for the rest."""
         widths = (tuple(first_widths),) + (tuple(later_widths),) * (h - 1)
-        train = tuple(TrainConfig(seed=seed + i, **train_kwargs) for i in range(h))
-        return cls(n=n, h=h, ell=ell, widths=widths, train_configs=train)
+        return cls(n=n, h=h, ell=ell, widths=widths)
 
 
 def model_index(t: int, h: int) -> int:
@@ -100,9 +93,8 @@ class ModelBank:
         (h, B, n) array of the B blocks.
 
         Block j reads only the ell rows before starts[j], which must be present
-        and finite. Each offset runs once over all blocks, in fixed chunks of
-        TrainConfig.batch_size, so a walk's bytes do not depend on the bank's
-        own training configs.
+        and finite. Each offset runs once over all blocks, in chunks of
+        PREDICT_CHUNK blocks.
         """
         cfg = self.config
         values = np.asarray(values, dtype=np.float64)
@@ -120,7 +112,7 @@ class ModelBank:
         forecasts: dict[int, np.ndarray] = {}
         for i in range(1, cfg.h + 1):
             seq = assemble_input(window, forecasts, i, cfg.ell)
-            forecasts[i] = predict_batches(self.models[i - 1], seq, TrainConfig.batch_size)
+            forecasts[i] = predict_batches(self.models[i - 1], seq, PREDICT_CHUNK)
         return denormalize(np.stack(list(forecasts.values())), nz)
 
     def predict_block(self, history_values: np.ndarray) -> np.ndarray:
@@ -156,10 +148,11 @@ def check_train_rows(T: int, ell: int, h: int) -> None:
 
 
 def train_bank(train_panel: TimeSeriesPanel, val_panel: TimeSeriesPanel,
-               cfg: HorizonConfig, progress=None) -> ModelBank:
+               cfg: HorizonConfig, train: TrainConfig, progress=None) -> ModelBank:
     """Cascade-train all h models on raw (missing-repaired) panels.
 
-    The normalizer is fitted on the train panel, both panels are normalized,
+    Model i trains with `train`, its seed replaced by `train.seed + i - 1`. The
+    normalizer is fitted on the train panel, both panels are normalized,
     and models are trained in offset order: after model i finishes, its
     sliding-window predictions over both panels populate the offset-i forecast
     overlay consumed by later models. `progress(i, history)` is called after
@@ -181,7 +174,7 @@ def train_bank(train_panel: TimeSeriesPanel, val_panel: TimeSeriesPanel,
 
     models: list[LstmNetwork] = []
     for i in range(1, cfg.h + 1):
-        tc = cfg.train_configs[i - 1]
+        tc = replace(train, seed=train.seed + i - 1)
         net = init_params(list(cfg.widths[i - 1]), cfg.n, tc.seed)
         tr = make_samples(norm_train, ov_train, cfg.ell, i)
         va = make_samples(norm_val, ov_val, cfg.ell, i)
@@ -334,6 +327,5 @@ def load_bank(path) -> ModelBank:
             f"{path}: f64 count mismatch: trailer says {declared}, payload holds {total}")
     if r.pos != len(data):
         raise DataError(f"{path}: {len(data) - r.pos} unexpected trailing bytes")
-    cfg = HorizonConfig(n=n, h=h, ell=ell, widths=tuple(widths),
-                        train_configs=tuple(TrainConfig() for _ in range(h)))
+    cfg = HorizonConfig(n=n, h=h, ell=ell, widths=tuple(widths))
     return ModelBank(config=cfg, models=models, normalizer=nz)

@@ -27,6 +27,7 @@ from .evaluation import (ar_forecaster, bank_forecaster, block_walk, evaluate,
                          fit_ar_models, persistence_forecaster)
 from .lstm import gradient_check, init_params, net_backward, net_forward
 from .synth import synth_generate
+from .training import TrainConfig
 
 GRADCHECK_TOLERANCE = 1e-6
 
@@ -123,21 +124,29 @@ class RunConfig:
         return self._parse(key, parse_timestamp, "timestamp (YYYY-MM-DDTHH:00:00Z)")
 
     def horizon_config(self, n: int) -> HorizonConfig:
-        """The bank shape and training settings; an out-of-range value is a usage error."""
+        """The bank shape for n stations; an out-of-range value is a usage error."""
         try:
             return HorizonConfig.default(
                 n=n,
                 h=self.get_int("h"),
                 ell=self.get_int("ell"),
-                seed=self.get_seed(),
                 first_widths=self.get_widths("m1_layers"),
                 later_widths=self.get_widths("mi_layers"),
+            )
+        except ValueError as exc:
+            raise UsageError(f"invalid configuration: {exc}") from None
+
+    def train_config(self) -> TrainConfig:
+        """The training settings of every model; an out-of-range value is a usage error."""
+        try:
+            return TrainConfig(
                 learning_rate=self.get_float("learning_rate"),
                 rho=self.get_float("rho"),
                 epsilon=self.get_float("epsilon"),
                 batch_size=self.get_int("batch_size"),
                 max_epochs=self.get_int("max_epochs"),
                 patience=self.get_int("patience"),
+                seed=self.get_seed(),
                 clip_norm=self.get_float("clip_norm"),
             )
         except ValueError as exc:
@@ -305,12 +314,13 @@ def _cmd_train(args) -> int:
     train_panel, val_panel = _split_train_val(panel, cfg)
     check_train_rows(train_panel.n_times, cfg.get_int("ell"), cfg.get_int("h"))
     hcfg = cfg.horizon_config(panel.n_stations)
+    train = cfg.train_config()
 
     def progress(i, hist):
         _log(f"model {i}/{hcfg.h}: stopped epoch {hist.stopped_epoch}, "
              f"best epoch {hist.best_epoch}, val MAE {hist.val_losses[hist.best_epoch - 1]:.5f}")
 
-    bank = train_bank(train_panel, val_panel, hcfg, progress=progress)
+    bank = train_bank(train_panel, val_panel, hcfg, train, progress=progress)
     out = Path(args.out)
     save_bank(bank, out)
     write_manifest(out.with_name(out.name + ".run.txt"), "train", cfg, [out])
@@ -345,8 +355,8 @@ def _cmd_baseline(args) -> int:
             raise UsageError(f"train_frac must lie strictly between 0 and 1, got {train_frac}")
         default_first = max(ell, int(panel.n_times * train_frac))
     sliced, first = _test_window(panel, cfg, ell, h, default_first)
-    # built after the window checks: it holds h widths and train configs
-    hcfg_schedule = cfg.horizon_config(panel.n_stations)
+    # built after the window checks: it holds h widths
+    shape = cfg.horizon_config(panel.n_stations)
     if args.method == "persistence":
         forecaster = persistence_forecaster(h)
     else:
@@ -355,7 +365,7 @@ def _cmd_baseline(args) -> int:
         except ValueError as exc:  # a fit range too short or without AR structure
             raise DataError(f"cannot fit AR({args.order}): {exc}") from None
         forecaster = ar_forecaster(models, h)
-    report = evaluate(forecaster, sliced, hcfg_schedule, first_block_index=first)
+    report = evaluate(forecaster, sliced, shape, first_block_index=first)
     out = Path(args.report)
     report.to_csv(out)
     write_manifest(out.with_name(out.name + ".run.txt"), f"baseline {args.method}", cfg, [out])

@@ -131,10 +131,6 @@ class ErrorReport:
     mean_nrmse: float
     sample_count: int
 
-    @property
-    def station_count(self) -> int:
-        return len(self.station_ids)
-
     def station_row(self, station_id: str) -> tuple[float, float, float]:
         idx = self.station_ids.index(station_id)
         return float(self.mae[idx]), float(self.rmse[idx]), float(self.nrmse[idx])

@@ -31,11 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# Test-only hook: when True, the candidate-gate term of every backward step
-# has its sign flipped. Used to prove gradient_check detects a wrong backward.
-_CORRUPT_BACKWARD = False
-
-
 @dataclass
 class LstmLayerParams:
     """One LSTM layer: fused gate weights w (4H, D), u (4H, H), biases b (4H,)."""
@@ -222,8 +217,6 @@ def _layer_backward(p: LstmLayerParams, lc: _LayerCache, dh_seq: np.ndarray,
         dpre[t, :, hid:2 * hid] = dc * k * (i * (1.0 - i))
         dpre[t, :, 2 * hid:3 * hid] = dc * i * (1.0 - k * k)
         dpre[t, :, 3 * hid:] = dh * tanh_c * (o * (1.0 - o))
-        if _CORRUPT_BACKWARD:
-            dpre[t, :, 2 * hid:3 * hid] *= -1.0
         dc = dc * f
         dh_carry = dpre[t] @ p.u
     rows = dpre.reshape(steps * batch, 4 * hid)

@@ -95,15 +95,14 @@ def rmsprop_update(params: list[np.ndarray], grads: list[np.ndarray],
         p -= cfg.learning_rate * g / np.sqrt(s + cfg.epsilon)
 
 
-def _mean_val_mae(net: LstmNetwork, val_samples: SampleSet,
-                 chunk: int = TrainConfig.batch_size) -> float:
+def _mean_val_mae(net: LstmNetwork, val_samples: SampleSet, chunk: int) -> float:
     """Mean over samples of the per-sample MAE, forward only in chunks of `chunk` samples."""
     pred = predict_batches(net, val_samples.x, chunk)
     return float(np.mean(np.mean(np.abs(pred - val_samples.y), axis=1)))
 
 
-def train_model(net: LstmNetwork, train_samples: SampleSet, val_samples: SampleSet | None,
-                cfg: TrainConfig, _val_loss_fn=None) -> tuple[LstmNetwork, TrainHistory]:
+def train_model(net: LstmNetwork, train_samples: SampleSet, val_samples: SampleSet,
+                cfg: TrainConfig) -> tuple[LstmNetwork, TrainHistory]:
     """Train a copy of `net` on a SampleSet's time-major inputs and targets.
 
     Each epoch shuffles the samples with the seeded PRNG
@@ -114,12 +113,10 @@ def train_model(net: LstmNetwork, train_samples: SampleSet, val_samples: SampleS
     computed every epoch, forward only in chunks of batch_size samples;
     training stops once it has failed to improve for `patience` consecutive
     epochs, and the parameters from the best validation epoch are returned.
-
-    `_val_loss_fn(net, epoch) -> float` is a test-only validation override.
     """
     if not train_samples:
         raise ValueError("training set is empty")
-    if _val_loss_fn is None and not val_samples:
+    if not val_samples:
         raise ValueError("validation set is empty")
 
     work = net.clone()
@@ -147,10 +144,7 @@ def train_model(net: LstmNetwork, train_samples: SampleSet, val_samples: SampleS
             rmsprop_update(params, net_backward(work, cache, dpred).param_arrays(), acc, cfg)
 
         train_loss = loss_sum / len(train_samples)
-        if _val_loss_fn is not None:
-            val_loss = float(_val_loss_fn(work, epoch))
-        else:
-            val_loss = _mean_val_mae(work, val_samples, cfg.batch_size)
+        val_loss = _mean_val_mae(work, val_samples, cfg.batch_size)
         history.train_losses.append(train_loss)
         history.val_losses.append(val_loss)
         history.stopped_epoch = epoch

@@ -28,6 +28,7 @@ from dlstf.evaluation import (ar_fit, bank_forecaster, evaluate, fit_ar_models,
                               ar_forecaster, persistence_forecaster)
 from dlstf.lstm import LstmLayerParams, gradient_check, init_params, net_forward
 from dlstf.synth import TARGET_STATION, synth_generate
+from dlstf.training import TrainConfig
 from conftest import (GRADCHECK_CASES, gradcheck_instance, layer_record, scalar_unroll,
                       seeded_rng)
 
@@ -61,18 +62,21 @@ def synth_splits(synth_panel):
     return fraction_split(synth_panel, 0.70, 0.15)
 
 
+# epoch budget chosen for the stated runtime ceilings; quality margins
+# over the criteria gates are wide (see the assertions below)
+BANK_TRAIN = TrainConfig(seed=BANK_SEED, max_epochs=8, patience=4)
+
+
 @pytest.fixture(scope="session")
 def bank_config():
-    # epoch budget chosen for the stated runtime ceilings; quality margins
-    # over the criteria gates are wide (see the assertions below)
-    return HorizonConfig.default(n=6, seed=BANK_SEED, max_epochs=8, patience=4)
+    return HorizonConfig.default(n=6)
 
 
 @pytest.fixture(scope="session")
 def trained_bank(synth_splits, bank_config):
     train_panel, val_panel, _ = synth_splits
     start = time.monotonic()
-    bank = train_bank(train_panel, val_panel, bank_config)
+    bank = train_bank(train_panel, val_panel, bank_config, BANK_TRAIN)
     return bank, time.monotonic() - start
 
 
@@ -81,9 +85,9 @@ def solo_bank(synth_panel):
     solo = TimeSeriesPanel((TARGET_STATION,), synth_panel.timestamps,
                            synth_panel.values[:, :1])
     train_panel, val_panel, test_panel = fraction_split(solo, 0.70, 0.15)
-    cfg = HorizonConfig.default(n=1, seed=BANK_SEED, max_epochs=8, patience=4)
+    cfg = HorizonConfig.default(n=1)
     start = time.monotonic()
-    bank = train_bank(train_panel, val_panel, cfg)
+    bank = train_bank(train_panel, val_panel, cfg, BANK_TRAIN)
     return bank, cfg, test_panel, time.monotonic() - start
 
 
@@ -221,8 +225,9 @@ def test_criterion_08_real_data_stretch():
         val_hours = 30 * 24
         train_panel = sliced.slice_rows(0, first - val_hours)
         val_panel = sliced.slice_rows(first - val_hours, first)
-        cfg = HorizonConfig.default(n=n, seed=BANK_SEED, max_epochs=20, patience=5)
-        bank = train_bank(train_panel, val_panel, cfg)
+        cfg = HorizonConfig.default(n=n)
+        train = TrainConfig(seed=BANK_SEED, max_epochs=20, patience=5)
+        bank = train_bank(train_panel, val_panel, cfg, train)
         report = evaluate(bank_forecaster(bank), sliced, cfg, first_block_index=first)
 
         models = fit_ar_models(sliced.slice_rows(0, first), 3)
@@ -261,8 +266,7 @@ def test_criterion_10_serialization(tmp_path):
             parse_timestamp("2001-01-01T00:00:00Z") + np.arange(60)
             * np.timedelta64(3600, "s"),
             rng.uniform(0.0, 12.0, (60, 4)))
-        cfg = HorizonConfig.default(n=4, h=6, ell=5, seed=3,
-                                    first_widths=(6,), later_widths=(7, 5))
+        cfg = HorizonConfig.default(n=4, h=6, ell=5, first_widths=(6,), later_widths=(7, 5))
         models = [init_params(list(cfg.widths[i]), 4, seed=3 + i) for i in range(6)]
         bank = ModelBank(config=cfg, models=models, normalizer=fit_normalizer(panel))
 

@@ -6,12 +6,12 @@ import pytest
 
 from dlstf.bank import (BANK_MAGIC, HorizonConfig, ModelBank, forecast_block, load_bank,
                         model_index, save_bank, train_bank)
-from dlstf.dataset import (HOUR, Normalizer, TimeSeriesPanel, assemble_input, fraction_split,
-                           make_samples)
+from dlstf.dataset import (HOUR, Normalizer, TimeSeriesPanel, assemble_input, fit_normalizer,
+                           fraction_split, make_samples, normalize)
 from dlstf.errors import DataError
 from dlstf.lstm import init_params, net_forward
 from dlstf.synth import synth_generate
-from dlstf.training import TrainConfig
+from dlstf.training import TrainConfig, train_model
 from conftest import seeded_rng
 
 
@@ -93,14 +93,15 @@ class TestAssembleInput:
             assert np.array_equal(assemble_input(window, fc, i, ell), out.x[:, ks])
 
 
+SMALL_TRAIN = TrainConfig(seed=5, max_epochs=2, batch_size=16, patience=2)
+
+
 @pytest.fixture(scope="module")
 def small_bank_setup():
     panel = synth_generate(3, 320, seed=404, coupling=0.7, noise=0.2)
     train, val, test = fraction_split(panel, 0.6, 0.2)
-    cfg = HorizonConfig.default(n=3, h=2, ell=6, seed=5,
-                                first_widths=(4,), later_widths=(4,),
-                                max_epochs=2, batch_size=16, patience=2)
-    bank = train_bank(train, val, cfg)
+    cfg = HorizonConfig.default(n=3, h=2, ell=6, first_widths=(4,), later_widths=(4,))
+    bank = train_bank(train, val, cfg, SMALL_TRAIN)
     return panel, train, val, test, cfg, bank
 
 
@@ -115,7 +116,7 @@ class TestTrainBank:
 
     def test_deterministic(self, small_bank_setup):
         _, train, val, _, cfg, bank = small_bank_setup
-        again = train_bank(train, val, cfg)
+        again = train_bank(train, val, cfg, SMALL_TRAIN)
         for m1, m2 in zip(bank.models, again.models):
             for a, b in zip(m1.param_arrays(), m2.param_arrays()):
                 assert np.array_equal(a, b)
@@ -125,12 +126,23 @@ class TestTrainBank:
         _, train, val, _, cfg, _ = small_bank_setup
         stub = train.slice_rows(0, cfg.ell + cfg.h)
         with pytest.raises(DataError, match="enough"):
-            train_bank(stub, val, cfg)
+            train_bank(stub, val, cfg, SMALL_TRAIN)
 
     def test_validation_panel_shorter_than_ell_rejected(self, small_bank_setup):
         _, train, val, _, cfg, _ = small_bank_setup
         with pytest.raises(DataError, match="model 1: no usable validation samples"):
-            train_bank(train, val.slice_rows(0, cfg.ell - 1), cfg)
+            train_bank(train, val.slice_rows(0, cfg.ell - 1), cfg, SMALL_TRAIN)
+
+    def test_model_one_trains_with_the_given_seed(self, small_bank_setup):
+        # model i trains with seed train.seed + i - 1, so model 1 is train_model
+        # of the seed's initial weights under the unchanged TrainConfig
+        _, train, val, _, cfg, bank = small_bank_setup
+        nz = fit_normalizer(train)
+        tr, va = (make_samples(normalize(p, nz), None, cfg.ell, 1) for p in (train, val))
+        net = init_params(list(cfg.widths[0]), cfg.n, SMALL_TRAIN.seed)
+        expected, _ = train_model(net, tr, va, SMALL_TRAIN)
+        for a, b in zip(bank.models[0].param_arrays(), expected.param_arrays()):
+            assert np.array_equal(a, b)
 
 
 class TestForecastBlock:
@@ -195,10 +207,7 @@ class TestSerialization:
         path = tmp_path / "model.bank"
         save_bank(bank, path)
         loaded = load_bank(path)
-        assert loaded.config.h == cfg.h
-        assert loaded.config.ell == cfg.ell
-        assert loaded.config.n == cfg.n
-        assert loaded.config.widths == cfg.widths
+        assert loaded.config == cfg
         for m1, m2 in zip(bank.models, loaded.models):
             for a, b in zip(m1.param_arrays(), m2.param_arrays()):
                 assert np.array_equal(a, b)

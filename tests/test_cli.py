@@ -471,7 +471,7 @@ class TestDumpConfig:
 
 class TestHugeHorizon:
     """A horizon longer than the panel is a data error found before the bank shape
-    (h widths and h train configs) is built."""
+    (h widths) is built."""
 
     @pytest.fixture(autouse=True)
     def no_horizon_config(self, monkeypatch):

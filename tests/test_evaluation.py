@@ -188,7 +188,7 @@ class TestEvaluate:
         report = evaluate(oracle, panel, schedule_cfg(3, h=h, ell=6))
         assert report.mean_mae == 0.0
         assert report.mean_rmse == 0.0
-        assert report.station_count == 3
+        assert len(report.station_ids) == 3
 
     def test_persistence_on_linear_ramp_closed_form(self):
         h = 4

@@ -248,14 +248,18 @@ class TestGradientCheck:
         net, sample = gradcheck_instance(dims, n, length, seed)
         assert gradient_check(net, sample, 1e-5) < 1e-6
 
-    def test_corrupted_backward_detected(self):
+    def test_corrupted_backward_detected(self, monkeypatch):
         net, sample = gradcheck_instance([6], 2, 4, 1276)
-        lstm_mod._CORRUPT_BACKWARD = True
-        try:
-            err = gradient_check(net, sample, 1e-5)
-        finally:
-            lstm_mod._CORRUPT_BACKWARD = False
-        assert err > 1e-2
+        assert gradient_check(net, sample, 1e-5) < 1e-6
+        exact = lstm_mod._layer_backward
+
+        def corrupted(p, lc, dh_seq, g):
+            rows = exact(p, lc, dh_seq, g)
+            g.w[2 * p.hidden_dim:3 * p.hidden_dim] *= -1.0  # candidate gate's sign flipped
+            return rows
+
+        monkeypatch.setattr(lstm_mod, "_layer_backward", corrupted)
+        assert gradient_check(net, sample, 1e-5) > 1e-2
 
     def test_invalid_eps(self):
         net = zero_network([3], 2)

@@ -162,24 +162,26 @@ class TestTrainModel:
         for got, want in zip(captured[0], manual_arrays):
             assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
-    def test_early_stopping_arithmetic(self):
+    def test_early_stopping_arithmetic(self, monkeypatch):
         # injected validation schedule: 5, 4, 3, 4, 5, ... with patience 2
         schedule = {1: 5.0, 2: 4.0, 3: 3.0}
-        snapshots = {}
+        snapshots = []
 
-        def val_fn(net, epoch):
-            snapshots[epoch] = [p.copy() for p in net.param_arrays()]
+        def val_fn(net, val_samples, chunk):
+            snapshots.append([p.copy() for p in net.param_arrays()])
+            epoch = len(snapshots)
             return schedule.get(epoch, 2.0 + epoch)
 
+        monkeypatch.setattr(training_mod, "_mean_val_mae", val_fn)
         samples = make_linear_task(20, 3, 2, 3)
         cfg = TrainConfig(max_epochs=50, batch_size=8, patience=2, seed=9)
         net = init_params([4], 2, 9)
-        best, hist = train_model(net, samples, None, cfg, _val_loss_fn=val_fn)
+        best, hist = train_model(net, samples, rows(samples, 0, 4), cfg)
         assert hist.stopped_epoch == 5
         assert hist.best_epoch == 3
         assert len(hist.train_losses) == 5
         assert len(hist.val_losses) == 5
-        for got, want in zip(best.param_arrays(), snapshots[3]):
+        for got, want in zip(best.param_arrays(), snapshots[2]):
             assert np.array_equal(got, want)
 
     def test_returned_parameters_match_best_epoch(self):
@@ -188,8 +190,8 @@ class TestTrainModel:
         net = init_params([5], 2, 4)
         best, hist = train_model(net, rows(samples, 0, 64), rows(samples, 64, 80), cfg)
         assert hist.best_epoch == int(np.argmin(hist.val_losses)) + 1
-        from dlstf.training import _mean_val_mae
-        assert _mean_val_mae(best, rows(samples, 64, 80)) == hist.val_losses[hist.best_epoch - 1]
+        val_mae = training_mod._mean_val_mae(best, rows(samples, 64, 80), cfg.batch_size)
+        assert val_mae == hist.val_losses[hist.best_epoch - 1]
 
     def test_empty_training_set_rejected(self):
         net = init_params([4], 2, 0)
