@@ -7,12 +7,14 @@ Scaled down here (4 stations, small widths, few epochs); takes about ten
 seconds on one core.
 """
 
-from dlstf import (HorizonConfig, TrainConfig, forecast_block, fraction_split, synth_generate,
+from dlstf import (HorizonConfig, TrainConfig, forecast_block, fraction_cuts, synth_generate,
                    train_bank)
 from dlstf.evaluation import bank_forecaster, evaluate, persistence_forecaster
 
 panel = synth_generate(n=4, T=1500, seed=7, coupling=0.8)
-train_panel, val_panel, test_panel = fraction_split(panel, 0.7, 0.15)
+a, b = fraction_cuts(panel.n_times, 0.7, 0.15)
+train_panel, val_panel, test_panel = (panel.slice_rows(0, a), panel.slice_rows(a, b),
+                                      panel.slice_rows(b, panel.n_times))
 
 cfg = HorizonConfig.default(n=4, h=6, ell=12, first_widths=(16,), later_widths=(24, 24))
 # every model shares these settings; model i trains with seed 1 + i - 1

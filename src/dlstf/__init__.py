@@ -10,7 +10,7 @@ binary model format.
 from .bank import (HorizonConfig, ModelBank, ForecastBlock, forecast_block, load_bank,
                    model_index, save_bank, train_bank)
 from .dataset import (GapReport, Normalizer, SampleSet, TimeSeriesPanel, assemble_input,
-                      denormalize, fill_missing, fit_normalizer, fraction_split, ingest_csv,
+                      denormalize, fill_missing, fit_normalizer, fraction_cuts, ingest_csv,
                       make_samples, normalize, write_csv)
 from .errors import DataError, NumericsError
 from .evaluation import (ArModel, ErrorReport, ar_fit, ar_forecast, bank_forecaster,

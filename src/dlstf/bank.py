@@ -29,8 +29,6 @@ BANK_VERSION = 1
 
 DEFAULT_FIRST_WIDTHS = (32,)
 DEFAULT_LATER_WIDTHS = (64, 64)
-# blocks per forward pass of a walk; the walk's bytes depend on it
-PREDICT_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -38,9 +36,9 @@ class HorizonConfig:
     """Shape of a bank: h offsets, input horizon ell, n stations, per-model widths."""
 
     n: int
-    h: int = 6
-    ell: int = 12
-    widths: tuple[tuple[int, ...], ...] = ()
+    h: int
+    ell: int
+    widths: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if self.h < 1 or self.ell < 1 or self.n < 1:
@@ -74,7 +72,6 @@ class ModelBank:
     config: HorizonConfig
     models: list[LstmNetwork]
     normalizer: Normalizer
-    format_version: int = BANK_VERSION
 
     def __post_init__(self):
         if len(self.models) != self.config.h:
@@ -93,8 +90,9 @@ class ModelBank:
         (h, B, n) array of the B blocks.
 
         Block j reads only the ell rows before starts[j], which must be present
-        and finite. Each offset runs once over all blocks, in chunks of
-        PREDICT_CHUNK blocks.
+        and finite. Each offset runs once over all blocks through
+        predict_batches. A non-finite forecast raises NumericsError naming the
+        first offset that has one.
         """
         cfg = self.config
         values = np.asarray(values, dtype=np.float64)
@@ -110,10 +108,18 @@ class ModelBank:
         nz = self.normalizer
         window = (window - nz.mins) / nz.spans
         forecasts: dict[int, np.ndarray] = {}
-        for i in range(1, cfg.h + 1):
-            seq = assemble_input(window, forecasts, i, cfg.ell)
-            forecasts[i] = predict_batches(self.models[i - 1], seq, PREDICT_CHUNK)
-        return denormalize(np.stack(list(forecasts.values())), nz)
+        # an overflow shows as a non-finite result, checked once below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1, cfg.h + 1):
+                seq = assemble_input(window, forecasts, i, cfg.ell)
+                forecasts[i] = predict_batches(self.models[i - 1], seq)
+            out = denormalize(np.stack(list(forecasts.values())), nz)
+        bad = ~np.isfinite(out).all(axis=2)
+        if bad.any():
+            i = int(np.flatnonzero(bad.any(axis=1))[0])
+            raise NumericsError(f"offset {i + 1}: non-finite forecast in "
+                                f"{int(bad[i].sum())} of {bad.shape[1]} blocks")
+        return out
 
     def predict_block(self, history_values: np.ndarray) -> np.ndarray:
         """The (h, n) block after the last of the (t, n) history rows: the
@@ -133,8 +139,6 @@ class ForecastBlock:
         preds = np.asarray(self.predictions, dtype=np.float64)
         if preds.ndim != 2:
             raise ValueError(f"predictions must be (h, n), got {preds.shape}")
-        if not np.all(np.isfinite(preds)):
-            raise ValueError("predictions must be finite")
         preds = preds.copy()
         preds.setflags(write=False)
         object.__setattr__(self, "predictions", preds)
@@ -191,8 +195,7 @@ def train_bank(train_panel: TimeSeriesPanel, val_panel: TimeSeriesPanel,
             progress(i, history)
         if i < cfg.h:
             for ov, samples in ((ov_train, tr), (ov_val, va)):
-                ov[i - 1, samples.target_indices] = predict_batches(trained, samples.x,
-                                                                    tc.batch_size)
+                ov[i - 1, samples.target_indices] = predict_batches(trained, samples.x)
     return ModelBank(config=cfg, models=models, normalizer=nz)
 
 

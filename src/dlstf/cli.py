@@ -23,7 +23,7 @@ from .bank import (HorizonConfig, ModelBank, check_train_rows, forecast_block, l
 from .dataset import (HOUR, TimeSeriesPanel, fill_missing, format_timestamp,
                       fraction_cuts, ingest_csv, parse_timestamp, write_csv)
 from .errors import DataError, NumericsError
-from .evaluation import (ar_forecaster, bank_forecaster, block_walk, evaluate,
+from .evaluation import (ErrorReport, ar_forecaster, bank_forecaster, block_walk, evaluate,
                          fit_ar_models, persistence_forecaster)
 from .lstm import gradient_check, init_params, net_backward, net_forward
 from .synth import synth_generate
@@ -328,17 +328,22 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _write_report(report: ErrorReport, path: str, command: str, cfg: RunConfig) -> int:
+    """Write the --report CSV and its manifest, and log the station-averaged errors."""
+    out = Path(path)
+    report.to_csv(out)
+    write_manifest(out.with_name(out.name + ".run.txt"), command, cfg, [out])
+    _log(f"mean MAE {report.mean_mae:.4f}  RMSE {report.mean_rmse:.4f}  "
+         f"NRMSE {report.mean_nrmse:.2f}%")
+    return 0
+
+
 def _cmd_evaluate(args) -> int:
     cfg = _run_config(args, "model", "data", "report")
     bank, panel = _load_bank_and_panel(cfg, args)
     sliced, first = _test_window(panel, cfg, bank.config.ell, bank.config.h)
     report = evaluate(bank_forecaster(bank), sliced, bank.config, first_block_index=first)
-    out = Path(args.report)
-    report.to_csv(out)
-    write_manifest(out.with_name(out.name + ".run.txt"), "evaluate", cfg, [out])
-    _log(f"mean MAE {report.mean_mae:.4f}  RMSE {report.mean_rmse:.4f}  "
-         f"NRMSE {report.mean_nrmse:.2f}%")
-    return 0
+    return _write_report(report, args.report, "evaluate", cfg)
 
 
 def _cmd_baseline(args) -> int:
@@ -366,12 +371,7 @@ def _cmd_baseline(args) -> int:
             raise DataError(f"cannot fit AR({args.order}): {exc}") from None
         forecaster = ar_forecaster(models, h)
     report = evaluate(forecaster, sliced, shape, first_block_index=first)
-    out = Path(args.report)
-    report.to_csv(out)
-    write_manifest(out.with_name(out.name + ".run.txt"), f"baseline {args.method}", cfg, [out])
-    _log(f"mean MAE {report.mean_mae:.4f}  RMSE {report.mean_rmse:.4f}  "
-         f"NRMSE {report.mean_nrmse:.2f}%")
-    return 0
+    return _write_report(report, args.report, f"baseline {args.method}", cfg)
 
 
 def _cmd_forecast(args) -> int:

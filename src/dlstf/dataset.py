@@ -373,18 +373,6 @@ def fraction_cuts(n_times: int, train_frac: float, val_frac: float) -> tuple[int
     return int(n_times * train_frac), int(n_times * (train_frac + val_frac))
 
 
-def fraction_split(panel: TimeSeriesPanel, train_frac: float, val_frac: float
-                   ) -> tuple[TimeSeriesPanel, TimeSeriesPanel, TimeSeriesPanel]:
-    """Cut the panel into nonempty train, validation and test sub-panels."""
-    if not (0 < train_frac < 1 and 0 < val_frac < 1 and train_frac + val_frac < 1):
-        raise ValueError("fractions must be positive and sum to less than 1")
-    T = panel.n_times
-    a, b = fraction_cuts(T, train_frac, val_frac)
-    if not (0 < a < b < T):
-        raise ValueError(f"panel too short (T={T}) for the requested fractions")
-    return panel.slice_rows(0, a), panel.slice_rows(a, b), panel.slice_rows(b, T)
-
-
 @dataclass(frozen=True)
 class SampleSet:
     """Training samples for one horizon offset as the arrays the LSTM kernel runs on.

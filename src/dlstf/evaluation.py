@@ -131,10 +131,6 @@ class ErrorReport:
     mean_nrmse: float
     sample_count: int
 
-    def station_row(self, station_id: str) -> tuple[float, float, float]:
-        idx = self.station_ids.index(station_id)
-        return float(self.mae[idx]), float(self.rmse[idx]), float(self.nrmse[idx])
-
     def to_csv(self, path) -> None:
         lines = ["station,mae,rmse,nrmse"]
         for s, sid in enumerate(self.station_ids):

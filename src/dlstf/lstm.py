@@ -30,6 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# sequences per forward-only pass of predict_batches; its outputs' bytes depend on it
+PREDICT_CHUNK = 32
+
 
 @dataclass
 class LstmLayerParams:
@@ -190,11 +193,12 @@ def net_forward(net: LstmNetwork, seq, keep_cache: bool = True
     return prediction, cache
 
 
-def predict_batches(net: LstmNetwork, x: np.ndarray, chunk: int) -> np.ndarray:
-    """Forward-only (N, n) predictions for a time-major (L, N, n) input, `chunk`
-    sequences per pass so that no pass holds more than a chunk's activations."""
-    return np.concatenate([net_forward(net, x[:, lo:lo + chunk], keep_cache=False)[0]
-                           for lo in range(0, x.shape[1], chunk)])
+def predict_batches(net: LstmNetwork, x: np.ndarray) -> np.ndarray:
+    """Forward-only (N, n) predictions for a time-major (L, N, n) input,
+    PREDICT_CHUNK sequences per pass so that no pass holds more than a chunk's
+    activations. Validation, the training overlays and every walk run through it."""
+    return np.concatenate([net_forward(net, x[:, lo:lo + PREDICT_CHUNK], keep_cache=False)[0]
+                           for lo in range(0, x.shape[1], PREDICT_CHUNK)])
 
 
 def _layer_backward(p: LstmLayerParams, lc: _LayerCache, dh_seq: np.ndarray,

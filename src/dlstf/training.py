@@ -95,9 +95,9 @@ def rmsprop_update(params: list[np.ndarray], grads: list[np.ndarray],
         p -= cfg.learning_rate * g / np.sqrt(s + cfg.epsilon)
 
 
-def _mean_val_mae(net: LstmNetwork, val_samples: SampleSet, chunk: int) -> float:
-    """Mean over samples of the per-sample MAE, forward only in chunks of `chunk` samples."""
-    pred = predict_batches(net, val_samples.x, chunk)
+def _mean_val_mae(net: LstmNetwork, val_samples: SampleSet) -> float:
+    """Mean over samples of the per-sample MAE, from predict_batches' forward-only pass."""
+    pred = predict_batches(net, val_samples.x)
     return float(np.mean(np.mean(np.abs(pred - val_samples.y), axis=1)))
 
 
@@ -110,9 +110,10 @@ def train_model(net: LstmNetwork, train_samples: SampleSet, val_samples: SampleS
     mini-batches. Each batch runs as one (L, B, n) forward and backward pass
     whose gradient is the mean of the per-sample MAE gradients, reduced over
     the batch by BLAS; one RMSprop step follows per batch. Validation MAE is
-    computed every epoch, forward only in chunks of batch_size samples;
-    training stops once it has failed to improve for `patience` consecutive
-    epochs, and the parameters from the best validation epoch are returned.
+    computed every epoch by predict_batches, whose chunk size does not depend
+    on batch_size; training stops once it has failed to improve for
+    `patience` consecutive epochs, and the parameters from the best
+    validation epoch are returned.
     """
     if not train_samples:
         raise ValueError("training set is empty")
@@ -144,7 +145,7 @@ def train_model(net: LstmNetwork, train_samples: SampleSet, val_samples: SampleS
             rmsprop_update(params, net_backward(work, cache, dpred).param_arrays(), acc, cfg)
 
         train_loss = loss_sum / len(train_samples)
-        val_loss = _mean_val_mae(work, val_samples, cfg.batch_size)
+        val_loss = _mean_val_mae(work, val_samples)
         history.train_losses.append(train_loss)
         history.val_losses.append(val_loss)
         history.stopped_epoch = epoch

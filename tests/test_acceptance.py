@@ -22,7 +22,7 @@ from dlstf.bank import (BANK_MAGIC, HorizonConfig, ModelBank, forecast_block,
                         load_bank, model_index, save_bank, train_bank)
 from dlstf.cli import run_cli
 from dlstf.dataset import (TimeSeriesPanel, fill_missing, fit_normalizer,
-                           fraction_split, ingest_csv, parse_timestamp)
+                           fraction_cuts, ingest_csv, parse_timestamp)
 from dlstf.errors import DataError
 from dlstf.evaluation import (ar_fit, bank_forecaster, evaluate, fit_ar_models,
                               ar_forecaster, persistence_forecaster)
@@ -59,7 +59,9 @@ def synth_panel():
 
 @pytest.fixture(scope="session")
 def synth_splits(synth_panel):
-    return fraction_split(synth_panel, 0.70, 0.15)
+    a, b = fraction_cuts(synth_panel.n_times, 0.70, 0.15)
+    return (synth_panel.slice_rows(0, a), synth_panel.slice_rows(a, b),
+            synth_panel.slice_rows(b, synth_panel.n_times))
 
 
 # epoch budget chosen for the stated runtime ceilings; quality margins
@@ -84,7 +86,9 @@ def trained_bank(synth_splits, bank_config):
 def solo_bank(synth_panel):
     solo = TimeSeriesPanel((TARGET_STATION,), synth_panel.timestamps,
                            synth_panel.values[:, :1])
-    train_panel, val_panel, test_panel = fraction_split(solo, 0.70, 0.15)
+    a, b = fraction_cuts(solo.n_times, 0.70, 0.15)
+    train_panel, val_panel, test_panel = (solo.slice_rows(0, a), solo.slice_rows(a, b),
+                                          solo.slice_rows(b, solo.n_times))
     cfg = HorizonConfig.default(n=1)
     start = time.monotonic()
     bank = train_bank(train_panel, val_panel, cfg, BANK_TRAIN)
@@ -166,9 +170,9 @@ def test_criterion_06_spatio_temporal_advantage(synth_splits, bank_config,
         bank, all_seconds = trained_bank
         single, solo_cfg, solo_test, solo_seconds = solo_bank
         report_all = evaluate(bank_forecaster(bank), test_panel, bank_config)
-        mae_all = report_all.station_row(TARGET_STATION)[0]
+        mae_all = report_all.mae[report_all.station_ids.index(TARGET_STATION)]
         report_solo = evaluate(bank_forecaster(single), solo_test, solo_cfg)
-        mae_solo = report_solo.station_row(TARGET_STATION)[0]
+        mae_solo = report_solo.mae[report_solo.station_ids.index(TARGET_STATION)]
         print(f"  target {TARGET_STATION}: all-station MAE {mae_all:.4f} vs "
               f"single-station {mae_solo:.4f} "
               f"(training {all_seconds:.0f}s + {solo_seconds:.0f}s)", flush=True)
@@ -192,7 +196,8 @@ def test_criterion_07_real_data_baselines():
 
         persistence = evaluate(persistence_forecaster(6), sliced, cfg,
                                first_block_index=first)
-        p_mae, p_rmse, _ = persistence.station_row("ACK")
+        ack = persistence.station_ids.index("ACK")
+        p_mae, p_rmse = persistence.mae[ack], persistence.rmse[ack]
         print(f"  persistence ACK: MAE {p_mae:.3f} RMSE {p_rmse:.3f}", flush=True)
         assert abs(p_mae - 2.14) / 2.14 < 0.05
         assert abs(p_rmse - 2.83) / 2.83 < 0.05
@@ -200,7 +205,7 @@ def test_criterion_07_real_data_baselines():
         fit_panel = sliced.slice_rows(0, first)
         models = fit_ar_models(fit_panel, 3)
         ar = evaluate(ar_forecaster(models, 6), sliced, cfg, first_block_index=first)
-        a_mae, a_rmse, _ = ar.station_row("ACK")
+        a_mae, a_rmse = ar.mae[ack], ar.rmse[ack]
         print(f"  AR(3) ACK: MAE {a_mae:.3f} RMSE {a_rmse:.3f}", flush=True)
         assert abs(a_mae - 2.07) / 2.07 < 0.05
         assert abs(a_rmse - 2.76) / 2.76 < 0.05

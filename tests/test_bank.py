@@ -7,7 +7,7 @@ import pytest
 from dlstf.bank import (BANK_MAGIC, HorizonConfig, ModelBank, forecast_block, load_bank,
                         model_index, save_bank, train_bank)
 from dlstf.dataset import (HOUR, Normalizer, TimeSeriesPanel, assemble_input, fit_normalizer,
-                           fraction_split, make_samples, normalize)
+                           fraction_cuts, make_samples, normalize)
 from dlstf.errors import DataError
 from dlstf.lstm import init_params, net_forward
 from dlstf.synth import synth_generate
@@ -99,7 +99,9 @@ SMALL_TRAIN = TrainConfig(seed=5, max_epochs=2, batch_size=16, patience=2)
 @pytest.fixture(scope="module")
 def small_bank_setup():
     panel = synth_generate(3, 320, seed=404, coupling=0.7, noise=0.2)
-    train, val, test = fraction_split(panel, 0.6, 0.2)
+    a, b = fraction_cuts(panel.n_times, 0.6, 0.2)
+    train, val, test = (panel.slice_rows(0, a), panel.slice_rows(a, b),
+                        panel.slice_rows(b, panel.n_times))
     cfg = HorizonConfig.default(n=3, h=2, ell=6, first_widths=(4,), later_widths=(4,))
     bank = train_bank(train, val, cfg, SMALL_TRAIN)
     return panel, train, val, test, cfg, bank

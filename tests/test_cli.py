@@ -1,17 +1,21 @@
 import argparse
 import os
+import re
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dlstf.bank import BANK_MAGIC, BANK_VERSION, HorizonConfig, load_bank
+from dlstf.bank import BANK_MAGIC, BANK_VERSION, HorizonConfig, load_bank, save_bank
 from dlstf import cli as cli_module
-from dlstf.cli import CONFIG_DEFAULTS, KNOWN_KEYS, RunConfig, _split_train_val, run_cli
-from dlstf.dataset import format_timestamp, fraction_split, ingest_csv
+from dlstf.cli import (CONFIG_DEFAULTS, KNOWN_KEYS, RunConfig, UsageError, _split_train_val,
+                       run_cli)
+from dlstf.dataset import fill_missing, format_timestamp, fraction_cuts, ingest_csv
+from dlstf.errors import DataError
 from dlstf.evaluation import bank_forecaster, block_walk
 from dlstf.synth import synth_generate
 
@@ -396,6 +400,80 @@ class TestForecast:
         assert "--at 'garbage' is not a valid timestamp" in capsys.readouterr().err
 
 
+class TestNonFiniteForecast:
+    """A bank file whose values are all finite can still forecast inf: its
+    denormalized forecasts overflow. Every command that forecasts exits 3."""
+
+    @pytest.fixture(scope="class")
+    def overflow_bank(self, tiny_data, tmp_path_factory):
+        _, _, _, bank_path = tiny_data
+        bank = load_bank(bank_path)
+        for m in bank.models:
+            m.head_b[:] = 1e308
+        path = tmp_path_factory.mktemp("overflow") / "overflow.bank"
+        save_bank(bank, path)
+        return path
+
+    @staticmethod
+    def run_strict(*argv):
+        """run_cli with numpy's floating-point warnings raised as errors."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return run(*argv)
+
+    def assert_offset_named(self, capsys, offset):
+        err = capsys.readouterr().err
+        failures = [line for line in err.splitlines()
+                    if line.startswith("dlstf: numerical failure:")]
+        assert len(failures) == 1, err
+        assert f"offset {offset}: non-finite forecast" in failures[0]
+        assert "Traceback" not in err
+        return failures[0]
+
+    def test_forecast_exit_3(self, tiny_data, overflow_bank, tmp_path, capsys):
+        _, data, _, _ = tiny_data
+        out = tmp_path / "f.csv"
+        assert self.run_strict("forecast", "--model", str(overflow_bank), "--data", str(data),
+                               "--at", format_timestamp(ingest_csv(data).timestamps[100]),
+                               "--out", str(out)) == 3
+        assert "in 1 of 1 blocks" in self.assert_offset_named(capsys, 1)
+        assert not out.exists()
+
+    def test_evaluate_exit_3(self, tiny_data, overflow_bank, tmp_path, capsys):
+        _, data, _, _ = tiny_data
+        report = tmp_path / "r.csv"
+        assert self.run_strict("evaluate", "--model", str(overflow_bank), "--data", str(data),
+                               "--report", str(report)) == 3
+        self.assert_offset_named(capsys, 1)
+        assert not report.exists()
+
+    def test_plot_exit_3(self, tiny_data, overflow_bank, tmp_path, capsys):
+        _, data, _, _ = tiny_data
+        assert self.run_strict("plot", "--model", str(overflow_bank), "--data", str(data),
+                               "--stations", "all", "--out", str(tmp_path / "p")) == 3
+        self.assert_offset_named(capsys, 1)
+        assert not (tmp_path / "p").exists()
+
+    def test_evaluate_exit_3_when_some_blocks_overflow(self, tiny_data, tmp_path, capsys):
+        # scale model 1's station-0 head so that its forecast overflows exactly
+        # on the blocks whose head output exceeds the median in magnitude
+        _, data, _, bank_path = tiny_data
+        bank = load_bank(bank_path)
+        panel, _ = fill_missing(ingest_csv(data), 3)
+        starts = np.arange(bank.config.ell, panel.n_times - bank.config.h + 1, bank.config.h)
+        nz = bank.normalizer
+        head = (bank.predict_blocks(panel.values, starts)[0, :, 0] - nz.mins[0]) / nz.spans[0]
+        scale = np.finfo(np.float64).max / (nz.spans[0] * np.median(np.abs(head)))
+        bank.models[0].head_w[0] *= scale
+        bank.models[0].head_b[0] *= scale
+        path = tmp_path / "partial.bank"
+        save_bank(bank, path)
+        assert self.run_strict("evaluate", "--model", str(path), "--data", str(data),
+                               "--report", str(tmp_path / "r.csv")) == 3
+        counts = re.search(r"in (\d+) of (\d+) blocks", self.assert_offset_named(capsys, 1))
+        assert 0 < int(counts[1]) < int(counts[2]) == starts.size
+
+
 class TestDumpConfig:
     def test_dump_parse_dump_stable(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -571,7 +649,8 @@ class TestPlot:
 
 class TestSplitRule:
     def test_train_val_match_fraction_split(self):
-        # the CLI and fraction_split cut at the same rows wherever both accept
+        # the CLI cuts at fraction_cuts' rows, and refuses exactly when the
+        # fractions sum past 1 or a cut leaves the train or validation range empty
         fracs = [0.05, 0.1, 0.15, 0.3, 1 / 3, 0.45, 0.5, 0.6, 0.7, 0.85, 0.9]
         full = synth_generate(2, 400, seed=3)
         compared = 0
@@ -579,15 +658,19 @@ class TestSplitRule:
             panel = full.slice_rows(0, T)
             for train_frac in fracs:
                 for val_frac in fracs:
-                    try:
-                        train, val, _ = fraction_split(panel, train_frac, val_frac)
-                    except ValueError:
-                        continue
                     cfg = RunConfig.build(None, {"train_frac": train_frac,
                                                  "val_frac": val_frac})
-                    cli_train, cli_val = _split_train_val(panel, cfg)
-                    for a, b in ((cli_train, train), (cli_val, val)):
-                        assert np.array_equal(a.timestamps, b.timestamps)
-                        assert np.array_equal(a.values, b.values)
-                    compared += 1
+                    a, b = fraction_cuts(T, train_frac, val_frac)
+                    if train_frac + val_frac > 1:
+                        with pytest.raises(UsageError):
+                            _split_train_val(panel, cfg)
+                    elif not 0 < a < b:
+                        with pytest.raises(DataError):
+                            _split_train_val(panel, cfg)
+                    else:
+                        cli_train, cli_val = _split_train_val(panel, cfg)
+                        for got, (lo, hi) in ((cli_train, (0, a)), (cli_val, (a, b))):
+                            assert np.array_equal(got.timestamps, panel.timestamps[lo:hi])
+                            assert np.array_equal(got.values, panel.values[lo:hi])
+                        compared += 1
         assert compared > 300

@@ -1,13 +1,21 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and every
+name the package defines is named somewhere outside its own definition."""
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dlstf"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "dlstf"
 # __init__.py imports the package's public names only to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# the code that may name a definition of the package
+SEARCHED = sorted(p for d in ("src", "tests", "demos", "bench") for p in (ROOT / d).rglob("*.py"))
+WORD = re.compile(r"[A-Za-z_]\w*")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -25,6 +33,57 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def definitions(source: str) -> list[tuple[str, int, int]]:
+    """(qualified name, first line, last line) of every module-level function
+    and class, every method of such a class but the dunders, and every field
+    of such a class that is a dataclass."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        found.append((node.name, node.lineno, node.end_lineno))
+        if not isinstance(node, ast.ClassDef):
+            continue
+        is_dataclass = any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                name = item.name
+            elif is_dataclass and isinstance(item, ast.AnnAssign) \
+                    and isinstance(item.target, ast.Name):
+                name = item.target.id
+            else:
+                continue
+            found.append((f"{node.name}.{name}", item.lineno, item.end_lineno))
+    return found
+
+
+def named_lines(source: str) -> dict[str, set[int]]:
+    """The lines on which each identifier occurs in code or in a string literal
+    of `source`; comments do not count."""
+    lines: dict[str, set[int]] = {}
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            continue
+        for k, text in enumerate(tok.string.split("\n")):
+            for word in WORD.findall(text):
+                lines.setdefault(word, set()).add(tok.start[0] + k)
+    return lines
+
+
+def unnamed_definitions(defining: dict[str, str], searched: dict[str, str]) -> list[str]:
+    """Definitions of the `defining` sources (by file name) whose name occurs in
+    no `searched` source (by file name) outside the definition's own lines."""
+    names = {f: named_lines(src) for f, src in searched.items()}
+    unnamed = []
+    for file, source in defining.items():
+        for qualname, first, last in definitions(source):
+            word = qualname.rpartition(".")[2]
+            if not any(f != file or not first <= line <= last
+                       for f, found in names.items() for line in found.get(word, ())):
+                unnamed.append(f"{file}: {qualname} (line {first})")
+    return unnamed
+
+
 def test_modules_found():
     assert len(MODULES) >= 8
 
@@ -37,3 +96,21 @@ def test_no_unused_imports(module):
 def test_detects_an_unused_import():
     source = "import os\nfrom math import pi, tau\nprint(os.sep, tau)\n"
     assert unused_imports(source) == ["pi (line 2)"]
+
+
+def test_every_definition_is_named_elsewhere():
+    defining = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in MODULES}
+    searched = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in SEARCHED}
+    assert unnamed_definitions(defining, searched) == []
+
+
+def test_detects_an_unnamed_definition():
+    lib = ("from dataclasses import dataclass\n\n"
+           "@dataclass\nclass Box:\n    size: int\n    spare: int = 0\n\n"
+           "    def grow(self):\n        return Box(self.size + 1)\n\n"
+           "    def shrink(self):\n        return self.shrink()\n\n"
+           "def helper():\n    # helper is not called\n    return 'Box'\n")
+    user = "from lib import Box\nprint(Box(1).grow().size)\n"
+    assert unnamed_definitions({"lib.py": lib}, {"lib.py": lib, "user.py": user}) == [
+        "lib.py: Box.spare (line 6)", "lib.py: Box.shrink (line 11)",
+        "lib.py: helper (line 14)"]

@@ -167,7 +167,7 @@ class TestTrainModel:
         schedule = {1: 5.0, 2: 4.0, 3: 3.0}
         snapshots = []
 
-        def val_fn(net, val_samples, chunk):
+        def val_fn(net, val_samples):
             snapshots.append([p.copy() for p in net.param_arrays()])
             epoch = len(snapshots)
             return schedule.get(epoch, 2.0 + epoch)
@@ -190,7 +190,7 @@ class TestTrainModel:
         net = init_params([5], 2, 4)
         best, hist = train_model(net, rows(samples, 0, 64), rows(samples, 64, 80), cfg)
         assert hist.best_epoch == int(np.argmin(hist.val_losses)) + 1
-        val_mae = training_mod._mean_val_mae(best, rows(samples, 64, 80), cfg.batch_size)
+        val_mae = training_mod._mean_val_mae(best, rows(samples, 64, 80))
         assert val_mae == hist.val_losses[hist.best_epoch - 1]
 
     def test_empty_training_set_rejected(self):
