@@ -107,15 +107,17 @@ class ModelBank:
             raise DataError("the last ell history rows contain missing values")
         nz = self.normalizer
         window = (window - nz.mins) / nz.spans
+        out = np.empty((cfg.h, len(starts), cfg.n))
         forecasts: dict[int, np.ndarray] = {}
         # an overflow shows as a non-finite result, checked once below
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(1, cfg.h + 1):
                 seq = assemble_input(window, forecasts, i, cfg.ell)
-                forecasts[i] = predict_batches(self.models[i - 1], seq)
-            out = denormalize(np.stack(list(forecasts.values())), nz)
-        bad = ~np.isfinite(out).all(axis=2)
-        if bad.any():
+                out[i - 1] = predict_batches(self.models[i - 1], seq)
+                forecasts[i] = out[i - 1]
+            out = denormalize(out, nz)
+        if not np.isfinite(out).all():
+            bad = ~np.isfinite(out).all(axis=2)
             i = int(np.flatnonzero(bad.any(axis=1))[0])
             raise NumericsError(f"offset {i + 1}: non-finite forecast in "
                                 f"{int(bad[i].sum())} of {bad.shape[1]} blocks")
@@ -159,7 +161,8 @@ def train_bank(train_panel: TimeSeriesPanel, val_panel: TimeSeriesPanel,
     normalizer is fitted on the train panel, both panels are normalized,
     and models are trained in offset order: after model i finishes, its
     sliding-window predictions over both panels populate the offset-i forecast
-    overlay consumed by later models. `progress(i, history)` is called after
+    overlay consumed by later models; the validation ones are those train_model
+    made at its best epoch. `progress(i, history)` is called after
     each model when given.
     """
     if train_panel.station_ids != val_panel.station_ids:
@@ -187,15 +190,15 @@ def train_bank(train_panel: TimeSeriesPanel, val_panel: TimeSeriesPanel,
         if len(va) == 0:
             raise DataError(f"model {i}: no usable validation samples")
         try:
-            trained, history = train_model(net, tr, va, tc)
+            trained, history, val_pred = train_model(net, tr, va, tc)
         except NumericsError as exc:
             raise NumericsError(f"model {i}: {exc}") from exc
         models.append(trained)
         if progress is not None:
             progress(i, history)
         if i < cfg.h:
-            for ov, samples in ((ov_train, tr), (ov_val, va)):
-                ov[i - 1, samples.target_indices] = predict_batches(trained, samples.x)
+            ov_train[i - 1, tr.target_indices] = predict_batches(trained, tr.x)
+            ov_val[i - 1, va.target_indices] = val_pred
     return ModelBank(config=cfg, models=models, normalizer=nz)
 
 
@@ -295,7 +298,10 @@ def load_bank(path) -> ModelBank:
     if bad.size:
         raise DataError(f"{path}: normalizer of station {bad[0]} has min > max")
     # station identity is not part of the format; stations match by CSV position
-    nz = Normalizer(tuple(str(k) for k in range(n)), pairs[0::2], pairs[1::2])
+    try:
+        nz = Normalizer(tuple(str(k) for k in range(n)), pairs[0::2], pairs[1::2])
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     total = 2 * n
 
     models: list[LstmNetwork] = []

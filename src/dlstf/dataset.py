@@ -308,7 +308,8 @@ def fill_missing(panel: TimeSeriesPanel, max_gap: int) -> tuple[TimeSeriesPanel,
 
 @dataclass(frozen=True)
 class Normalizer:
-    """Per-station min/max fitted on the training range only."""
+    """Per-station min/max fitted on the training range only; a span max - min
+    that is not finite is a DataError naming the station."""
 
     station_ids: tuple[str, ...]
     mins: np.ndarray
@@ -322,6 +323,12 @@ class Normalizer:
             raise ValueError("mins/maxs must be one value per station")
         if np.any(maxs < mins):
             raise ValueError("max must be >= min per station")
+        with np.errstate(over="ignore", invalid="ignore"):
+            wide = np.flatnonzero(~np.isfinite(maxs - mins))
+        if wide.size:
+            s = wide[0]
+            raise DataError(f"station {self.station_ids[s]!r}: normalizer span max - min "
+                            f"is not finite (min {mins[s]:g}, max {maxs[s]:g})")
         mins.setflags(write=False)
         maxs.setflags(write=False)
         object.__setattr__(self, "mins", mins)

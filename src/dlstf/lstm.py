@@ -27,6 +27,7 @@ arXiv:1604.01946). A single (L, n) sequence is the B = 1 case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -121,46 +122,57 @@ class ForwardCache:
     prediction: np.ndarray    # as net_forward returned it: (n,) or (B, n)
 
 
-def sigmoid(v) -> np.ndarray:
-    """Elementwise 1/(1+exp(-v)) without overflow; exact at 0, saturates to 0 and 1."""
-    return 0.5 * (np.tanh(0.5 * np.asarray(v, dtype=np.float64)) + 1.0)
-
-
-def _cell(p: LstmLayerParams, pre: np.ndarray, c_prev: np.ndarray):
-    """The gate equations of one step, given the (B, 4H) pre-activation
-    x_t W^T + b + h_{t-1} U^T. Returns the activated gates (f, i, k, o fused
-    like the pre-activations), c_t, tanh(c_t) and h_t.
-    """
-    hid = p.hidden_dim
-    # one sigmoid call over the fused block, then tanh over the candidate
-    # slice: cheaper per step than three calls on the f, i and o slices
-    gates = sigmoid(pre)
-    gates[..., 2 * hid:3 * hid] = np.tanh(pre[..., 2 * hid:3 * hid])
-    c = gates[..., :hid] * c_prev
-    c += gates[..., hid:2 * hid] * gates[..., 2 * hid:3 * hid]
-    tanh_c = np.tanh(c)
-    return gates, c, tanh_c, gates[..., 3 * hid:] * tanh_c
+def sigmoid(v, out=None) -> np.ndarray:
+    """Elementwise 1/(1+exp(-v)) without overflow; exact at 0, saturates to 0 and 1.
+    With `out` given (it may be v itself), the result is written there."""
+    v = np.asarray(v, dtype=np.float64)
+    if out is None:
+        out = np.empty_like(v)
+    np.multiply(v, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def _layer_forward(p: LstmLayerParams, x: np.ndarray, keep_cache: bool):
     """Run one layer over (L, B, D) inputs; returns the (L, B, H) h sequence and,
-    with keep_cache, the layer's _LayerCache."""
+    with keep_cache, the layer's _LayerCache. Every step works in place: with
+    keep_cache step t writes row t of the cache, without it each step reuses
+    one slot (c_t overwrites c_{t-1}); h, the output, keeps every step."""
     steps, batch, d = x.shape
     hid = p.hidden_dim
     xw = (x.reshape(steps * batch, d) @ p.w.T).reshape(steps, batch, 4 * hid)
     xw += p.b
-    h_all = np.zeros((steps + 1, batch, hid))
-    c = np.zeros((batch, hid))
+    h = np.zeros((steps + 1, batch, hid))
+    slots = steps if keep_cache else 1
+    gates = np.empty((slots, batch, 4 * hid))
+    c = np.zeros((slots + 1, batch, hid))
+    tanh_c = np.empty((slots, batch, hid))
+    f, i, k, o = (gates[..., q * hid:(q + 1) * hid] for q in range(4))
     if keep_cache:
-        gates_all = np.empty((steps, batch, 4 * hid))
-        c_all = np.zeros((steps + 1, batch, hid))
-        tanh_all = np.empty((steps, batch, hid))
-    for t in range(steps):
-        gates, c, tanh_c, h_all[t + 1] = _cell(p, xw[t] + h_all[t] @ p.u.T, c)
-        if keep_cache:
-            gates_all[t], c_all[t + 1], tanh_all[t] = gates, c, tanh_c
-    cache = _LayerCache(x, gates_all, c_all, tanh_all, h_all) if keep_cache else None
-    return h_all[1:], cache
+        per_step = zip(gates, f, i, k, o, c[:-1], c[1:], tanh_c)
+    else:
+        per_step = repeat((gates[0], f[0], i[0], k[0], o[0], c[0], c[0], tanh_c[0]))
+    pre = np.empty((batch, 4 * hid))
+    pre_k = pre[:, 2 * hid:3 * hid]
+    ik = np.empty((batch, hid))
+    u_t = p.u.T
+    for xw_t, h_prev, h_t, (g, f_t, i_t, k_t, o_t, c_prev, c_t, tc) in zip(
+            xw, h[:-1], h[1:], per_step):
+        np.matmul(h_prev, u_t, out=pre)
+        pre += xw_t
+        # one sigmoid call over the fused block, then tanh over the candidate
+        # slice: cheaper per step than three calls on the f, i and o slices
+        sigmoid(pre, out=g)
+        np.tanh(pre_k, out=k_t)
+        np.multiply(f_t, c_prev, out=c_t)
+        np.multiply(i_t, k_t, out=ik)
+        c_t += ik
+        np.tanh(c_t, out=tc)
+        np.multiply(o_t, tc, out=h_t)
+    cache = _LayerCache(x, gates, c, tanh_c, h) if keep_cache else None
+    return h[1:], cache
 
 
 def net_forward(net: LstmNetwork, seq, keep_cache: bool = True
@@ -197,8 +209,11 @@ def predict_batches(net: LstmNetwork, x: np.ndarray) -> np.ndarray:
     """Forward-only (N, n) predictions for a time-major (L, N, n) input,
     PREDICT_CHUNK sequences per pass so that no pass holds more than a chunk's
     activations. Validation, the training overlays and every walk run through it."""
-    return np.concatenate([net_forward(net, x[:, lo:lo + PREDICT_CHUNK], keep_cache=False)[0]
-                           for lo in range(0, x.shape[1], PREDICT_CHUNK)])
+    out = np.empty((x.shape[1], net.output_dim))
+    for lo in range(0, x.shape[1], PREDICT_CHUNK):
+        out[lo:lo + PREDICT_CHUNK] = net_forward(net, x[:, lo:lo + PREDICT_CHUNK],
+                                                 keep_cache=False)[0]
+    return out
 
 
 def _layer_backward(p: LstmLayerParams, lc: _LayerCache, dh_seq: np.ndarray,

@@ -95,14 +95,13 @@ def rmsprop_update(params: list[np.ndarray], grads: list[np.ndarray],
         p -= cfg.learning_rate * g / np.sqrt(s + cfg.epsilon)
 
 
-def _mean_val_mae(net: LstmNetwork, val_samples: SampleSet) -> float:
-    """Mean over samples of the per-sample MAE, from predict_batches' forward-only pass."""
-    pred = predict_batches(net, val_samples.x)
-    return float(np.mean(np.mean(np.abs(pred - val_samples.y), axis=1)))
+def _mean_val_mae(pred: np.ndarray, target: np.ndarray) -> float:
+    """Mean over samples of the per-sample MAE of (N, n) validation predictions."""
+    return float(np.mean(np.mean(np.abs(pred - target), axis=1)))
 
 
 def train_model(net: LstmNetwork, train_samples: SampleSet, val_samples: SampleSet,
-                cfg: TrainConfig) -> tuple[LstmNetwork, TrainHistory]:
+                cfg: TrainConfig) -> tuple[LstmNetwork, TrainHistory, np.ndarray]:
     """Train a copy of `net` on a SampleSet's time-major inputs and targets.
 
     Each epoch shuffles the samples with the seeded PRNG
@@ -113,7 +112,8 @@ def train_model(net: LstmNetwork, train_samples: SampleSet, val_samples: SampleS
     computed every epoch by predict_batches, whose chunk size does not depend
     on batch_size; training stops once it has failed to improve for
     `patience` consecutive epochs, and the parameters from the best
-    validation epoch are returned.
+    validation epoch are returned, with that epoch's (N, n) validation
+    predictions.
     """
     if not train_samples:
         raise ValueError("training set is empty")
@@ -129,6 +129,7 @@ def train_model(net: LstmNetwork, train_samples: SampleSet, val_samples: SampleS
 
     best_val = np.inf
     best_params: list[np.ndarray] = [p.copy() for p in params]
+    best_pred = None
     bad_epochs = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -145,7 +146,8 @@ def train_model(net: LstmNetwork, train_samples: SampleSet, val_samples: SampleS
             rmsprop_update(params, net_backward(work, cache, dpred).param_arrays(), acc, cfg)
 
         train_loss = loss_sum / len(train_samples)
-        val_loss = _mean_val_mae(work, val_samples)
+        val_pred = predict_batches(work, val_samples.x)
+        val_loss = _mean_val_mae(val_pred, val_samples.y)
         history.train_losses.append(train_loss)
         history.val_losses.append(val_loss)
         history.stopped_epoch = epoch
@@ -154,6 +156,7 @@ def train_model(net: LstmNetwork, train_samples: SampleSet, val_samples: SampleS
             best_val = val_loss
             history.best_epoch = epoch
             best_params = [p.copy() for p in params]
+            best_pred = val_pred
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -163,4 +166,6 @@ def train_model(net: LstmNetwork, train_samples: SampleSet, val_samples: SampleS
     result = work.clone()
     for dst, src in zip(result.param_arrays(), best_params):
         dst[...] = src
-    return result, history
+    if best_pred is None:    # no epoch's validation MAE was finite
+        best_pred = predict_batches(result, val_samples.x)
+    return result, history, best_pred

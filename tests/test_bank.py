@@ -142,7 +142,7 @@ class TestTrainBank:
         nz = fit_normalizer(train)
         tr, va = (make_samples(normalize(p, nz), None, cfg.ell, 1) for p in (train, val))
         net = init_params(list(cfg.widths[0]), cfg.n, SMALL_TRAIN.seed)
-        expected, _ = train_model(net, tr, va, SMALL_TRAIN)
+        expected, _, _ = train_model(net, tr, va, SMALL_TRAIN)
         for a, b in zip(bank.models[0].param_arrays(), expected.param_arrays()):
             assert np.array_equal(a, b)
 

@@ -474,6 +474,41 @@ class TestNonFiniteForecast:
         assert 0 < int(counts[1]) < int(counts[2]) == starts.size
 
 
+class TestOverflowingNormalizer:
+    """Finite min and max whose span max - min overflows: a data error naming
+    the station, raised before any warning is printed."""
+
+    def test_train_exit_2(self, tiny_data, tmp_path, capsys):
+        _, data, cfg, _ = tiny_data
+        lines = data.read_text().splitlines()
+        for row, cell in ((5, "1e308"), (9, "-1e308")):
+            fields = lines[row].split(",")
+            fields[1] = cell
+            lines[row] = ",".join(fields)
+        wide = tmp_path / "wide.csv"
+        wide.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "wide.bank"
+        assert TestNonFiniteForecast.run_strict("train", "--data", str(wide), "--config",
+                                                str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "station 'S00': normalizer span max - min is not finite" in err
+        assert not out.exists()
+
+    def test_patched_bank_exit_2(self, tiny_data, tmp_path, capsys):
+        _, data, _, bank_path = tiny_data
+        raw = bytearray(bank_path.read_bytes())
+        norm = len(BANK_MAGIC) + 16  # station 0's min, then its max
+        raw[norm:norm + 16] = struct.pack("<dd", -1e308, 1e308)
+        bad = tmp_path / "wide.bank"
+        bad.write_bytes(bytes(raw))
+        report = tmp_path / "r.csv"
+        assert TestNonFiniteForecast.run_strict("evaluate", "--model", str(bad), "--data",
+                                                str(data), "--report", str(report)) == 2
+        err = capsys.readouterr().err
+        assert "station '0': normalizer span max - min is not finite" in err
+        assert not report.exists()
+
+
 class TestDumpConfig:
     def test_dump_parse_dump_stable(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -353,6 +353,12 @@ class TestBatchForecasters:
         assert sorted(calls) == sorted([min(32, blocks - lo) for lo in range(0, blocks, 32)]
                                        * self.H)
 
+    @pytest.mark.parametrize("kind", ["persistence", "ar", "bank"])
+    def test_zero_blocks_give_an_empty_result(self, kind):
+        values = gappy_values(17)
+        got = batch_forecasters(values, self.H, self.ELL)[kind](values, [])
+        assert got.shape == (self.H, 0, 3)
+
     def test_ar_forecast_is_the_single_block_case(self):
         rng = seeded_rng(14)
         m = ArModel("X", 5, 0.3, rng.uniform(-0.4, 0.4, 5))

@@ -5,7 +5,7 @@ import pytest
 
 import dlstf.lstm as lstm_mod
 from dlstf.lstm import (LstmLayerParams, LstmNetwork, gradient_check, init_params,
-                        net_backward, net_forward, sigmoid)
+                        net_backward, net_forward, predict_batches, sigmoid)
 from conftest import (GRADCHECK_CASES, gradcheck_instance, layer_record, scalar_unroll,
                       seeded_rng)
 
@@ -213,6 +213,68 @@ class TestNetForward:
         assert np.array_equal(pred, net_forward(net, seq)[0])
 
 
+def reference_layer(p, x):
+    """One layer's forward record by the step arithmetic the in-place loop must
+    keep bit for bit, each step in fresh arrays: one sigmoid over the fused
+    block, tanh on the candidate, f*c_prev + i*k, then o*tanh(c)."""
+    steps, batch, d = x.shape
+    hid = p.hidden_dim
+    xw = (x.reshape(steps * batch, d) @ p.w.T).reshape(steps, batch, 4 * hid)
+    xw += p.b
+    gates, tanh_c = [], []
+    c, h = [np.zeros((batch, hid))], [np.zeros((batch, hid))]
+    for t in range(steps):
+        pre = xw[t] + h[t] @ p.u.T
+        g = 0.5 * (np.tanh(0.5 * pre) + 1.0)
+        g[:, 2 * hid:3 * hid] = np.tanh(pre[:, 2 * hid:3 * hid])
+        f, i, k, o = split_gates(g)
+        c_t = f * c[t]
+        c_t += i * k
+        gates.append(g)
+        c.append(c_t)
+        tanh_c.append(np.tanh(c_t))
+        h.append(o * tanh_c[t])
+    return [np.stack(a) for a in (gates, c, tanh_c, h)]
+
+
+class TestInPlaceSteps:
+    """The in-place step loop keeps the bits of the per-step arithmetic."""
+
+    @pytest.mark.parametrize("widths", [(32,), (64, 64), (5, 3)])
+    @pytest.mark.parametrize("batch", [1, 7, 32, 33])
+    def test_matches_the_unrolled_steps_bit_for_bit(self, widths, batch):
+        net = init_params(list(widths), 6, batch)
+        x = seeded_rng(batch, len(widths)).uniform(-2, 2, (12, batch, 6))
+        records, layer_in = [], x
+        for p in net.layers:
+            records.append(reference_layer(p, layer_in))
+            layer_in = records[-1][3][1:]
+        expected = layer_in[-1] @ net.head_w.T + net.head_b
+        pred, cache = net_forward(net, x)
+        assert np.array_equal(pred, expected)
+        assert np.array_equal(net_forward(net, x, keep_cache=False)[0], expected)
+        layer_in = x
+        for lc, (gates, c, tanh_c, h) in zip(cache.layers, records):
+            assert np.array_equal(lc.x, layer_in)
+            for got, want in ((lc.gates, gates), (lc.c, c), (lc.tanh_c, tanh_c), (lc.h, h)):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+            layer_in = h[1:]
+
+    @pytest.mark.parametrize("count", [1, 32, 33, 70])
+    def test_predict_batches_is_net_forward_chunk_by_chunk(self, count):
+        net = init_params([5, 3], 4, count)
+        x = seeded_rng(count, 9).uniform(-2, 2, (7, count, 4))
+        chunk = lstm_mod.PREDICT_CHUNK
+        expected = np.concatenate([net_forward(net, x[:, lo:lo + chunk])[0]
+                                   for lo in range(0, count, chunk)])
+        assert np.array_equal(predict_batches(net, x), expected)
+
+    def test_predict_batches_of_no_sequences_is_empty(self):
+        net = init_params([5], 4, 0)
+        assert predict_batches(net, np.empty((7, 0, 4))).shape == (0, 4)
+
+
 class TestNetBackward:
     def test_zero_upstream(self):
         net = init_params([4, 3], 2, 5)
@@ -328,6 +390,14 @@ class TestActivations:
         fd = (sigmoid(z + eps) - sigmoid(z - eps)) / (2 * eps)
         rel = np.abs(analytic - fd) / np.maximum(1e-8, np.abs(analytic) + np.abs(fd))
         assert rel.max() < 1e-6
+
+    def test_sigmoid_out_argument_keeps_the_bits(self):
+        z = seeded_rng(5, 0).uniform(-30.0, 30.0, 1000)
+        out = np.empty_like(z)
+        assert sigmoid(z, out=out) is out
+        assert np.array_equal(out, 0.5 * (np.tanh(0.5 * z) + 1.0))
+        sigmoid(z, out=z)
+        assert np.array_equal(z, out)
 
     def test_sigmoid_extreme_inputs_stay_finite(self):
         out = sigmoid(np.array([-1e4, 1e4]))

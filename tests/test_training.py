@@ -6,7 +6,7 @@ import pytest
 import dlstf.training as training_mod
 from dlstf.dataset import SampleSet
 from dlstf.errors import NumericsError
-from dlstf.lstm import init_params, net_backward, net_forward
+from dlstf.lstm import init_params, net_backward, net_forward, predict_batches
 from dlstf.training import (TrainConfig, clip_global_norm, mae_loss,
                             rmsprop_update, train_model)
 from conftest import seeded_rng
@@ -120,8 +120,8 @@ class TestTrainModel:
         samples = make_linear_task(60, 4, 2, 31)
         cfg = TrainConfig(max_epochs=4, batch_size=16, seed=5)
         net = init_params([6], 2, 5)
-        m1, h1 = train_model(net, rows(samples, 0, 48), rows(samples, 48, 60), cfg)
-        m2, h2 = train_model(net, rows(samples, 0, 48), rows(samples, 48, 60), cfg)
+        m1, h1, _ = train_model(net, rows(samples, 0, 48), rows(samples, 48, 60), cfg)
+        m2, h2, _ = train_model(net, rows(samples, 0, 48), rows(samples, 48, 60), cfg)
         assert h1.train_losses == h2.train_losses
         assert h1.val_losses == h2.val_losses
         for a, b in zip(m1.param_arrays(), m2.param_arrays()):
@@ -131,7 +131,7 @@ class TestTrainModel:
         samples = make_linear_task(200, 5, 3, 77)
         cfg = TrainConfig(max_epochs=12, batch_size=32, seed=7)
         net = init_params([8], 3, 7)
-        _, hist = train_model(net, rows(samples, 0, 170), rows(samples, 170, 200), cfg)
+        _, hist, _ = train_model(net, rows(samples, 0, 170), rows(samples, 170, 200), cfg)
         assert hist.train_losses[-1] < hist.train_losses[0]
 
     def test_batch_gradient_is_mean_of_sample_gradients(self, monkeypatch):
@@ -165,32 +165,55 @@ class TestTrainModel:
     def test_early_stopping_arithmetic(self, monkeypatch):
         # injected validation schedule: 5, 4, 3, 4, 5, ... with patience 2
         schedule = {1: 5.0, 2: 4.0, 3: 3.0}
-        snapshots = []
+        snapshots, preds = [], []
+        real_predict = training_mod.predict_batches
 
-        def val_fn(net, val_samples):
+        def predict_fn(net, x):
             snapshots.append([p.copy() for p in net.param_arrays()])
+            preds.append(real_predict(net, x))
+            return preds[-1]
+
+        def val_fn(pred, target):
             epoch = len(snapshots)
             return schedule.get(epoch, 2.0 + epoch)
 
+        monkeypatch.setattr(training_mod, "predict_batches", predict_fn)
         monkeypatch.setattr(training_mod, "_mean_val_mae", val_fn)
         samples = make_linear_task(20, 3, 2, 3)
         cfg = TrainConfig(max_epochs=50, batch_size=8, patience=2, seed=9)
         net = init_params([4], 2, 9)
-        best, hist = train_model(net, samples, rows(samples, 0, 4), cfg)
+        best, hist, val_pred = train_model(net, samples, rows(samples, 0, 4), cfg)
         assert hist.stopped_epoch == 5
         assert hist.best_epoch == 3
         assert len(hist.train_losses) == 5
         assert len(hist.val_losses) == 5
         for got, want in zip(best.param_arrays(), snapshots[2]):
             assert np.array_equal(got, want)
+        # one forward-only pass per epoch, and the best epoch's is returned
+        assert len(preds) == 5
+        assert val_pred is preds[2]
+
+    def test_no_finite_validation_mae_returns_the_initial_network(self, monkeypatch):
+        monkeypatch.setattr(training_mod, "_mean_val_mae", lambda pred, target: math.nan)
+        samples = make_linear_task(20, 3, 2, 3)
+        cfg = TrainConfig(max_epochs=3, batch_size=8, patience=2, seed=9)
+        net = init_params([4], 2, 9)
+        val = rows(samples, 0, 4)
+        best, hist, val_pred = train_model(net, samples, val, cfg)
+        assert hist.best_epoch == 0
+        for got, want in zip(best.param_arrays(), net.param_arrays()):
+            assert np.array_equal(got, want)
+        assert np.array_equal(val_pred, predict_batches(net, val.x))
 
     def test_returned_parameters_match_best_epoch(self):
         samples = make_linear_task(80, 4, 2, 55)
         cfg = TrainConfig(max_epochs=6, batch_size=16, seed=4)
         net = init_params([5], 2, 4)
-        best, hist = train_model(net, rows(samples, 0, 64), rows(samples, 64, 80), cfg)
+        val = rows(samples, 64, 80)
+        best, hist, val_pred = train_model(net, rows(samples, 0, 64), val, cfg)
         assert hist.best_epoch == int(np.argmin(hist.val_losses)) + 1
-        val_mae = training_mod._mean_val_mae(best, rows(samples, 64, 80))
+        assert np.array_equal(val_pred, predict_batches(best, val.x))
+        val_mae = training_mod._mean_val_mae(val_pred, val.y)
         assert val_mae == hist.val_losses[hist.best_epoch - 1]
 
     def test_empty_training_set_rejected(self):
