@@ -223,29 +223,28 @@ def forecast_block(bank: ModelBank, history_panel: TimeSeriesPanel,
 
 
 def save_bank(bank: ModelBank, path) -> None:
-    """Write the versioned binary bank file (see README for the exact layout)."""
+    """Write the versioned binary bank file (see README for the exact layout),
+    each block straight to the file."""
     cfg = bank.config
-    out = bytearray()
-    out += BANK_MAGIC
-    out += struct.pack("<IIII", BANK_VERSION, cfg.h, cfg.ell, cfg.n)
     nz = bank.normalizer
     pairs = np.empty(2 * cfg.n)
     pairs[0::2] = nz.mins
     pairs[1::2] = nz.maxs
-    out += pairs.astype("<f8").tobytes()
     total = 2 * cfg.n
-    for m in bank.models:
-        out += struct.pack("<I", len(m.layers))
-        for l in m.layers:
-            out += struct.pack("<II", l.input_dim, l.hidden_dim)
-            for block in (l.w, l.u, l.b):
-                out += block.astype("<f8").tobytes()
-        out += m.head_w.astype("<f8").tobytes()
-        out += m.head_b.astype("<f8").tobytes()
-        total += sum(a.size for a in m.param_arrays())
-    out += struct.pack("<Q", total)
     with open(path, "wb") as fh:
-        fh.write(bytes(out))
+        fh.write(BANK_MAGIC)
+        fh.write(struct.pack("<IIII", BANK_VERSION, cfg.h, cfg.ell, cfg.n))
+        fh.write(pairs.astype("<f8", copy=False).data)
+        for m in bank.models:
+            fh.write(struct.pack("<I", len(m.layers)))
+            for l in m.layers:
+                fh.write(struct.pack("<II", l.input_dim, l.hidden_dim))
+                for block in (l.w, l.u, l.b):
+                    fh.write(block.astype("<f8", copy=False).data)
+            fh.write(m.head_w.astype("<f8", copy=False).data)
+            fh.write(m.head_b.astype("<f8", copy=False).data)
+            total += sum(a.size for a in m.param_arrays())
+        fh.write(struct.pack("<Q", total))
 
 
 class _Reader:

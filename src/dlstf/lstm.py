@@ -26,8 +26,9 @@ arXiv:1604.01946). A single (L, n) sequence is the B = 1 case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -105,21 +106,53 @@ class LstmNetwork:
 @dataclass
 class _LayerCache:
     """One layer's time-major forward record: input x (L, B, D), activated gates
-    (L, B, 4H), tanh_c (L, B, H), and c, h (L+1, B, H) led by the zero state."""
+    (L, B, 4H), tanh_c (L, B, H), and c, h (L+1, B, H) led by the zero state;
+    then the arrays net_backward writes, dpre (L, B, 4H) and dh (L, B, H),
+    which the layers of a cache share (see ForwardCache.for_pass)."""
 
     x: np.ndarray
     gates: np.ndarray
     c: np.ndarray
     tanh_c: np.ndarray
     h: np.ndarray
+    dpre: np.ndarray
+    dh: np.ndarray
 
 
 @dataclass
 class ForwardCache:
-    """Everything net_backward needs: per-layer records and the head output."""
+    """Everything net_backward needs: per-layer records and the head output,
+    all but layer 0's x views of one flat buffer."""
 
     layers: list[_LayerCache]
     prediction: np.ndarray    # as net_forward returned it: (n,) or (B, n)
+    buffer: np.ndarray
+
+    @classmethod
+    def for_pass(cls, previous: "ForwardCache | None", net: "LstmNetwork", steps: int,
+                 batch: int, pred_shape) -> "ForwardCache":
+        """The arrays of a pass of net over (L, B) inputs, as consecutive views of
+        the leading part of previous's buffer when it is large enough, else of
+        a new buffer. Each layer's x is set by the pass. The backward runs one
+        layer at a time, so the layers' dpre and dh are leading parts of two
+        blocks sized for the widest layer."""
+        widest = max(p.hidden_dim for p in net.layers)
+        shapes = [shape for p in net.layers for shape in (
+            (steps, batch, 4 * p.hidden_dim), (steps + 1, batch, p.hidden_dim),
+            (steps, batch, p.hidden_dim), (steps + 1, batch, p.hidden_dim))]
+        shapes += [(steps * batch * 4 * widest,), (steps * batch * widest,), pred_shape]
+        sizes = [math.prod(shape) for shape in shapes]
+        if previous is not None and previous.buffer.size >= sum(sizes):
+            buffer = previous.buffer
+        else:
+            buffer = np.empty(sum(sizes))
+        *records, dpre, dh, prediction = (buffer[end - size:end].reshape(shape) for shape, size, end
+                                          in zip(shapes, sizes, accumulate(sizes)))
+        layers = [_LayerCache(None, *records[4 * j:4 * j + 4],
+                              dpre[:steps * batch * 4 * p.hidden_dim].reshape(records[4 * j].shape),
+                              dh[:steps * batch * p.hidden_dim].reshape(records[4 * j + 2].shape))
+                  for j, p in enumerate(net.layers)]
+        return cls(layers, prediction, buffer)
 
 
 def sigmoid(v, out=None) -> np.ndarray:
@@ -135,33 +168,43 @@ def sigmoid(v, out=None) -> np.ndarray:
     return out
 
 
-def _layer_forward(p: LstmLayerParams, x: np.ndarray, keep_cache: bool):
-    """Run one layer over (L, B, D) inputs; returns the (L, B, H) h sequence and,
-    with keep_cache, the layer's _LayerCache. Every step works in place: with
-    keep_cache step t writes row t of the cache, without it each step reuses
-    one slot (c_t overwrites c_{t-1}); h, the output, keeps every step."""
+def _layer_forward(p: LstmLayerParams, x: np.ndarray, lc: _LayerCache | None) -> np.ndarray:
+    """Run one layer over (L, B, D) inputs and return its (L, B, H) h sequence.
+
+    Every step works in place, and its gates overwrite its row of the input
+    projection, which the step has read by then. With a cache lc the pass
+    writes step t into row t of lc's arrays, whose zero state it sets; without
+    one each step reuses one slot for c and tanh(c) (c_t overwrites c_{t-1}),
+    and only h keeps every step.
+    """
     steps, batch, d = x.shape
     hid = p.hidden_dim
-    xw = (x.reshape(steps * batch, d) @ p.w.T).reshape(steps, batch, 4 * hid)
-    xw += p.b
-    h = np.zeros((steps + 1, batch, hid))
-    slots = steps if keep_cache else 1
-    gates = np.empty((slots, batch, 4 * hid))
-    c = np.zeros((slots + 1, batch, hid))
-    tanh_c = np.empty((slots, batch, hid))
-    f, i, k, o = (gates[..., q * hid:(q + 1) * hid] for q in range(4))
-    if keep_cache:
-        per_step = zip(gates, f, i, k, o, c[:-1], c[1:], tanh_c)
+    if lc is None:
+        gates, h = np.empty((steps, batch, 4 * hid)), np.empty((steps + 1, batch, hid))
+        c, tanh_c = np.zeros((batch, hid)), np.empty((batch, hid))
+        per_step = repeat((c, c, tanh_c))
     else:
-        per_step = repeat((gates[0], f[0], i[0], k[0], o[0], c[0], c[0], tanh_c[0]))
+        lc.x = x
+        gates, h = lc.gates, lc.h
+        lc.c[0] = 0.0
+        per_step = zip(lc.c[:-1], lc.c[1:], lc.tanh_c)
+    h[0] = 0.0
+    np.matmul(x.reshape(steps * batch, d), p.w.T, out=gates.reshape(steps * batch, 4 * hid))
+    gates += p.b
+    f, i, k, o = (gates[..., q * hid:(q + 1) * hid] for q in range(4))
     pre = np.empty((batch, 4 * hid))
     pre_k = pre[:, 2 * hid:3 * hid]
     ik = np.empty((batch, hid))
     u_t = p.u.T
-    for xw_t, h_prev, h_t, (g, f_t, i_t, k_t, o_t, c_prev, c_t, tc) in zip(
-            xw, h[:-1], h[1:], per_step):
-        np.matmul(h_prev, u_t, out=pre)
-        pre += xw_t
+    for t, (g, f_t, i_t, k_t, o_t, h_prev, h_t, (c_prev, c_t, tc)) in enumerate(
+            zip(gates, f, i, k, o, h[:-1], h[1:], per_step)):
+        if t:
+            np.matmul(h_prev, u_t, out=pre)
+            pre += g
+        else:
+            # h_0 = 0, so h_0 U^T is exactly +0 and adding it changes no value;
+            # a copy, since the gates overwrite g
+            np.copyto(pre, g)
         # one sigmoid call over the fused block, then tanh over the candidate
         # slice: cheaper per step than three calls on the f, i and o slices
         sigmoid(pre, out=g)
@@ -171,18 +214,24 @@ def _layer_forward(p: LstmLayerParams, x: np.ndarray, keep_cache: bool):
         c_t += ik
         np.tanh(c_t, out=tc)
         np.multiply(o_t, tc, out=h_t)
-    cache = _LayerCache(x, gates, c, tanh_c, h) if keep_cache else None
-    return h[1:], cache
+    return h[1:]
 
 
-def net_forward(net: LstmNetwork, seq, keep_cache: bool = True
-                ) -> tuple[np.ndarray, ForwardCache | None]:
+def net_forward(net: LstmNetwork, seq, keep_cache: bool = True,
+                cache: ForwardCache | None = None) -> tuple[np.ndarray, ForwardCache | None]:
     """Run sequences through all layers and the head.
 
     `seq` is one sequence, an (L, n) array or a length-L list of vectors, or a
     time-major (L, B, n) batch, L >= 1. Initial h and c are zero for every
     layer. Returns the head output, (n,) or (B, n), and the caches required
     by net_backward, or None when keep_cache is false.
+
+    A `cache` returned by an earlier pass is overwritten, prediction
+    included, when its buffer is large enough for this pass, as it is for
+    the same network over as many sequences or fewer. The returned cache
+    then views that buffer, so a training loop allocates it once. A cache
+    too small is left untouched and the pass allocates a new buffer.
+    Without keep_cache, `cache` is not used.
     """
     x = np.asarray(seq, dtype=np.float64)
     if x.size == 0:
@@ -194,14 +243,15 @@ def net_forward(net: LstmNetwork, seq, keep_cache: bool = True
         raise ValueError(
             f"net_forward: expected (L, {net.input_dim}) or (L, B, {net.input_dim}) input, "
             f"got {np.shape(seq)}")
-    layer_caches: list[_LayerCache] = []
-    for p in net.layers:
-        x, cache = _layer_forward(p, x, keep_cache)
-        layer_caches.append(cache)
-    prediction = x[-1] @ net.head_w.T + net.head_b
-    if single:
-        prediction = prediction[0]
-    cache = ForwardCache(layer_caches, prediction) if keep_cache else None
+    steps, batch, _ = x.shape
+    pred_shape = (net.output_dim,) if single else (batch, net.output_dim)
+    cache = ForwardCache.for_pass(cache, net, steps, batch, pred_shape) if keep_cache else None
+    for j, p in enumerate(net.layers):
+        x = _layer_forward(p, x, None if cache is None else cache.layers[j])
+    prediction = np.empty(pred_shape) if cache is None else cache.prediction
+    out = prediction.reshape(batch, net.output_dim)
+    np.matmul(x[-1], net.head_w.T, out=out)
+    out += net.head_b
     return prediction, cache
 
 
@@ -219,11 +269,11 @@ def predict_batches(net: LstmNetwork, x: np.ndarray) -> np.ndarray:
 def _layer_backward(p: LstmLayerParams, lc: _LayerCache, dh_seq: np.ndarray,
                     g: LstmLayerParams) -> np.ndarray:
     """BPTT through one layer, given the (L, B, H) gradient arriving at each h_t
-    from above. Adds the parameter gradients into g; returns the (L*B, 4H)
-    gradient at the gate pre-activations."""
+    from above. Writes the parameter gradients into g; returns the (L*B, 4H)
+    gradient at the gate pre-activations, held in lc.dpre."""
     steps, batch, d = lc.x.shape
     hid = p.hidden_dim
-    dpre = np.empty((steps, batch, 4 * hid))
+    dpre = lc.dpre
     dh_carry = np.zeros((batch, hid))
     dc = np.zeros((batch, hid))
     for t in range(steps - 1, -1, -1):
@@ -236,22 +286,25 @@ def _layer_backward(p: LstmLayerParams, lc: _LayerCache, dh_seq: np.ndarray,
         dpre[t, :, hid:2 * hid] = dc * k * (i * (1.0 - i))
         dpre[t, :, 2 * hid:3 * hid] = dc * i * (1.0 - k * k)
         dpre[t, :, 3 * hid:] = dh * tanh_c * (o * (1.0 - o))
-        dc = dc * f
-        dh_carry = dpre[t] @ p.u
+        if t:    # nothing reads the carry into h_0
+            dc = dc * f
+            dh_carry = dpre[t] @ p.u
     rows = dpre.reshape(steps * batch, 4 * hid)
-    g.w += rows.T @ lc.x.reshape(steps * batch, d)
-    g.u += rows.T @ lc.h[:-1].reshape(steps * batch, hid)
-    g.b += rows.sum(axis=0)
+    np.matmul(rows.T, lc.x.reshape(steps * batch, d), out=g.w)
+    np.matmul(rows.T, lc.h[:-1].reshape(steps * batch, hid), out=g.u)
+    np.sum(rows, axis=0, out=g.b)
     return rows
 
 
-def net_backward(net: LstmNetwork, cache: ForwardCache,
-                 dloss_dpred: np.ndarray) -> LstmNetwork:
+def net_backward(net: LstmNetwork, cache: ForwardCache, dloss_dpred: np.ndarray,
+                 grads: LstmNetwork | None = None) -> LstmNetwork:
     """Exact loss gradient w.r.t. every parameter, by backpropagation through time.
 
     `dloss_dpred` has the shape of the prediction net_forward returned; the
     gradients of a batch are the sums over its sequences. They come back as an
-    LstmNetwork of net's shape whose arrays are the gradients.
+    LstmNetwork of net's shape whose arrays are the gradients: `grads` when
+    given, every array of it overwritten, else a fresh one. The pass writes
+    its working arrays into the cache's dpre and dh buffers.
     """
     if len(cache.layers) != len(net.layers):
         raise ValueError("cache does not match network: layer count differs")
@@ -262,24 +315,26 @@ def net_backward(net: LstmNetwork, cache: ForwardCache,
     if dloss_dpred.shape != cache.prediction.shape:
         raise ValueError(f"dloss_dpred must have shape {cache.prediction.shape}, "
                          f"got {dloss_dpred.shape}")
+    if grads is None:
+        grads = net.clone()    # every array is overwritten below
+    elif [a.shape for a in grads.param_arrays()] != [a.shape for a in net.param_arrays()]:
+        raise ValueError("grads does not match network: parameter shapes differ")
 
-    grads = LstmNetwork([LstmLayerParams(p.input_dim, p.hidden_dim, np.zeros_like(p.w),
-                                         np.zeros_like(p.u), np.zeros_like(p.b))
-                         for p in net.layers],
-                        np.zeros_like(net.head_w), np.zeros_like(net.head_b))
     # the head is linear: its pre-activation gradient is dloss_dpred itself
     dpre_head = dloss_dpred.reshape(-1, net.output_dim)
     top = cache.layers[-1]
-    grads.head_w += dpre_head.T @ top.h[-1]
-    grads.head_b += dpre_head.sum(axis=0)
+    np.matmul(dpre_head.T, top.h[-1], out=grads.head_w)
+    np.sum(dpre_head, axis=0, out=grads.head_b)
 
     # dh arriving at each step of the current layer from the layer above
-    dh_seq = np.zeros_like(top.tanh_c)
-    dh_seq[-1] = dpre_head @ net.head_w
+    top.dh[:-1] = 0.0
+    np.matmul(dpre_head, net.head_w, out=top.dh[-1])
     for j in range(len(net.layers) - 1, -1, -1):
-        dpre = _layer_backward(net.layers[j], cache.layers[j], dh_seq, grads.layers[j])
-        if j > 0:
-            dh_seq = (dpre @ net.layers[j].w).reshape(cache.layers[j].x.shape)
+        lc = cache.layers[j]
+        dpre = _layer_backward(net.layers[j], lc, lc.dh, grads.layers[j])
+        if j > 0:    # overwrites this layer's dh, which its backward has read
+            below = cache.layers[j - 1].dh
+            np.matmul(dpre, net.layers[j].w, out=below.reshape(-1, below.shape[2]))
     return grads
 
 

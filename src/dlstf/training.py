@@ -81,7 +81,9 @@ def rmsprop_update(params: list[np.ndarray], grads: list[np.ndarray],
 
     `acc` holds the running mean squares s, one array per parameter array,
     zero before the first step. The gradient is globally norm-clipped at
-    cfg.clip_norm first.
+    cfg.clip_norm first. The arrays are updated through `out=`, with the
+    operands of the formulas in their written order and one scratch array
+    for the temporaries.
     """
     if len(params) != len(grads) or len(params) != len(acc):
         raise ValueError("params, grads and acc must have the same number of arrays")
@@ -89,10 +91,18 @@ def rmsprop_update(params: list[np.ndarray], grads: list[np.ndarray],
         if p.shape != g.shape or p.shape != s.shape:
             raise ValueError(f"shape mismatch: param {p.shape}, grad {g.shape}, acc {s.shape}")
     clip_global_norm(grads, cfg.clip_norm)
+    scratch = np.empty((2, max(g.size for g in grads)))
     for p, g, s in zip(params, grads, acc):
+        t, root = (row[:g.size].reshape(g.shape) for row in scratch)
         s *= cfg.rho
-        s += (1.0 - cfg.rho) * g * g
-        p -= cfg.learning_rate * g / np.sqrt(s + cfg.epsilon)
+        np.multiply(1.0 - cfg.rho, g, out=t)
+        t *= g
+        s += t
+        np.multiply(cfg.learning_rate, g, out=t)
+        np.add(s, cfg.epsilon, out=root)
+        np.sqrt(root, out=root)
+        t /= root
+        p -= t
 
 
 def _mean_val_mae(pred: np.ndarray, target: np.ndarray) -> float:
@@ -123,9 +133,13 @@ def train_model(net: LstmNetwork, train_samples: SampleSet, val_samples: SampleS
     work = net.clone()
     params = work.param_arrays()
     acc = [np.zeros_like(p) for p in params]
+    grads = work.clone()    # net_backward overwrites it every batch
+    cache = None            # every batch's forward pass writes into the first one's
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 1])))
     history = TrainHistory()
-    x_train, y_train = train_samples.x, train_samples.y
+    x_train, y_train = np.asarray(train_samples.x, dtype=np.float64), train_samples.y
+    steps, n = x_train.shape[0], x_train.shape[2]
+    x_buffer = np.empty(steps * min(cfg.batch_size, len(train_samples)) * n)
 
     best_val = np.inf
     best_params: list[np.ndarray] = [p.copy() for p in params]
@@ -137,13 +151,17 @@ def train_model(net: LstmNetwork, train_samples: SampleSet, val_samples: SampleS
         loss_sum = 0.0
         for batch_no, start in enumerate(range(0, len(order), cfg.batch_size), start=1):
             batch = order[start:start + cfg.batch_size]
-            pred, cache = net_forward(work, x_train[:, batch])
+            x = x_buffer[:steps * len(batch) * n].reshape(steps, len(batch), n)
+            # mode="clip" takes straight into x ("raise" would buffer); no index is out of range
+            np.take(x_train, batch, axis=1, out=x, mode="clip")
+            pred, cache = net_forward(work, x, cache=cache)
             loss, dpred = mae_loss(pred, y_train[batch])
             if not np.isfinite(loss):
                 raise NumericsError(
                     f"non-finite training loss at epoch {epoch}, batch {batch_no}")
             loss_sum += loss * len(batch)
-            rmsprop_update(params, net_backward(work, cache, dpred).param_arrays(), acc, cfg)
+            net_backward(work, cache, dpred, grads)
+            rmsprop_update(params, grads.param_arrays(), acc, cfg)
 
         train_loss = loss_sum / len(train_samples)
         val_pred = predict_batches(work, val_samples.x)

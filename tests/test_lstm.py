@@ -216,7 +216,8 @@ class TestNetForward:
 def reference_layer(p, x):
     """One layer's forward record by the step arithmetic the in-place loop must
     keep bit for bit, each step in fresh arrays: one sigmoid over the fused
-    block, tanh on the candidate, f*c_prev + i*k, then o*tanh(c)."""
+    block, tanh on the candidate, f*c_prev + i*k, then o*tanh(c). Step 0 adds
+    h_0 U^T too, which the loop skips, so this stays the oracle for the skip."""
     steps, batch, d = x.shape
     hid = p.hidden_dim
     xw = (x.reshape(steps * batch, d) @ p.w.T).reshape(steps, batch, 4 * hid)
@@ -273,6 +274,84 @@ class TestInPlaceSteps:
     def test_predict_batches_of_no_sequences_is_empty(self):
         net = init_params([5], 4, 0)
         assert predict_batches(net, np.empty((7, 0, 4))).shape == (0, 4)
+
+
+def cache_arrays(cache):
+    """Every array of a forward cache's record, prediction first."""
+    return [cache.prediction] + [a for lc in cache.layers
+                                 for a in (lc.x, lc.gates, lc.c, lc.tanh_c, lc.h)]
+
+
+class TestCacheReuse:
+    """A cache or gradient network passed back in is overwritten, bit for bit
+    as if fresh."""
+
+    @pytest.mark.parametrize("widths", [(32,), (64, 64), (5, 3)])
+    @pytest.mark.parametrize("batch", [1, 7, 32, 33])
+    @pytest.mark.parametrize("capacity", [0, 3], ids=["same", "larger"])
+    def test_reused_cache_matches_a_fresh_pass(self, widths, batch, capacity):
+        net = init_params(list(widths), 6, batch)
+        rng = seeded_rng(batch, len(widths), 1)
+        x = rng.uniform(-2, 2, (12, batch, 6))
+        fresh_pred, fresh = net_forward(net, x)
+        _, old = net_forward(net, rng.uniform(-2, 2, (12, batch + capacity, 6)))
+        pred, cache = net_forward(net, x, cache=old)
+        assert np.array_equal(pred, fresh_pred)
+        for got, want in zip(cache_arrays(cache), cache_arrays(fresh)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        # the pass wrote into the passed cache's buffer and allocated none
+        assert cache.buffer is old.buffer
+        assert np.shares_memory(pred, old.buffer)
+        for lc in cache.layers:
+            for a in (lc.gates, lc.c, lc.tanh_c, lc.h, lc.dpre, lc.dh):
+                assert np.shares_memory(a, old.buffer)
+
+    def test_a_cache_too_small_is_left_untouched(self):
+        net = init_params([5, 3], 4, 2)
+        rng = seeded_rng(2, 5)
+        _, small = net_forward(net, rng.uniform(-1, 1, (6, 7, 4)))
+        before = small.buffer.copy()
+        x = rng.uniform(-1, 1, (6, 32, 4))
+        pred, cache = net_forward(net, x, cache=small)
+        assert np.array_equal(small.buffer, before)
+        assert not np.shares_memory(cache.buffer, small.buffer)
+        assert np.array_equal(pred, net_forward(net, x)[0])
+
+    def test_single_sequence_reuses_a_batch_cache(self):
+        net = init_params([5], 3, 4)
+        rng = seeded_rng(4, 5)
+        _, old = net_forward(net, rng.uniform(-1, 1, (6, 4, 3)))
+        seq = rng.uniform(-1, 1, (6, 3))
+        pred, cache = net_forward(net, seq, cache=old)
+        assert pred.shape == (3,)
+        assert cache.buffer is old.buffer
+        assert np.array_equal(pred, net_forward(net, seq)[0])
+
+    @pytest.mark.parametrize("widths,batch", [((32,), 7), ((64, 64), 33), ((5, 3), 1)])
+    def test_backward_into_reused_buffers_matches_fresh_gradients(self, widths, batch):
+        net = init_params(list(widths), 6, batch)
+        rng = seeded_rng(batch, 7)
+        x = rng.uniform(-2, 2, (12, batch, 6))
+        upstream = rng.uniform(-1, 1, (batch, 6))
+        _, fresh_cache = net_forward(net, x)
+        fresh = net_backward(net, fresh_cache, upstream)
+        _, old = net_forward(net, rng.uniform(-2, 2, (12, batch + 2, 6)))
+        net_backward(net, old, rng.uniform(-1, 1, (batch + 2, 6)))
+        _, cache = net_forward(net, x, cache=old)
+        grads = net.clone()
+        for arr in grads.param_arrays():
+            arr.fill(np.nan)    # every array must be overwritten
+        got = net_backward(net, cache, upstream, grads)
+        assert got is grads
+        for a, b in zip(got.param_arrays(), fresh.param_arrays()):
+            assert np.array_equal(a, b)
+
+    def test_gradients_of_another_shape_rejected(self):
+        net = init_params([4], 2, 1)
+        _, cache = net_forward(net, np.ones((3, 2)))
+        with pytest.raises(ValueError, match="grads"):
+            net_backward(net, cache, np.zeros(2), init_params([5], 2, 1))
 
 
 class TestNetBackward:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,3 +230,77 @@ class TestTrainModel:
         with np.errstate(all="ignore"):
             with pytest.raises(NumericsError, match=r"epoch 1, batch 2"):
                 train_model(net, samples, rows(samples, 0, 4), cfg)
+
+
+def fresh_buffer_training(net, train, val, cfg):
+    """train_model's loop without early stopping, every batch in fresh arrays:
+    no cache or gradients passed back in, RMSprop by its allocating formulas.
+    Returns the best epoch's parameters and predictions and the loss curves."""
+    work = net.clone()
+    params = work.param_arrays()
+    acc = [np.zeros_like(p) for p in params]
+    rng = seeded_rng(cfg.seed, 1)
+    train_losses, val_losses, best = [], [], None
+    for _ in range(cfg.max_epochs):
+        order = rng.permutation(len(train))
+        loss_sum = 0.0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            pred, cache = net_forward(work, train.x[:, batch])
+            loss, dpred = mae_loss(pred, train.y[batch])
+            loss_sum += loss * len(batch)
+            grads = net_backward(work, cache, dpred).param_arrays()
+            clip_global_norm(grads, cfg.clip_norm)
+            for p, g, s in zip(params, grads, acc):
+                s *= cfg.rho
+                s += (1.0 - cfg.rho) * g * g
+                p -= cfg.learning_rate * g / np.sqrt(s + cfg.epsilon)
+        train_losses.append(loss_sum / len(train))
+        val_pred = predict_batches(work, val.x)
+        val_losses.append(training_mod._mean_val_mae(val_pred, val.y))
+        if best is None or val_losses[-1] < best[0]:
+            best = (val_losses[-1], [p.copy() for p in params], val_pred)
+    return best[1], best[2], train_losses, val_losses
+
+
+class TestBufferReuse:
+    """train_model passes each batch's cache and gradients back in."""
+
+    @pytest.mark.parametrize("widths", [[6], [5, 4]])
+    def test_matches_a_loop_with_fresh_buffers_bit_for_bit(self, widths):
+        samples = make_linear_task(90, 5, 3, 41)
+        train, val = rows(samples, 0, 70), rows(samples, 70, 90)
+        # 70 = 4 * 16 + 6: every epoch ends with a tail batch
+        cfg = TrainConfig(max_epochs=4, patience=4, batch_size=16, seed=8, learning_rate=0.01)
+        net = init_params(widths, 3, 8)
+        best, hist, val_pred = train_model(net, train, val, cfg)
+        params, pred, train_losses, val_losses = fresh_buffer_training(net, train, val, cfg)
+        assert hist.train_losses == train_losses
+        assert hist.val_losses == val_losses
+        for got, want in zip(best.param_arrays(), params):
+            assert np.array_equal(got, want)
+        assert np.array_equal(val_pred, pred)
+
+    def test_batches_after_the_first_allocate_no_step_arrays(self, monkeypatch):
+        steps, batch, hid = 8, 32, 16
+        samples = make_linear_task(4 * batch + 4, steps, 2, 5)
+        train, val = rows(samples, 0, 4 * batch), rows(samples, 4 * batch, 4 * batch + 4)
+        cfg = TrainConfig(max_epochs=3, patience=3, batch_size=batch, seed=3)
+        net = init_params([hid], 2, 3)
+        peaks = []
+        real_update = training_mod.rmsprop_update
+
+        def update(*args):
+            real_update(*args)
+            if not peaks:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(training_mod, "rmsprop_update", update)
+        tracemalloc.start()
+        try:
+            train_model(net, train, val, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        # one (L, B, 4H) float64 array: the gates of one layer pass
+        assert peaks[1] - peaks[0] < steps * batch * 4 * hid * 8
