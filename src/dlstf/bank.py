@@ -208,7 +208,7 @@ def forecast_block(bank: ModelBank, history_panel: TimeSeriesPanel,
     block_start = np.datetime64(block_start, "s")
     ts = history_panel.timestamps
     idx = int(np.searchsorted(ts, block_start))
-    if idx < history_panel.n_times and ts[idx] != block_start:
+    if 0 < idx < history_panel.n_times and ts[idx] != block_start:
         raise DataError(
             f"block start {format_timestamp(block_start)} is not on the panel's hourly grid")
     if idx == history_panel.n_times and ts[-1] + HOUR != block_start:

@@ -358,7 +358,7 @@ def _cmd_baseline(args) -> int:
         train_frac = cfg.get_float("train_frac")
         if not 0 < train_frac < 1:
             raise UsageError(f"train_frac must lie strictly between 0 and 1, got {train_frac}")
-        default_first = max(ell, int(panel.n_times * train_frac))
+        default_first = max(ell, fraction_cuts(panel.n_times, train_frac, 0.0)[0])
     sliced, first = _test_window(panel, cfg, ell, h, default_first)
     # built after the window checks: it holds h widths
     shape = cfg.horizon_config(panel.n_stations)
@@ -414,7 +414,7 @@ def _gradcheck_instance(seed: int):
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 2, j, k])))
             seq = rng.uniform(-1.0, 1.0, size=(4, 2))
             target = rng.uniform(-1.0, 1.0, size=2)
-            pred, cache = net_forward(net, seq)
+            pred, cache = net_forward(net, seq[:, None])
             grads = net_backward(net, cache, (pred - target) / 2.0)
             floor = min(np.abs(a).min() for a in grads.param_arrays())
             if best is None or floor > best[0]:
@@ -460,8 +460,10 @@ def _cmd_plot(args) -> int:
         stations = list(dict.fromkeys(s.strip() for s in args.stations.split(",") if s.strip()))
         if not stations:
             raise UsageError(f"--stations {args.stations!r} lists no station ids")
-        for sid in stations:
-            panel.station_index(sid)
+    for sid in stations:
+        panel.station_index(sid)
+        if "/" in sid or "\\" in sid or sid in (".", ".."):
+            raise DataError(f"station id {sid!r} cannot name a file under --out {args.out}")
     sliced, first = _test_window(panel, cfg, bank.config.ell, bank.config.h)
     preds, _ = block_walk(bank_forecaster(bank), sliced, bank.config, first_block_index=first)
     files = emit_plot_data(preds, sliced, stations, args.out)

@@ -21,7 +21,7 @@ The network runs time-major over a batch of B sequences: layer inputs are
 matrix product taken before the recurrence, which then only adds h_{t-1} U^T
 to one (B, 4H) gate block per step; the backward pass forms each weight
 gradient as one product over the L*B rows (Appleyard et al. 2016,
-arXiv:1604.01946). A single (L, n) sequence is the B = 1 case.
+arXiv:1604.01946). One (L, n) sequence runs as the B = 1 batch seq[:, None].
 """
 
 from __future__ import annotations
@@ -125,22 +125,22 @@ class ForwardCache:
     all but layer 0's x views of one flat buffer."""
 
     layers: list[_LayerCache]
-    prediction: np.ndarray    # as net_forward returned it: (n,) or (B, n)
+    prediction: np.ndarray    # (B, n), as net_forward returned it
     buffer: np.ndarray
 
     @classmethod
     def for_pass(cls, previous: "ForwardCache | None", net: "LstmNetwork", steps: int,
-                 batch: int, pred_shape) -> "ForwardCache":
+                 batch: int) -> "ForwardCache":
         """The arrays of a pass of net over (L, B) inputs, as consecutive views of
         the leading part of previous's buffer when it is large enough, else of
         a new buffer. Each layer's x is set by the pass. The backward runs one
         layer at a time, so the layers' dpre and dh are leading parts of two
         blocks sized for the widest layer."""
-        widest = max(p.hidden_dim for p in net.layers)
+        widest = steps * batch * max(p.hidden_dim for p in net.layers)
         shapes = [shape for p in net.layers for shape in (
             (steps, batch, 4 * p.hidden_dim), (steps + 1, batch, p.hidden_dim),
             (steps, batch, p.hidden_dim), (steps + 1, batch, p.hidden_dim))]
-        shapes += [(steps * batch * 4 * widest,), (steps * batch * widest,), pred_shape]
+        shapes += [(4 * widest,), (widest,), (batch, net.output_dim)]
         sizes = [math.prod(shape) for shape in shapes]
         if previous is not None and previous.buffer.size >= sum(sizes):
             buffer = previous.buffer
@@ -219,12 +219,12 @@ def _layer_forward(p: LstmLayerParams, x: np.ndarray, lc: _LayerCache | None) ->
 
 def net_forward(net: LstmNetwork, seq, keep_cache: bool = True,
                 cache: ForwardCache | None = None) -> tuple[np.ndarray, ForwardCache | None]:
-    """Run sequences through all layers and the head.
+    """Run a batch of sequences through all layers and the head.
 
-    `seq` is one sequence, an (L, n) array or a length-L list of vectors, or a
-    time-major (L, B, n) batch, L >= 1. Initial h and c are zero for every
-    layer. Returns the head output, (n,) or (B, n), and the caches required
-    by net_backward, or None when keep_cache is false.
+    `seq` is a time-major (L, B, n) batch, L >= 1 and B >= 1; one sequence is
+    the B = 1 batch seq[:, None]. Initial h and c are zero for every layer.
+    Returns the (B, n) head output and the caches required by net_backward,
+    or None when keep_cache is false, which only predict_batches asks for.
 
     A `cache` returned by an earlier pass is overwritten, prediction
     included, when its buffer is large enough for this pass, as it is for
@@ -236,22 +236,16 @@ def net_forward(net: LstmNetwork, seq, keep_cache: bool = True,
     x = np.asarray(seq, dtype=np.float64)
     if x.size == 0:
         raise ValueError("net_forward: empty input sequence")
-    single = x.ndim == 2
-    if single:
-        x = x[:, None, :]
     if x.ndim != 3 or x.shape[2] != net.input_dim:
         raise ValueError(
-            f"net_forward: expected (L, {net.input_dim}) or (L, B, {net.input_dim}) input, "
-            f"got {np.shape(seq)}")
+            f"net_forward: expected an (L, B, {net.input_dim}) batch, got {np.shape(seq)}")
     steps, batch, _ = x.shape
-    pred_shape = (net.output_dim,) if single else (batch, net.output_dim)
-    cache = ForwardCache.for_pass(cache, net, steps, batch, pred_shape) if keep_cache else None
+    cache = ForwardCache.for_pass(cache, net, steps, batch) if keep_cache else None
     for j, p in enumerate(net.layers):
         x = _layer_forward(p, x, None if cache is None else cache.layers[j])
-    prediction = np.empty(pred_shape) if cache is None else cache.prediction
-    out = prediction.reshape(batch, net.output_dim)
-    np.matmul(x[-1], net.head_w.T, out=out)
-    out += net.head_b
+    prediction = np.empty((batch, net.output_dim)) if cache is None else cache.prediction
+    np.matmul(x[-1], net.head_w.T, out=prediction)
+    prediction += net.head_b
     return prediction, cache
 
 
@@ -300,11 +294,11 @@ def net_backward(net: LstmNetwork, cache: ForwardCache, dloss_dpred: np.ndarray,
                  grads: LstmNetwork | None = None) -> LstmNetwork:
     """Exact loss gradient w.r.t. every parameter, by backpropagation through time.
 
-    `dloss_dpred` has the shape of the prediction net_forward returned; the
-    gradients of a batch are the sums over its sequences. They come back as an
-    LstmNetwork of net's shape whose arrays are the gradients: `grads` when
-    given, every array of it overwritten, else a fresh one. The pass writes
-    its working arrays into the cache's dpre and dh buffers.
+    `dloss_dpred` has the (B, n) shape of the prediction net_forward returned;
+    the gradients of a batch are the sums over its sequences. They come back
+    as an LstmNetwork of net's shape whose arrays are the gradients: `grads`
+    when given, every array of it overwritten, else a fresh one. The pass
+    writes its working arrays into the cache's dpre and dh buffers.
     """
     if len(cache.layers) != len(net.layers):
         raise ValueError("cache does not match network: layer count differs")
@@ -313,7 +307,7 @@ def net_backward(net: LstmNetwork, cache: ForwardCache, dloss_dpred: np.ndarray,
             raise ValueError("cache does not match network: layer width differs")
     dloss_dpred = np.asarray(dloss_dpred, dtype=np.float64)
     if dloss_dpred.shape != cache.prediction.shape:
-        raise ValueError(f"dloss_dpred must have shape {cache.prediction.shape}, "
+        raise ValueError(f"dloss_dpred must have the (B, n) shape {cache.prediction.shape}, "
                          f"got {dloss_dpred.shape}")
     if grads is None:
         grads = net.clone()    # every array is overwritten below
@@ -321,14 +315,13 @@ def net_backward(net: LstmNetwork, cache: ForwardCache, dloss_dpred: np.ndarray,
         raise ValueError("grads does not match network: parameter shapes differ")
 
     # the head is linear: its pre-activation gradient is dloss_dpred itself
-    dpre_head = dloss_dpred.reshape(-1, net.output_dim)
     top = cache.layers[-1]
-    np.matmul(dpre_head.T, top.h[-1], out=grads.head_w)
-    np.sum(dpre_head, axis=0, out=grads.head_b)
+    np.matmul(dloss_dpred.T, top.h[-1], out=grads.head_w)
+    np.sum(dloss_dpred, axis=0, out=grads.head_b)
 
     # dh arriving at each step of the current layer from the layer above
     top.dh[:-1] = 0.0
-    np.matmul(dpre_head, net.head_w, out=top.dh[-1])
+    np.matmul(dloss_dpred, net.head_w, out=top.dh[-1])
     for j in range(len(net.layers) - 1, -1, -1):
         lc = cache.layers[j]
         dpre = _layer_backward(net.layers[j], lc, lc.dh, grads.layers[j])
@@ -341,25 +334,26 @@ def net_backward(net: LstmNetwork, cache: ForwardCache, dloss_dpred: np.ndarray,
 def gradient_check(net: LstmNetwork, sample, eps: float) -> float:
     """Max relative error between net_backward and central finite differences.
 
-    `sample` is a (sequence, target) pair. The scalar functional checked is
-    the smooth quadratic 0.5 * mean((prediction - target)^2); relative error
-    for each parameter is |a - fd| / max(1e-8, |a| + |fd|). A NaN error in
-    any parameter makes the result NaN, which fails every `<` gate.
+    `sample` is an (L, n) sequence and (n,) target pair, run as a B = 1 batch:
+    net_backward gives the analytic gradient, predict_batches the finite
+    differences. The scalar functional checked is the smooth quadratic
+    0.5 * mean((prediction - target)^2); relative error for each parameter
+    is |a - fd| / max(1e-8, |a| + |fd|). A NaN error in any parameter makes
+    the result NaN, which fails every `<` gate.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    seq, target = sample
-    target = np.asarray(target, dtype=np.float64)
+    x = np.asarray(sample[0], dtype=np.float64)[:, None]
+    target = np.asarray(sample[1], dtype=np.float64)
     if target.ndim != 1:
         raise ValueError(f"target must be a 1-D vector, got shape {target.shape}")
     m = target.shape[0]
 
     def loss_of(network: LstmNetwork) -> float:
-        pred, _ = net_forward(network, seq, keep_cache=False)
-        d = pred - target
+        d = predict_batches(network, x)[0] - target
         return float(0.5 * np.dot(d, d) / m)
 
-    pred, cache = net_forward(net, seq)
+    pred, cache = net_forward(net, x)
     analytic = net_backward(net, cache, (pred - target) / m)
 
     worst = 0.0

@@ -49,13 +49,13 @@ class TrainHistory:
 def mae_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean absolute error over all elements and its subgradient (sign(0) taken as 0).
 
-    `pred` and `target` are one (n,) prediction or a (B, n) batch; the
+    `pred` and `target` are (B, n) batches, as net_forward predicts them; the
     batch loss is the mean of the per-sample losses.
     """
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape or pred.ndim not in (1, 2):
-        raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
+    if pred.shape != target.shape or pred.ndim != 2:
+        raise ValueError(f"expected (B, n) pred and target, got {pred.shape} and {target.shape}")
     if pred.size == 0:
         raise ValueError("mae_loss needs at least one element")
     d = pred - target

@@ -37,13 +37,14 @@ GRADCHECK_CASES = [
 
 
 def layer_record(p, seq):
-    """One layer's forward record over a single (L, D) sequence, from net_forward.
+    """One layer's forward record over one (L, D) sequence, run by net_forward
+    as a B = 1 batch.
 
     Returns the gates (L, 4H) fused f, i, k, o, and c and h (L+1, H), whose
     row 0 is the zero initial state and row t the state after step t.
     """
     net = LstmNetwork([p], np.zeros((1, p.hidden_dim)), np.zeros(1))
-    _, cache = net_forward(net, np.asarray(seq, dtype=np.float64))
+    _, cache = net_forward(net, np.asarray(seq, dtype=np.float64)[:, None])
     lc = cache.layers[0]
     return lc.gates[:, 0], lc.c[:, 0], lc.h[:, 0]
 

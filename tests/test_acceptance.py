@@ -121,9 +121,9 @@ def test_criterion_02_forward_oracle():
         # the two sum and round in their own orders
         net = init_params([5], 3, seed=17)
         seq = seeded_rng(17, 4).uniform(-1, 1, (3, 3))
-        pred, _ = net_forward(net, seq)
+        pred, _ = net_forward(net, seq[:, None])
         manual = scalar_unroll(net, seq)
-        assert np.allclose(pred, manual, rtol=1e-12, atol=1e-15)
+        assert np.allclose(pred[0], manual, rtol=1e-12, atol=1e-15)
 
 
 def test_criterion_03_offset_indexing():

@@ -161,8 +161,8 @@ class TestForecastBlock:
         block = forecast_block(bank, panel, ts)
         nz = bank.normalizer
         window = (panel.values[idx - cfg.ell:idx] - nz.mins) / nz.spans
-        pred, _ = net_forward(bank.models[0], window)
-        manual = pred * nz.spans + nz.mins
+        pred, _ = net_forward(bank.models[0], window[:, None])
+        manual = pred[0] * nz.spans + nz.mins
         assert np.array_equal(block.predictions[0], manual)
 
     def test_full_block_matches_manual_unroll(self, small_bank_setup):
@@ -175,7 +175,7 @@ class TestForecastBlock:
         rows = []
         for i in range(1, cfg.h + 1):
             seq = np.stack(window[-cfg.ell:])
-            pred, _ = net_forward(bank.models[i - 1], seq)
+            pred = net_forward(bank.models[i - 1], seq[:, None])[0][0]
             window.append(pred)
             rows.append(pred * nz.spans + nz.mins)
         assert np.array_equal(block.predictions, np.stack(rows))
@@ -201,6 +201,13 @@ class TestForecastBlock:
         panel, _, _, _, cfg, bank = small_bank_setup
         with pytest.raises(DataError, match="history"):
             forecast_block(bank, panel, panel.timestamps[cfg.ell - 1])
+
+    def test_block_start_before_the_panel_counts_its_history(self, small_bank_setup):
+        # an hour on the grid, 4 hours before the first row: there is no row
+        # to be off the grid of, only too little history
+        panel, _, _, _, cfg, bank = small_bank_setup
+        with pytest.raises(DataError, match=f"only 0 history rows .* need at least ell={cfg.ell}"):
+            forecast_block(bank, panel, panel.timestamps[0] - 4 * HOUR)
 
 
 class TestSerialization:

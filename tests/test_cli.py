@@ -673,6 +673,24 @@ class TestPlot:
         assert run("plot", "--model", str(bank), "--data", str(data),
                    "--stations", "NOPE", "--out", str(tmp_path / "x")) == 2
 
+    @pytest.mark.parametrize("sid", ["../esc/evil", "/abs/evil", "esc\\evil", ".", ".."])
+    def test_station_id_that_leaves_out_exit_2(self, tiny_data, tmp_path, capsys, sid):
+        # every command matches CSV columns to the bank by position, so a
+        # renamed header column still fits the tiny bank
+        _, data, _, bank = tiny_data
+        header, rest = data.read_text().split("\n", 1)
+        ids = header.split(",")
+        ids[2] = sid
+        evil = tmp_path / "evil.csv"
+        evil.write_text(",".join(ids) + "\n" + rest)
+        work = tmp_path / "work"
+        work.mkdir()
+        assert run("plot", "--model", str(bank), "--data", str(evil),
+                   "--stations", "all", "--out", str(work / "plotout")) == 2
+        assert f"station id {sid!r} cannot name a file" in capsys.readouterr().err
+        assert list(work.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["evil.csv", "work"]
+
     @pytest.mark.parametrize("stations", [",", "", " , ,"])
     def test_no_station_ids_exit_1(self, wide_bank, tmp_path, capsys, stations):
         root, data, bank = wide_bank

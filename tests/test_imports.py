@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and every
-name the package defines is named somewhere outside its own definition."""
+"""Every name a module of the package imports is used in that module, every
+name the package defines is named somewhere outside its own definition, and
+lstm.predict_batches is the package's only forward-only pass."""
 
 import ast
 import io
@@ -84,6 +85,28 @@ def unnamed_definitions(defining: dict[str, str], searched: dict[str, str]) -> l
     return unnamed
 
 
+def forward_only_callers(module: str, source: str) -> list[str]:
+    """Qualified names of the functions of `source` that pass keep_cache other
+    than a literal True, by keyword or as net_forward's third argument."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call):
+                flags = [k.value for k in child.keywords if k.arg == "keep_cache"]
+                if ast.unparse(child.func).endswith("net_forward"):
+                    flags += child.args[2:3]
+                if any(not (isinstance(f, ast.Constant) and f.value is True) for f in flags):
+                    found.append(scope)
+            visit(child, inner)
+
+    visit(ast.parse(source), module)
+    return found
+
+
 def test_modules_found():
     assert len(MODULES) >= 8
 
@@ -102,6 +125,20 @@ def test_every_definition_is_named_elsewhere():
     defining = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in MODULES}
     searched = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in SEARCHED}
     assert unnamed_definitions(defining, searched) == []
+
+
+def test_predict_batches_is_the_only_forward_only_pass():
+    callers = [name for p in MODULES
+               for name in forward_only_callers(p.stem, p.read_text(encoding="utf-8"))]
+    assert callers == ["lstm.predict_batches"]
+
+
+def test_detects_a_forward_only_caller():
+    source = ("def a(net, x):\n    return net_forward(net, x, keep_cache=False)\n\n"
+              "class B:\n    def b(self, x):\n        return lstm.net_forward(self.net, x, False)\n\n"
+              "def c(net, x):\n    def inner(flag):\n        return run(x, keep_cache=flag)\n"
+              "    return net_forward(net, x, keep_cache=True)\n")
+    assert forward_only_callers("m", source) == ["m.a", "m.B.b", "m.c.inner"]
 
 
 def test_detects_an_unnamed_definition():

@@ -85,9 +85,24 @@ class TestStepForward:
     def test_shape_mismatch(self):
         net = one_layer_network(random_layer(3, 5, 0), 2, 0)
         with pytest.raises(ValueError, match="expected"):
-            net_forward(net, np.zeros((1, 4)))
+            net_forward(net, np.zeros((1, 1, 4)))
         with pytest.raises(ValueError, match="expected"):
             net_forward(net, np.zeros((1, 2, 4)))
+
+
+class TestBatchOnly:
+    """The core's one shape is the time-major batch; a refusal names it."""
+
+    def test_net_forward_refuses_a_2d_sequence(self):
+        net = init_params([4], 2, 0)
+        with pytest.raises(ValueError, match=r"expected an \(L, B, 2\) batch, got \(3, 2\)"):
+            net_forward(net, np.zeros((3, 2)))
+
+    def test_net_backward_refuses_a_1d_gradient(self):
+        net = init_params([4], 2, 0)
+        _, cache = net_forward(net, np.zeros((3, 1, 2)))
+        with pytest.raises(ValueError, match=r"the \(B, n\) shape \(1, 2\), got \(2,\)"):
+            net_backward(net, cache, np.zeros(2))
 
 
 def one_layer_network(p, n_out, seed):
@@ -139,8 +154,8 @@ class TestStepBackward:
     def test_gated_off_candidate_path(self):
         p = scalar_params(weight=0.5, i=-100.0)
         net = LstmNetwork([p], np.ones((1, 1)), np.zeros(1))
-        _, cache = net_forward(net, np.array([[1.0], [0.3]]))
-        grads = net_backward(net, cache, np.array([1.0]))
+        _, cache = net_forward(net, np.array([[1.0], [0.3]])[:, None])
+        grads = net_backward(net, cache, np.array([[1.0]]))
         g = grads.layers[0]  # one hidden unit: row 2 is the candidate k
         assert abs(g.w[2, 0]) <= 1e-30
         assert abs(g.u[2, 0]) <= 1e-30
@@ -160,14 +175,14 @@ def zero_network(dims, n):
 class TestNetForward:
     def test_zero_network_predicts_zero(self):
         net = zero_network([4, 3], 2)
-        pred, _ = net_forward(net, np.ones((5, 2)))
-        assert np.array_equal(pred, np.zeros(2))
+        pred, _ = net_forward(net, np.ones((5, 2))[:, None])
+        assert np.array_equal(pred[0], np.zeros(2))
 
     def test_bit_identical_repeatability(self):
         net = init_params([6, 5], 3, 11)
         seq = seeded_rng(11, 4).uniform(-1, 1, (7, 3))
-        p1, _ = net_forward(net, seq)
-        p2, _ = net_forward(net, seq)
+        p1, _ = net_forward(net, seq[:, None])
+        p2, _ = net_forward(net, seq[:, None])
         assert np.array_equal(p1, p2)
 
     def test_empty_sequence_rejected(self):
@@ -180,20 +195,20 @@ class TestNetForward:
         # agree to rounding
         net = init_params([5], 3, 17)
         seq = seeded_rng(17, 4).uniform(-1, 1, (3, 3))
-        pred, _ = net_forward(net, seq)
+        pred, _ = net_forward(net, seq[:, None])
         manual = scalar_unroll(net, seq)
-        assert np.allclose(pred, manual, rtol=1e-12, atol=1e-15)
+        assert np.allclose(pred[0], manual, rtol=1e-12, atol=1e-15)
 
     def test_two_layer_composition_exact(self):
         net = init_params([5, 4], 3, 23)
         seq = seeded_rng(23, 4).uniform(-1, 1, (6, 3))
-        pred, _ = net_forward(net, seq)
+        pred, _ = net_forward(net, seq[:, None])
         # feed layer 0's h sequence into a one-layer net built from layer 1 + head
         lower = LstmNetwork([net.layers[0]], np.zeros((3, 5)), np.zeros(3))
-        _, cache = net_forward(lower, seq)
+        _, cache = net_forward(lower, seq[:, None])
         h_seq = cache.layers[0].h[1:, 0]
         upper = LstmNetwork([net.layers[1]], net.head_w, net.head_b)
-        pred_upper, _ = net_forward(upper, h_seq)
+        pred_upper, _ = net_forward(upper, h_seq[:, None])
         assert np.array_equal(pred, pred_upper)
 
     def test_batch_matches_single_sequences(self):
@@ -202,15 +217,15 @@ class TestNetForward:
         pred, _ = net_forward(net, batch)
         assert pred.shape == (7, 3)
         for b in range(7):
-            single, _ = net_forward(net, batch[:, b])
-            assert np.allclose(pred[b], single, rtol=1e-12, atol=1e-15)
+            single, _ = net_forward(net, batch[:, b:b + 1])
+            assert np.allclose(pred[b], single[0], rtol=1e-12, atol=1e-15)
 
     def test_forward_without_cache(self):
         net = init_params([4], 2, 3)
         seq = seeded_rng(3, 4).uniform(-1, 1, (5, 2))
-        pred, cache = net_forward(net, seq, keep_cache=False)
+        pred, cache = net_forward(net, seq[:, None], keep_cache=False)
         assert cache is None
-        assert np.array_equal(pred, net_forward(net, seq)[0])
+        assert np.array_equal(pred, net_forward(net, seq[:, None])[0])
 
 
 def reference_layer(p, x):
@@ -323,10 +338,10 @@ class TestCacheReuse:
         rng = seeded_rng(4, 5)
         _, old = net_forward(net, rng.uniform(-1, 1, (6, 4, 3)))
         seq = rng.uniform(-1, 1, (6, 3))
-        pred, cache = net_forward(net, seq, cache=old)
-        assert pred.shape == (3,)
+        pred, cache = net_forward(net, seq[:, None], cache=old)
+        assert pred.shape == (1, 3)
         assert cache.buffer is old.buffer
-        assert np.array_equal(pred, net_forward(net, seq)[0])
+        assert np.array_equal(pred, net_forward(net, seq[:, None])[0])
 
     @pytest.mark.parametrize("widths,batch", [((32,), 7), ((64, 64), 33), ((5, 3), 1)])
     def test_backward_into_reused_buffers_matches_fresh_gradients(self, widths, batch):
@@ -349,22 +364,22 @@ class TestCacheReuse:
 
     def test_gradients_of_another_shape_rejected(self):
         net = init_params([4], 2, 1)
-        _, cache = net_forward(net, np.ones((3, 2)))
+        _, cache = net_forward(net, np.ones((3, 2))[:, None])
         with pytest.raises(ValueError, match="grads"):
-            net_backward(net, cache, np.zeros(2), init_params([5], 2, 1))
+            net_backward(net, cache, np.zeros((1, 2)), init_params([5], 2, 1))
 
 
 class TestNetBackward:
     def test_zero_upstream(self):
         net = init_params([4, 3], 2, 5)
-        _, cache = net_forward(net, seeded_rng(5, 4).uniform(-1, 1, (4, 2)))
-        grads = net_backward(net, cache, np.zeros(2))
+        _, cache = net_forward(net, seeded_rng(5, 4).uniform(-1, 1, (4, 2))[:, None])
+        grads = net_backward(net, cache, np.zeros((1, 2)))
         for arr in grads.param_arrays():
             assert np.array_equal(arr, np.zeros_like(arr))
 
     def test_layer0_gradients_flow_through_depth(self):
         net, (seq, target) = gradcheck_instance([8, 8], 3, 5, 13310)
-        pred, cache = net_forward(net, seq)
+        pred, cache = net_forward(net, seq[:, None])
         grads = net_backward(net, cache, (pred - target) / 3)
         g0 = grads.layers[0]
         assert np.max(np.abs(g0.w)) > 0
@@ -374,9 +389,9 @@ class TestNetBackward:
     def test_cache_mismatch_rejected(self):
         net_a = init_params([4], 2, 1)
         net_b = init_params([4, 4], 2, 1)
-        _, cache = net_forward(net_a, np.ones((3, 2)))
+        _, cache = net_forward(net_a, np.ones((3, 2))[:, None])
         with pytest.raises(ValueError, match="cache"):
-            net_backward(net_b, cache, np.zeros(2))
+            net_backward(net_b, cache, np.zeros((1, 2)))
 
 
 class TestGradientCheck:

@@ -27,25 +27,29 @@ class TestTrainConfig:
 
 class TestMaeLoss:
     def test_perfect_prediction(self):
-        loss, grad = mae_loss(np.array([1.0, -2.0]), np.array([1.0, -2.0]))
+        loss, grad = mae_loss(np.array([[1.0, -2.0]]), np.array([[1.0, -2.0]]))
         assert loss == 0.0
-        assert np.array_equal(grad, np.zeros(2))
+        assert np.array_equal(grad[0], np.zeros(2))
 
     def test_hand_computed_pair(self):
-        loss, grad = mae_loss(np.array([0.0, 0.0]), np.array([1.0, -1.0]))
+        loss, grad = mae_loss(np.array([[0.0, 0.0]]), np.array([[1.0, -1.0]]))
         assert loss == 1.0
-        assert np.array_equal(grad, np.array([-0.5, 0.5]))
+        assert np.array_equal(grad[0], np.array([-0.5, 0.5]))
 
     def test_hand_computed_scalar(self):
-        loss, grad = mae_loss(np.array([3.0]), np.array([5.0]))
+        loss, grad = mae_loss(np.array([[3.0]]), np.array([[5.0]]))
         assert loss == 2.0
-        assert np.array_equal(grad, np.array([-1.0]))
+        assert np.array_equal(grad[0], np.array([-1.0]))
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            mae_loss(np.array([1.0]), np.array([1.0, 2.0]))
+            mae_loss(np.array([[1.0]]), np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
-            mae_loss(np.array([]), np.array([]))
+            mae_loss(np.empty((1, 0)), np.empty((1, 0)))
+
+    def test_refuses_a_1d_pair(self):
+        with pytest.raises(ValueError, match=r"expected \(B, n\) pred and target"):
+            mae_loss(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
 
 
 class TestRmsprop:
@@ -152,8 +156,8 @@ class TestTrainModel:
         manual_arrays = [np.zeros_like(p) for p in net.param_arrays()]
         for idx in order:
             seq, target = samples.x[:, idx], samples.y[idx]
-            pred, cache = net_forward(net, seq)
-            _, dpred = mae_loss(pred, target)
+            pred, cache = net_forward(net, seq[:, None])
+            _, dpred = mae_loss(pred, target[None])
             g = net_backward(net, cache, dpred)
             for a, b in zip(manual_arrays, g.param_arrays()):
                 a += b
