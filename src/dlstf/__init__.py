@@ -8,7 +8,7 @@ binary model format.
 """
 
 from .bank import (HorizonConfig, ModelBank, ForecastBlock, forecast_block, load_bank,
-                   model_index, save_bank, train_bank)
+                   save_bank, train_bank)
 from .dataset import (GapReport, Normalizer, SampleSet, TimeSeriesPanel, assemble_input,
                       denormalize, fill_missing, fit_normalizer, fraction_cuts, ingest_csv,
                       make_samples, normalize, write_csv)

@@ -3,8 +3,10 @@
 Real observations arrive only every h hours. Inside a block of h forecast
 steps, the model for offset i consumes the last ell station vectors, of which
 ell-i+1 are real and i-1 are forecasts produced earlier in the block (when
-i-1 >= ell, the input is the last ell forecasts only). The offset for global
-hour t is t mod h, mapping 0 to h, so the bank cycles with period h.
+i-1 >= ell, the input is the last ell forecasts only). The schedule counts
+from the block: offset i serves row b + i - 1 of the block that starts at row
+b. Blocks start where --test-start, forecast --at or the command's default
+first block puts them, then every h rows.
 
 Banks are trained in cascade: the offset-1 model learns from all-real inputs,
 its sliding-window predictions become the offset-1 forecast overlay, the
@@ -55,14 +57,6 @@ class HorizonConfig:
         """Standard bank: one small net for offset 1, stacked nets for the rest."""
         widths = (tuple(first_widths),) + (tuple(later_widths),) * (h - 1)
         return cls(n=n, h=h, ell=ell, widths=widths)
-
-
-def model_index(t: int, h: int) -> int:
-    """Offset (1-based model number) serving global hour t: t mod h, 0 meaning h."""
-    if t < 1 or h < 1:
-        raise ValueError("t and h must be >= 1")
-    t_hat = t % h
-    return t_hat if t_hat != 0 else h
 
 
 @dataclass

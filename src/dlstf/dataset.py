@@ -453,5 +453,6 @@ def make_samples(panel: TimeSeriesPanel, forecast_overlay, ell: int, i: int) -> 
     x = assemble_input(window, forecasts, i, ell)
     y = values[ell:]
     keep = np.isfinite(x).all(axis=(0, 2)) & np.isfinite(y).all(axis=1)
-    return SampleSet(x[:, keep], y[keep], np.flatnonzero(keep) + ell,
+    # unlike x[:, keep], compress returns the C-contiguous layout train_model's gather reads
+    return SampleSet(np.compress(keep, x, axis=1), y[keep], np.flatnonzero(keep) + ell,
                      int(np.count_nonzero(~keep)))

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import dlstf.lstm as lstm_mod
+from dlstf.bank import HorizonConfig, ModelBank
+from dlstf.dataset import HOUR, Normalizer, TimeSeriesPanel
+from dlstf.evaluation import bank_forecaster, block_walk
 from dlstf.lstm import LstmNetwork, init_params, net_forward
 
 
@@ -71,6 +74,39 @@ def scalar_unroll(net, seq):
             h[q] = o * math.tanh(c[q])
     return [hb + sum(wq * hq for wq, hq in zip(hw, h))
             for hw, hb in zip(net.head_w.tolist(), net.head_b.tolist())]
+
+
+def offset_stub_bank(h, ell, n=2):
+    """A bank whose model i forecasts exactly i at every station: a zero head
+    with bias i on a one-unit LSTM, under a normalizer with min 0 and max 1."""
+    layers = init_params([1], n, seed=0).layers
+    models = [LstmNetwork(layers, np.zeros((n, 1)), np.full(n, float(i)))
+              for i in range(1, h + 1)]
+    ids = tuple(f"S{s:02d}" for s in range(n))
+    return ModelBank(HorizonConfig(n=n, h=h, ell=ell, widths=((1,),) * h), models,
+                     Normalizer(ids, np.zeros(n), np.ones(n)))
+
+
+def stub_panel(rows, n=2):
+    """A (rows, n) panel of zeros on an hourly grid from 2000-01-01."""
+    start = np.datetime64("2000-01-01T00:00:00", "s")
+    return TimeSeriesPanel(tuple(f"S{s:02d}" for s in range(n)),
+                           start + np.arange(rows) * HOUR, np.zeros((rows, n)))
+
+
+def walk_schedule_errors(bank, rows, first):
+    """Rows of the stitched walk of `bank` over `rows` panel rows, its first
+    block at row `first`, that break the block-relative schedule: each row t
+    of a complete block holds (t - first) mod h + 1 at every station, every
+    other row holds NaN."""
+    h, n = bank.config.h, bank.config.n
+    preds, _ = block_walk(bank_forecaster(bank), stub_panel(rows, n), bank.config,
+                          first_block_index=first)
+    expected = np.full((rows, n), np.nan)
+    end = first + (rows - first) // h * h
+    expected[first:end] = ((np.arange(first, end) - first) % h + 1.0)[:, None]
+    wrong = (preds != expected) & ~(np.isnan(preds) & np.isnan(expected))
+    return np.flatnonzero(wrong.any(axis=1)).tolist()
 
 
 @pytest.fixture

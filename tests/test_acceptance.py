@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from dlstf.bank import (BANK_MAGIC, HorizonConfig, ModelBank, forecast_block,
-                        load_bank, model_index, save_bank, train_bank)
+                        load_bank, save_bank, train_bank)
 from dlstf.cli import run_cli
 from dlstf.dataset import (TimeSeriesPanel, fill_missing, fit_normalizer,
                            fraction_cuts, ingest_csv, parse_timestamp)
@@ -29,8 +29,8 @@ from dlstf.evaluation import (ar_fit, bank_forecaster, evaluate, fit_ar_models,
 from dlstf.lstm import LstmLayerParams, gradient_check, init_params, net_forward
 from dlstf.synth import TARGET_STATION, synth_generate
 from dlstf.training import TrainConfig
-from conftest import (GRADCHECK_CASES, gradcheck_instance, layer_record, scalar_unroll,
-                      seeded_rng)
+from conftest import (GRADCHECK_CASES, gradcheck_instance, layer_record, offset_stub_bank,
+                      scalar_unroll, seeded_rng, walk_schedule_errors)
 
 SYNTH_SEED = 20240809
 BANK_SEED = 11
@@ -127,14 +127,13 @@ def test_criterion_02_forward_oracle():
 
 
 def test_criterion_03_offset_indexing():
-    with criterion(3, "offset rule exhaustive over t in [1,1000], h in [1,8]", 1):
+    with criterion(3, "block-relative offset schedule of the stitched walk over 1000 "
+                      "rows, exhaustive over h in [1,8] and every first-block phase", 1):
+        ell = 3  # offsets past ell read forecasts only, so both input rules run
         for h in range(1, 9):
-            for t in range(1, 1001):
-                i = model_index(t, h)
-                t_hat = t % h
-                assert i == (t_hat if t_hat != 0 else h)
-                assert model_index(t + h, h) == i
-                assert 1 <= i <= h
+            bank = offset_stub_bank(h, ell)
+            for first in range(ell, ell + h):
+                assert walk_schedule_errors(bank, ell + h + 1000, first) == [], (h, first)
 
 
 def test_criterion_04_ar_recovery():

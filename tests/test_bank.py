@@ -5,39 +5,51 @@ import numpy as np
 import pytest
 
 from dlstf.bank import (BANK_MAGIC, HorizonConfig, ModelBank, forecast_block, load_bank,
-                        model_index, save_bank, train_bank)
+                        save_bank, train_bank)
 from dlstf.dataset import (HOUR, Normalizer, TimeSeriesPanel, assemble_input, fit_normalizer,
                            fraction_cuts, make_samples, normalize)
 from dlstf.errors import DataError
+from dlstf.evaluation import bank_forecaster, block_walk
 from dlstf.lstm import init_params, net_forward
 from dlstf.synth import synth_generate
 from dlstf.training import TrainConfig, train_model
-from conftest import seeded_rng
+from conftest import offset_stub_bank, seeded_rng, stub_panel, walk_schedule_errors
 
 
 class TestModelIndex:
-    def test_nonzero_branch(self):
-        assert model_index(7, 6) == 1
-
-    def test_zero_branch(self):
-        assert model_index(12, 6) == 6
-
-    def test_single_model(self):
-        for t in (1, 2, 17, 999):
-            assert model_index(t, 1) == 1
+    """The model that serves each row of a walk: offset i serves row b + i - 1
+    of the block that starts at row b, whatever the phase of b."""
 
     def test_exhaustive_cyclicity(self):
+        ell = 3
         for h in range(1, 9):
-            for t in range(1, 1001):
-                i = model_index(t, h)
-                assert 1 <= i <= h
-                assert model_index(t + h, h) == i
-                t_hat = t % h
-                assert i == (t_hat if t_hat != 0 else h)
+            bank = offset_stub_bank(h, ell)
+            for first in range(ell, ell + h):
+                # three complete blocks and a partial one that stays NaN
+                assert walk_schedule_errors(bank, first + 4 * h - 1, first) == []
 
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            model_index(0, 6)
+    def test_single_model(self):
+        bank = offset_stub_bank(1, 4)
+        for first in (4, 5, 17):
+            assert walk_schedule_errors(bank, 40, first) == []
+
+    def test_block_off_the_grid(self):
+        # a global clock that counts rows from 1 would serve offset 2 at row 13
+        bank = offset_stub_bank(6, 12)
+        preds, starts = block_walk(bank_forecaster(bank), stub_panel(32), bank.config,
+                                   first_block_index=13)
+        assert starts == [13, 19, 25]
+        assert preds[13:20, 0].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 1.0]
+
+    def test_first_block_before_ell_refused(self):
+        bank = offset_stub_bank(6, 12)
+        with pytest.raises(DataError, match="first block at index 11 leaves less than ell=12"):
+            block_walk(bank_forecaster(bank), stub_panel(40), bank.config, first_block_index=11)
+
+    def test_swapped_models_break_the_schedule(self):
+        bank = offset_stub_bank(4, 3)
+        bank.models[1], bank.models[2] = bank.models[2], bank.models[1]
+        assert walk_schedule_errors(bank, 3 + 4 * 3, 3) == [4, 5, 8, 9, 12, 13]
 
 
 class TestAssembleInput:

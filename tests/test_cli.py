@@ -14,10 +14,11 @@ from dlstf.bank import BANK_MAGIC, BANK_VERSION, HorizonConfig, load_bank, save_
 from dlstf import cli as cli_module
 from dlstf.cli import (CONFIG_DEFAULTS, KNOWN_KEYS, RunConfig, UsageError, _split_train_val,
                        run_cli)
-from dlstf.dataset import fill_missing, format_timestamp, fraction_cuts, ingest_csv
+from dlstf.dataset import fill_missing, format_timestamp, fraction_cuts, ingest_csv, write_csv
 from dlstf.errors import DataError
 from dlstf.evaluation import bank_forecaster, block_walk
 from dlstf.synth import synth_generate
+from conftest import offset_stub_bank, stub_panel
 
 
 def run(*argv):
@@ -388,6 +389,23 @@ class TestForecast:
         assert len(out) == 1 + 2  # header + h rows
         assert out[1].startswith(ts)
 
+    def test_each_row_is_served_by_its_offset(self, tmp_path, capsys):
+        # model i of the stub bank forecasts exactly i, so row k of a block
+        # must read k + 1 wherever the block starts
+        h, ell = 4, 3
+        model = tmp_path / "stub.bank"
+        save_bank(offset_stub_bank(h, ell), model)
+        panel = stub_panel(ell + 2 * h)
+        data = tmp_path / "stub.csv"
+        write_csv(panel, data)
+        for b in range(ell, ell + h):
+            assert run("forecast", "--model", str(model), "--data", str(data),
+                       "--at", format_timestamp(panel.timestamps[b])) == 0
+            lines = capsys.readouterr().out.strip().split("\n")
+            assert lines[0] == "timestamp,S00,S01"
+            assert [ln.split(",")[1:] for ln in lines[1:]] == [
+                [f"{k + 1.0!r}"] * 2 for k in range(h)]
+
     def test_bad_timestamp_grid_exit_2(self, tiny_data):
         _, data, _, bank_path = tiny_data
         assert run("forecast", "--model", str(bank_path), "--data", str(data),
@@ -673,10 +691,11 @@ class TestPlot:
         assert run("plot", "--model", str(bank), "--data", str(data),
                    "--stations", "NOPE", "--out", str(tmp_path / "x")) == 2
 
-    @pytest.mark.parametrize("sid", ["../esc/evil", "/abs/evil", "esc\\evil", ".", ".."])
+    @pytest.mark.parametrize("sid", ["../esc/evil", "/abs/evil", "esc\\evil", ".", "..", "index"])
     def test_station_id_that_leaves_out_exit_2(self, tiny_data, tmp_path, capsys, sid):
         # every command matches CSV columns to the bank by position, so a
-        # renamed header column still fits the tiny bank
+        # renamed header column still fits the tiny bank; a station named
+        # index would be overwritten by the index.csv listing
         _, data, _, bank = tiny_data
         header, rest = data.read_text().split("\n", 1)
         ids = header.split(",")

@@ -570,6 +570,17 @@ class TestMakeSamples:
             assert out.skipped == skipped
             assert len(out) == len(kept)
 
+    @pytest.mark.parametrize("i", [1, 3])
+    def test_samples_are_c_contiguous(self, i):
+        # train_model gathers each batch from x along axis 1; a strided x
+        # makes every gather cost a copy of the whole array
+        vals = seeded_rng(15).uniform(0, 1, (40, 3))
+        vals[20, 1] = np.nan
+        overlay = np.full((i - 1, 40, 3), 0.5)
+        out = make_samples(panel_from(vals), overlay if i > 1 else None, ell=6, i=i)
+        assert 0 < out.skipped < 40 - 6
+        assert out.x.flags.c_contiguous
+
     def test_invalid_arguments(self):
         p = panel_from(np.arange(30.0))
         with pytest.raises(ValueError):

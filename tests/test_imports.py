@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, every
-name the package defines is named somewhere outside its own definition, and
-lstm.predict_batches is the package's only forward-only pass."""
+name the package defines is named somewhere outside its own definition and
+outside the tests, and lstm.predict_batches is the package's only forward-only
+pass."""
 
 import ast
 import io
@@ -14,9 +15,23 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "dlstf"
 # __init__.py imports the package's public names only to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-# the code that may name a definition of the package
-SEARCHED = sorted(p for d in ("src", "tests", "demos", "bench") for p in (ROOT / d).rglob("*.py"))
 WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def outside_the_tests(path: str) -> bool:
+    """Whether the file at `path`, relative to the repository root, is code
+    that runs outside the tests: a package module other than __init__.py, or
+    a bench file other than its test_*.py."""
+    parts = Path(path).parts
+    name = parts[-1]
+    if parts[:2] == ("src", "dlstf"):
+        return name != "__init__.py"
+    return parts[0] == "bench" and not name.startswith("test_")
+
+
+# the code that must name every definition of the package
+SEARCHED = sorted(p for d in ("src", "bench") for p in (ROOT / d).rglob("*.py")
+                  if outside_the_tests(str(p.relative_to(ROOT))))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -125,6 +140,20 @@ def test_every_definition_is_named_elsewhere():
     defining = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in MODULES}
     searched = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in SEARCHED}
     assert unnamed_definitions(defining, searched) == []
+
+
+def test_detects_a_definition_only_the_tests_reach():
+    lib = "def served():\n    return 1\n\ndef tested():\n    return 2\n"
+    files = {"src/dlstf/lib.py": lib,
+             "src/dlstf/__init__.py": "from .lib import served, tested\n",
+             "bench/run.py": "from dlstf.lib import served\nprint(served())\n",
+             "bench/test_lib.py": "from dlstf import tested\nassert tested() == 2\n",
+             "tests/test_lib.py": "from dlstf.lib import tested\n",
+             "demos/run.py": "from dlstf.lib import tested\n"}
+    searched = {f: src for f, src in files.items() if outside_the_tests(f)}
+    assert sorted(searched) == ["bench/run.py", "src/dlstf/lib.py"]
+    assert unnamed_definitions({"src/dlstf/lib.py": lib}, searched) == [
+        "src/dlstf/lib.py: tested (line 4)"]
 
 
 def test_predict_batches_is_the_only_forward_only_pass():
