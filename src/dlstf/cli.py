@@ -11,6 +11,7 @@ the command, seed, config digest and a sha256 per produced file. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -478,7 +479,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """Built once per process: parse_args keeps no state between calls."""
     parser = _Parser(prog="dlstf",
                      description="Multi-station moving-horizon wind speed forecasting")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)

@@ -14,7 +14,7 @@ import io
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 
 import numpy as np
@@ -129,6 +129,9 @@ def _parse_line(path, lineno: int, line: str, station_ids: list[str], prev):
             row.append(np.nan)
             continue
         try:
+            # float() would also read 1_0 as 10 and non-ASCII digits such as ١٢ as 12
+            if "_" in cell or not cell.isascii():
+                raise ValueError(cell)
             value = float(cell)
         except ValueError:
             raise DataError(
@@ -168,10 +171,11 @@ def _read_chunk(chunk: list[str], stamps: np.ndarray, n: int):
     h0 = int((stamps[0] - days[0]) // HOUR)
     grid = [day + hour for day in day_texts for hour in _HOUR_PREFIXES][h0:h0 + len(chunk)]
     text = "\n".join(chunk)
-    # parse_timestamp refuses a 5-digit year; loadtxt strips \x1c-\x1f around a
-    # number as whitespace, where float() refuses the cell
+    # parse_timestamp refuses a 5-digit year; loadtxt strips \x1c-\x1f and
+    # non-ASCII spaces around a number as whitespace, where _parse_line refuses the cell
     if len(day_texts[-1]) != 10 or not all(map(str.startswith, chunk, grid)) \
-            or text.count(",") != n * len(chunk) or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+            or text.count(",") != n * len(chunk) or not text.isascii() \
+            or any(c in text for c in "\x1c\x1d\x1e\x1f"):
         return None
     text, marked = _NA_CELL.subn(",nan", text)
     cells = _loadtxt(text, n)
@@ -192,8 +196,8 @@ def ingest_csv(path) -> TimeSeriesPanel:
     The first data line fixes the hourly grid. The lines after it are read
     in chunks of CSV_CHUNK_ROWS, each with one `_read_chunk` call. A chunk
     that it refuses goes line by line through `_parse_line`, which accepts
-    what `parse_timestamp` and float() accept and otherwise reports the
-    file's first error in line order.
+    what `parse_timestamp` accepts and ASCII cells without `_` that float()
+    reads, and otherwise reports the file's first error in line order.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -308,12 +312,14 @@ def fill_missing(panel: TimeSeriesPanel, max_gap: int) -> tuple[TimeSeriesPanel,
 
 @dataclass(frozen=True)
 class Normalizer:
-    """Per-station min/max fitted on the training range only; a span max - min
-    that is not finite is a DataError naming the station."""
+    """Per-station min/max fitted on the training range only, and the spans
+    max - min (1 for a constant station), all read-only; a span that is not
+    finite is a DataError naming the station."""
 
     station_ids: tuple[str, ...]
     mins: np.ndarray
     maxs: np.ndarray
+    spans: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "station_ids", tuple(self.station_ids))
@@ -329,15 +335,10 @@ class Normalizer:
             s = wide[0]
             raise DataError(f"station {self.station_ids[s]!r}: normalizer span max - min "
                             f"is not finite (min {mins[s]:g}, max {maxs[s]:g})")
-        mins.setflags(write=False)
-        maxs.setflags(write=False)
-        object.__setattr__(self, "mins", mins)
-        object.__setattr__(self, "maxs", maxs)
-
-    @property
-    def spans(self) -> np.ndarray:
-        span = self.maxs - self.mins
-        return np.where(span > 0.0, span, 1.0)
+        spans = np.where(maxs > mins, maxs - mins, 1.0)
+        for name, arr in (("mins", mins), ("maxs", maxs), ("spans", spans)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def fit_normalizer(panel: TimeSeriesPanel) -> Normalizer:

@@ -22,6 +22,8 @@ matrix product taken before the recurrence, which then only adds h_{t-1} U^T
 to one (B, 4H) gate block per step; the backward pass forms each weight
 gradient as one product over the L*B rows (Appleyard et al. 2016,
 arXiv:1604.01946). One (L, n) sequence runs as the B = 1 batch seq[:, None].
+The forward-only pass writes every step's gates into one (B, 4H) slot whose
+f, i, k and o views it makes once: at B = 1 numpy's per-call cost bounds a step.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ import numpy as np
 
 # sequences per forward-only pass of predict_batches; its outputs' bytes depend on it
 PREDICT_CHUNK = 32
+# sigmoid's constants: numpy takes a 0-d array operand faster than a Python float
+_HALF, _ONE = np.array(0.5), np.array(1.0)
 
 
 @dataclass
@@ -161,60 +165,61 @@ def sigmoid(v, out=None) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if out is None:
         out = np.empty_like(v)
-    np.multiply(v, 0.5, out=out)
-    np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
+    # outputs passed positionally: a keyword `out` costs each call more
+    np.multiply(v, _HALF, out)
+    np.tanh(out, out)
+    np.add(out, _ONE, out)
+    np.multiply(out, _HALF, out)
     return out
 
 
 def _layer_forward(p: LstmLayerParams, x: np.ndarray, lc: _LayerCache | None) -> np.ndarray:
     """Run one layer over (L, B, D) inputs and return its (L, B, H) h sequence.
 
-    Every step works in place, and its gates overwrite its row of the input
-    projection, which the step has read by then. With a cache lc the pass
-    writes step t into row t of lc's arrays, whose zero state it sets; without
-    one each step reuses one slot for c and tanh(c) (c_t overwrites c_{t-1}),
-    and only h keeps every step.
+    Every step works in place. With a cache lc the pass writes step t into
+    row t of lc's arrays, whose zero state it sets, and its gates overwrite
+    its row of the input projection, which the step has read by then. Without
+    one each step writes into the same slots: the gates' (B, 4H) block, c
+    (c_t overwrites c_{t-1}) and tanh(c); only h keeps every step.
     """
     steps, batch, d = x.shape
     hid = p.hidden_dim
     if lc is None:
-        gates, h = np.empty((steps, batch, 4 * hid)), np.empty((steps + 1, batch, hid))
-        c, tanh_c = np.zeros((batch, hid)), np.empty((batch, hid))
-        per_step = repeat((c, c, tanh_c))
+        proj, h = np.empty((steps, batch, 4 * hid)), np.empty((steps, batch, hid))
+        gates, tanh_c = np.empty((batch, 4 * hid)), np.empty((batch, hid))
+        c_prev = c = np.zeros((batch, hid))
     else:
         lc.x = x
-        gates, h = lc.gates, lc.h
-        lc.c[0] = 0.0
-        per_step = zip(lc.c[:-1], lc.c[1:], lc.tanh_c)
-    h[0] = 0.0
-    np.matmul(x.reshape(steps * batch, d), p.w.T, out=gates.reshape(steps * batch, 4 * hid))
-    gates += p.b
-    f, i, k, o = (gates[..., q * hid:(q + 1) * hid] for q in range(4))
-    pre = np.empty((batch, 4 * hid))
+        lc.c[0], lc.h[0] = 0.0, 0.0
+        proj = gates = lc.gates
+        h, c_prev, c, tanh_c = lc.h[1:], lc.c[:-1], lc.c[1:], lc.tanh_c
+    slots = (gates, *(gates[..., q * hid:(q + 1) * hid] for q in range(4)), c_prev, c, tanh_c)
+    per_step = repeat(slots) if lc is None else zip(*slots)
+    np.matmul(x.reshape(steps * batch, d), p.w.T, out=proj.reshape(steps * batch, 4 * hid))
+    proj += p.b
+    pre, ik = np.empty((batch, 4 * hid)), np.empty((batch, hid))
     pre_k = pre[:, 2 * hid:3 * hid]
-    ik = np.empty((batch, hid))
     u_t = p.u.T
-    for t, (g, f_t, i_t, k_t, o_t, h_prev, h_t, (c_prev, c_t, tc)) in enumerate(
-            zip(gates, f, i, k, o, h[:-1], h[1:], per_step)):
-        if t:
-            np.matmul(h_prev, u_t, out=pre)
-            pre += g
-        else:
+    h_prev = None
+    for g, h_t, (gate, f_t, i_t, k_t, o_t, c_prev, c_t, tc) in zip(proj, h, per_step):
+        if h_prev is None:
             # h_0 = 0, so h_0 U^T is exactly +0 and adding it changes no value;
-            # a copy, since the gates overwrite g
+            # a copy, since the cached pass's gates overwrite g
             np.copyto(pre, g)
+        else:
+            np.matmul(h_prev, u_t, pre)
+            np.add(pre, g, pre)
         # one sigmoid call over the fused block, then tanh over the candidate
         # slice: cheaper per step than three calls on the f, i and o slices
-        sigmoid(pre, out=g)
-        np.tanh(pre_k, out=k_t)
-        np.multiply(f_t, c_prev, out=c_t)
-        np.multiply(i_t, k_t, out=ik)
-        c_t += ik
-        np.tanh(c_t, out=tc)
-        np.multiply(o_t, tc, out=h_t)
-    return h[1:]
+        sigmoid(pre, gate)
+        np.tanh(pre_k, k_t)
+        np.multiply(f_t, c_prev, c_t)
+        np.multiply(i_t, k_t, ik)
+        np.add(c_t, ik, c_t)
+        np.tanh(c_t, tc)
+        np.multiply(o_t, tc, h_t)
+        h_prev = h_t
+    return h
 
 
 def net_forward(net: LstmNetwork, seq, keep_cache: bool = True,

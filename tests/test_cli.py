@@ -216,6 +216,19 @@ class TestFlagWiring:
         assert wired == set(KNOWN_KEYS) - {"rho", "epsilon", "clip_norm", "max_gap"}
 
 
+    def test_consecutive_calls_share_no_parsed_values(self, capsys):
+        assert run("train", "--dump-config", "--h", "4") == 0
+        assert "h = 4\n" in capsys.readouterr().out
+        assert run("train", "--dump-config") == 0
+        assert "h = 6\n" in capsys.readouterr().out
+        assert cli_module._build_parser() is cli_module._build_parser()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert run(*argv) == 0
+        assert capsys.readouterr().out.startswith("usage: dlstf")
+
+
 class TestSynth:
     def test_writes_csv_and_manifest(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -317,6 +330,21 @@ class TestTrainEvaluate:
                    "--report", str(tmp_path / "r.csv")) == 2
         err = capsys.readouterr().err
         assert str(bad) in err and "UTF-8" in err
+
+    @pytest.mark.parametrize("cell", ["1_0", "١٢"])
+    @pytest.mark.parametrize("lineno", [2, 3])
+    def test_underscore_or_non_ascii_cell_exit_2(self, tmp_path, capsys, cell, lineno):
+        rows = ["1.0,2.0", "3.0,4.0"]
+        rows[lineno - 2] = f"1.0,{cell}"
+        data = tmp_path / "cell.csv"
+        data.write_bytes(("timestamp,A,B\n"
+                          f"2000-01-01T00:00:00Z,{rows[0]}\n"
+                          f"2000-01-01T01:00:00Z,{rows[1]}\n").encode("utf-8"))
+        report = tmp_path / "r.csv"
+        assert run("baseline", "--method", "persistence", "--data", str(data),
+                   "--report", str(report)) == 2
+        assert f"line {lineno}, column 'B': non-numeric cell {cell!r}" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_non_utf8_config_exit_2(self, tiny_data, tmp_path, capsys):
         _, data, _, _ = tiny_data

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,9 @@ CSV_OK = """timestamp,AAA,BBB
 
 
 def per_line_loop(path):
-    """One line at a time, as ingest_csv parsed files before: the oracle for its output."""
+    """One line at a time, as ingest_csv parsed files before the chunk path,
+    except that it also refuses a cell with _ or a non-ASCII character: the
+    oracle for ingest_csv's output."""
     def fmt(ts):
         return ts.astype("datetime64[s]").item().strftime("%Y-%m-%dT%H:%M:%SZ")
 
@@ -63,12 +66,15 @@ def per_line_loop(path):
             if cell == "" or cell == "NA":
                 row.append(np.nan)
                 continue
+            # a cell float() reads is still refused if it holds _ or a non-ASCII character
             try:
-                value = float(cell)
+                value = float(cell) if cell.isascii() and "_" not in cell else None
             except ValueError:
+                value = None
+            if value is None:
                 raise DataError(
                     f"{path}: line {lineno}, column {station_ids[col]!r}: "
-                    f"non-numeric cell {cell!r}") from None
+                    f"non-numeric cell {cell!r}")
             if not math.isfinite(value):
                 raise DataError(
                     f"{path}: line {lineno}, column {station_ids[col]!r}: "
@@ -152,6 +158,21 @@ class TestIngest:
                             f"2014-01-01T00:00:00Z,1.0,{cell}\n")
             with pytest.raises(DataError, match=rf"line 2.*'BBB'.*'{cell}'"):
                 ingest_csv(path)
+
+    @pytest.mark.parametrize("cell", ["1_0", "١٢", "１２", "12\xa0"])
+    @pytest.mark.parametrize("lineno", [2, 3])
+    def test_underscore_or_non_ascii_cell_refused(self, tmp_path, cell, lineno):
+        # float() reads the first three as 10.0, 12.0 and 12.0; line 2 is read by
+        # _parse_line, line 3 by the chunk path, where loadtxt accepts 12\xa0
+        rows = ["1.0,2.0", "3.0,4.0"]
+        rows[lineno - 2] = f"1.0,{cell}"
+        path = tmp_path / "cell.csv"
+        path.write_bytes(("timestamp,AAA,BBB\n"
+                          f"2014-01-01T00:00:00Z,{rows[0]}\n"
+                          f"2014-01-01T01:00:00Z,{rows[1]}\n").encode("utf-8"))
+        message = f"line {lineno}, column 'BBB': non-numeric cell {cell!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            ingest_csv(path)
 
     def test_roundtrip_write_read(self, tmp_path):
         rng = seeded_rng(8)
@@ -451,6 +472,14 @@ class TestNormalizer:
         nz2 = fit_normalizer(p2.slice_rows(0, 30))
         assert np.array_equal(nz1.mins, nz2.mins)
         assert np.array_equal(nz1.maxs, nz2.maxs)
+
+    def test_spans_computed_once_and_read_only(self):
+        nz = Normalizer(("a", "b", "c", "d"), [0.0, 2.0, -1.0, 0.0], [1.5, 2.0, 3.0, 5e-324])
+        assert np.array_equal(nz.spans, np.where(nz.maxs > nz.mins, nz.maxs - nz.mins, 1.0))
+        assert np.array_equal(nz.spans, [1.5, 1.0, 4.0, 5e-324])
+        assert nz.spans is nz.spans
+        with pytest.raises(ValueError, match="read-only"):
+            nz.spans[0] = 2.0
 
     def test_fully_missing_station_rejected(self):
         p = panel_from(np.full(5, np.nan))

@@ -256,11 +256,15 @@ def reference_layer(p, x):
 class TestInPlaceSteps:
     """The in-place step loop keeps the bits of the per-step arithmetic."""
 
-    @pytest.mark.parametrize("widths", [(32,), (64, 64), (5, 3)])
-    @pytest.mark.parametrize("batch", [1, 7, 32, 33])
-    def test_matches_the_unrolled_steps_bit_for_bit(self, widths, batch):
+    # a one-step pass is step 0 alone, the step the loop finds by its carried
+    # h_prev; the 12-step cases keep the ids they had before L varied
+    @pytest.mark.parametrize("steps, batch, widths", [
+        pytest.param(steps, batch, widths, id=f"{batch}-widths{k}" + ("-L1" if steps == 1 else ""))
+        for steps in (12, 1) for batch in (1, 7, 32, 33)
+        for k, widths in enumerate([(32,), (64, 64), (5, 3)])])
+    def test_matches_the_unrolled_steps_bit_for_bit(self, steps, batch, widths):
         net = init_params(list(widths), 6, batch)
-        x = seeded_rng(batch, len(widths)).uniform(-2, 2, (12, batch, 6))
+        x = seeded_rng(batch, len(widths)).uniform(-2, 2, (steps, batch, 6))
         records, layer_in = [], x
         for p in net.layers:
             records.append(reference_layer(p, layer_in))
