@@ -4,8 +4,8 @@ A panel holds n stations by T hourly observations (m/s) with NaN marking
 missing values. The CSV schema is: UTF-8, header ``timestamp,<id1>,<id2>,...``,
 then one line per hour ``YYYY-MM-DDTHH:00:00Z`` followed by one decimal value
 per station; an empty field or the literal ``NA`` means missing, and no other
-non-finite value is accepted. Station ids are unique. LF line endings,
-optionally with a trailing CR; a leading byte-order mark is ignored.
+non-finite value is accepted. Station ids are unique and can name files. LF
+line endings, a CR only as a line's last character; a leading BOM is ignored.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from datetime import datetime
 
 import numpy as np
 
@@ -25,14 +24,18 @@ HOUR = np.timedelta64(3600, "s")
 
 
 def parse_timestamp(text: str) -> np.datetime64:
-    """Parse a ``YYYY-MM-DDTHH:00:00Z`` timestamp."""
-    try:
-        dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ")
-    except ValueError as exc:
-        raise DataError(f"bad timestamp {text!r}: {exc}") from None
-    if dt.minute != 0 or dt.second != 0:
+    """Parse a timestamp of exactly the form ``YYYY-MM-DDTHH:00:00Z`` in zero-padded
+    ASCII digits, the one rule for the CSV, the command-line flags and config files."""
+    try:  # np.datetime64 alone would also read timezone suffixes and negative years
+        form = re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z", text)
+        ts = np.datetime64(text[:-1], "s") if form else None
+    except ValueError:  # a month, day, hour, minute or second out of range
+        ts = None
+    if ts is None:
+        raise DataError(f"bad timestamp {text!r}: expected YYYY-MM-DDTHH:00:00Z")
+    if ts != ts.astype("datetime64[h]"):
         raise DataError(f"bad timestamp {text!r}: not on the hour")
-    return np.datetime64(dt.replace(tzinfo=None), "s")
+    return ts
 
 
 def format_timestamp(ts: np.datetime64) -> str:
@@ -102,11 +105,13 @@ class TimeSeriesPanel:
 CSV_CHUNK_ROWS = 1024
 
 
-def _parse_line(path, lineno: int, line: str, station_ids: list[str], prev):
-    """Check and parse one data line; returns (timestamp, row of n floats).
+def _parse_line(path, lineno: int, line: str, station_ids: list[str], prev) -> None:
+    """Raise the DataError of one data line's first fault; return if it has none.
 
-    This is the only code that writes the error message of a data line.
-    `prev` is the timestamp of the line before, or None for the first data line.
+    This is the only code that writes the error message of a data line, and it
+    makes no value. `prev` is the grid hour before the line's, or None for the
+    first data line. A cell must be empty, ``NA`` or an ASCII number that
+    float() reads as finite, with no ``_`` or CR in it.
     """
     n = len(station_ids)
     fields = line.split(",")
@@ -123,26 +128,18 @@ def _parse_line(path, lineno: int, line: str, station_ids: list[str], prev):
             raise DataError(
                 f"{path}: line {lineno}: timestamp {fields[0]} breaks the hourly grid "
                 f"(previous was {format_timestamp(prev)})")
-    row = []
-    for col, cell in enumerate(fields[1:]):
+    for sid, cell in zip(station_ids, fields[1:]):
         if cell == "" or cell == "NA":
-            row.append(np.nan)
             continue
-        try:
-            # float() would also read 1_0 as 10 and non-ASCII digits such as ١٢ as 12
-            if "_" in cell or not cell.isascii():
-                raise ValueError(cell)
-            value = float(cell)
+        where = f"{path}: line {lineno}, column {sid!r}"
+        try:  # float() would also read 1_0 as 10, ١٢ as 12 and \r2.5 as 2.5
+            value = float(cell) if cell.isascii() and "_" not in cell and "\r" not in cell else None
         except ValueError:
-            raise DataError(
-                f"{path}: line {lineno}, column {station_ids[col]!r}: "
-                f"non-numeric cell {cell!r}") from None
+            value = None
+        if value is None:
+            raise DataError(f"{where}: non-numeric cell {cell!r}")
         if not math.isfinite(value):
-            raise DataError(
-                f"{path}: line {lineno}, column {station_ids[col]!r}: "
-                f"non-finite cell {cell!r}")
-        row.append(value)
-    return ts, row
+            raise DataError(f"{where}: non-finite cell {cell!r}")
 
 
 # what `_read_chunk` expects after a line's day, and the cells it rewrites as nan
@@ -163,8 +160,8 @@ def _loadtxt(text: str, n: int):
 def _read_chunk(chunk: list[str], stamps: np.ndarray, n: int):
     """The (len(chunk), n) cells of data lines on the grid `stamps`, or None.
 
-    One np.loadtxt call reads them with float()'s correctly rounded parser.
-    None unless every line is canonical, so `_parse_line` reads the same bits.
+    The only code that makes panel values, with one np.loadtxt call and so
+    float()'s correctly rounded parser. None if a line breaks `_parse_line`'s rule.
     """
     days = stamps.astype("datetime64[D]")
     day_texts = np.datetime_as_string(np.arange(days[0], days[-1] + 1), unit="D").tolist()
@@ -193,11 +190,10 @@ def _read_chunk(chunk: list[str], stamps: np.ndarray, n: int):
 def ingest_csv(path) -> TimeSeriesPanel:
     """Parse a panel CSV; empty cells and ``NA`` become missing values.
 
-    The first data line fixes the hourly grid. The lines after it are read
-    in chunks of CSV_CHUNK_ROWS, each with one `_read_chunk` call. A chunk
-    that it refuses goes line by line through `_parse_line`, which accepts
-    what `parse_timestamp` accepts and ASCII cells without `_` that float()
-    reads, and otherwise reports the file's first error in line order.
+    The first data line's timestamp fixes the hourly grid. `_read_chunk` makes
+    every value, one call per CSV_CHUNK_ROWS data lines. A chunk that it refuses
+    goes line by line through `_parse_line`, which names the file's first error
+    in line order; if no line there has a fault, the chunk's lines are named.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -221,21 +217,29 @@ def ingest_csv(path) -> TimeSeriesPanel:
     for k, sid in enumerate(station_ids):
         if sid in station_ids[:k]:
             raise DataError(f"{path}: duplicate station id {sid!r} in header")
+        # plot writes <id>.csv beside its index.csv
+        if "/" in sid or "\\" in sid or sid in (".", "..", "index"):
+            raise DataError(f"{path}: station id {sid!r} cannot name a file")
     n = len(station_ids)
     T = len(lines) - 1
     if T == 0:
         raise DataError(f"{path}: no data rows")
 
-    values = np.empty((T, n))
-    t0, values[0] = _parse_line(path, 2, lines[1], station_ids, None)
+    try:
+        t0 = parse_timestamp(lines[1].split(",", 1)[0])
+    except DataError:
+        _parse_line(path, 2, lines[1], station_ids, None)  # names line 2's first fault
+        raise
     stamps = t0 + np.arange(T) * HOUR
-    for lo in range(1, T, CSV_CHUNK_ROWS):
+    values = np.empty((T, n))
+    for lo in range(0, T, CSV_CHUNK_ROWS):
         hi = min(lo + CSV_CHUNK_ROWS, T)
         chunk = lines[lo + 1:hi + 1]
         cells = _read_chunk(chunk, stamps[lo:hi], n)
         if cells is None:
-            cells = [_parse_line(path, r + 2, line, station_ids, stamps[r - 1])[1]
-                     for r, line in enumerate(chunk, start=lo)]
+            for r, line in enumerate(chunk, start=lo):
+                _parse_line(path, r + 2, line, station_ids, stamps[r - 1] if r else None)
+            raise DataError(f"{path}: lines {lo + 2}-{hi + 1} refused with no line at fault")
         values[lo:hi] = cells
     return TimeSeriesPanel(tuple(station_ids), stamps, values)
 

@@ -159,12 +159,9 @@ class ForwardCache:
         return cls(layers, prediction, buffer)
 
 
-def sigmoid(v, out=None) -> np.ndarray:
-    """Elementwise 1/(1+exp(-v)) without overflow; exact at 0, saturates to 0 and 1.
-    With `out` given (it may be v itself), the result is written there."""
-    v = np.asarray(v, dtype=np.float64)
-    if out is None:
-        out = np.empty_like(v)
+def sigmoid(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Elementwise 1/(1+exp(-v)) without overflow, written into `out` (which
+    may be v itself); exact at 0, saturates to 0 and 1."""
     # outputs passed positionally: a keyword `out` costs each call more
     np.multiply(v, _HALF, out)
     np.tanh(out, out)
@@ -207,7 +204,7 @@ def _layer_forward(p: LstmLayerParams, x: np.ndarray, lc: _LayerCache | None) ->
             # a copy, since the cached pass's gates overwrite g
             np.copyto(pre, g)
         else:
-            np.matmul(h_prev, u_t, pre)
+            np.dot(h_prev, u_t, pre)
             np.add(pre, g, pre)
         # one sigmoid call over the fused block, then tanh over the candidate
         # slice: cheaper per step than three calls on the f, i and o slices

@@ -12,13 +12,28 @@ import pytest
 
 from dlstf.bank import BANK_MAGIC, BANK_VERSION, HorizonConfig, load_bank, save_bank
 from dlstf import cli as cli_module
+from dlstf import dataset as dataset_module
 from dlstf.cli import (CONFIG_DEFAULTS, KNOWN_KEYS, RunConfig, UsageError, _split_train_val,
                        run_cli)
-from dlstf.dataset import fill_missing, format_timestamp, fraction_cuts, ingest_csv, write_csv
+from dlstf.dataset import (HOUR, TimeSeriesPanel, fill_missing, format_timestamp, fraction_cuts,
+                           ingest_csv, write_csv)
 from dlstf.errors import DataError
 from dlstf.evaluation import bank_forecaster, block_walk
 from dlstf.synth import synth_generate
 from conftest import offset_stub_bank, stub_panel
+
+
+def non_canonical_forms(ts):
+    """Unpadded, Arabic-Indic year and one-digit hour forms of an hour before
+    10:00 that datetime.strptime reads as that hour, though they are not the
+    zero-padded ASCII YYYY-MM-DDTHH:00:00Z."""
+    text, d = format_timestamp(ts), ts.astype("datetime64[s]").item()
+    arabic = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+    return [f"{d.year}-{d.month}-{d.day}T{d.hour}:00:00Z",
+            text[:4].translate(arabic) + text[4:], text[:11] + str(d.hour) + text[13:]]
+
+
+NON_CANONICAL_STAMPS = non_canonical_forms(np.datetime64("2014-01-01T01:00:00"))
 
 
 def run(*argv):
@@ -346,6 +361,34 @@ class TestTrainEvaluate:
         assert f"line {lineno}, column 'B': non-numeric cell {cell!r}" in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize("fault", ["unpadded", "arabic_year", "one_digit_hour", "inner_cr"])
+    @pytest.mark.parametrize("row", [0, 1, 7, 8])
+    def test_non_canonical_stamp_or_inner_cr_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                    fault, row):
+        # rows 0 to 7 are the first chunk: line 2, a line inside it, and both
+        # sides of the boundary with the second; each stamp names the row's own
+        # hour, and a CR is only read right before an LF
+        monkeypatch.setattr(dataset_module, "CSV_CHUNK_ROWS", 8)
+        synth = synth_generate(2, 100, seed=5)
+        panel = TimeSeriesPanel(synth.station_ids, np.datetime64("2014-01-01T00:00:00")
+                                + np.arange(100) * HOUR, synth.values)
+        data = tmp_path / "panel.csv"
+        write_csv(panel, data)
+        lines = data.read_text().split("\n")
+        fields = lines[row + 1].split(",")
+        if fault == "inner_cr":
+            fields[1] = "\r2.5"
+        else:
+            fields[0] = non_canonical_forms(panel.timestamps[row])[
+                ["unpadded", "arabic_year", "one_digit_hour"].index(fault)]
+        lines[row + 1] = ",".join(fields)
+        data.write_bytes("\n".join(lines).encode("utf-8"))
+        report = tmp_path / "r.csv"
+        assert run("baseline", "--method", "persistence", "--data", str(data),
+                   "--report", str(report)) == 2
+        assert f"{data}: line {row + 2}" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_non_utf8_config_exit_2(self, tiny_data, tmp_path, capsys):
         _, data, _, _ = tiny_data
         bad = tmp_path / "latin1.cfg"
@@ -444,6 +487,21 @@ class TestForecast:
         assert run("forecast", "--model", str(bank_path), "--data", str(data),
                    "--at", "garbage") == 1
         assert "--at 'garbage' is not a valid timestamp" in capsys.readouterr().err
+
+    # the 2014 stamps lie outside the panel; the others name its row 49
+    @pytest.mark.parametrize("stamp", NON_CANONICAL_STAMPS + non_canonical_forms(
+        np.datetime64("2000-01-03T01:00:00")))
+    def test_non_canonical_time_exit_1(self, tiny_data, tmp_path, capsys, stamp):
+        _, data, _, bank_path = tiny_data
+        assert run("forecast", "--model", str(bank_path), "--data", str(data),
+                   "--at", stamp) == 1
+        assert f"--at {stamp!r} is not a valid timestamp" in capsys.readouterr().err
+        report = tmp_path / "r.csv"
+        assert run("baseline", "--method", "persistence", "--data", str(data),
+                   "--report", str(report), "--test-start", stamp) == 1
+        assert f"config key 'test_start': {stamp!r} is not a valid timestamp" in (
+            capsys.readouterr().err)
+        assert not report.exists()
 
 
 class TestNonFiniteForecast:
@@ -734,6 +792,9 @@ class TestPlot:
         work.mkdir()
         assert run("plot", "--model", str(bank), "--data", str(evil),
                    "--stations", "all", "--out", str(work / "plotout")) == 2
+        assert f"station id {sid!r} cannot name a file" in capsys.readouterr().err
+        assert run("evaluate", "--model", str(bank), "--data", str(evil),
+                   "--report", str(work / "r.csv")) == 2
         assert f"station id {sid!r} cannot name a file" in capsys.readouterr().err
         assert list(work.iterdir()) == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["evil.csv", "work"]

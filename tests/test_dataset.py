@@ -1,5 +1,7 @@
 import math
 import re
+import warnings
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -22,6 +24,9 @@ def panel_from(values, start="2020-01-01T00:00:00Z", ids=None):
     return TimeSeriesPanel(ids, t0 + np.arange(values.shape[0]) * HOUR, values)
 
 
+# ASCII digits to the Arabic-Indic ones, which strptime and float() also read
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
 CSV_OK = """timestamp,AAA,BBB
 2014-01-01T00:00:00Z,3.5,4.0
 2014-01-01T01:00:00Z,NA,4.5
@@ -31,10 +36,25 @@ CSV_OK = """timestamp,AAA,BBB
 
 def per_line_loop(path):
     """One line at a time, as ingest_csv parsed files before the chunk path,
-    except that it also refuses a cell with _ or a non-ASCII character: the
+    except that it also refuses a cell with _, CR or a non-ASCII character and
+    a timestamp that is not the zero-padded ASCII YYYY-MM-DDTHH:00:00Z: the
     oracle for ingest_csv's output."""
-    def fmt(ts):
-        return ts.astype("datetime64[s]").item().strftime("%Y-%m-%dT%H:%M:%SZ")
+    def fmt(d):
+        return (f"{d.year:04d}-{d.month:02d}-{d.day:02d}"
+                f"T{d.hour:02d}:{d.minute:02d}:{d.second:02d}Z")
+
+    def stamp(text):
+        # strptime also reads one-digit fields and non-ASCII digits: the
+        # canonical text must come back from fmt
+        try:
+            d = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ")
+        except ValueError:
+            d = None
+        if d is None or fmt(d) != text:
+            raise DataError(f"bad timestamp {text!r}: expected YYYY-MM-DDTHH:00:00Z")
+        if d.minute or d.second:
+            raise DataError(f"bad timestamp {text!r}: not on the hour")
+        return d
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
         raw = fh.read()
@@ -50,14 +70,14 @@ def per_line_loop(path):
             raise DataError(
                 f"{path}: line {lineno} has {len(fields)} fields, expected {n + 1}")
         try:
-            ts = parse_timestamp(fields[0])
+            ts = stamp(fields[0])
         except DataError as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from None
         if stamps:
             if ts == stamps[-1]:
                 raise DataError(
                     f"{path}: line {lineno}: duplicate timestamp {fields[0]}")
-            if ts != stamps[-1] + HOUR:
+            if ts != stamps[-1] + timedelta(hours=1):
                 raise DataError(
                     f"{path}: line {lineno}: timestamp {fields[0]} breaks the "
                     f"hourly grid (previous was {fmt(stamps[-1])})")
@@ -66,9 +86,10 @@ def per_line_loop(path):
             if cell == "" or cell == "NA":
                 row.append(np.nan)
                 continue
-            # a cell float() reads is still refused if it holds _ or a non-ASCII character
+            # a cell float() reads is still refused if it holds _, CR or a non-ASCII character
             try:
-                value = float(cell) if cell.isascii() and "_" not in cell else None
+                value = (float(cell) if cell.isascii() and "_" not in cell
+                         and "\r" not in cell else None)
             except ValueError:
                 value = None
             if value is None:
@@ -98,6 +119,33 @@ def outcome(parse, path):
     except DataError as exc:
         return str(exc)
     return ids, stamps.dtype, stamps.tobytes(), values.shape, values.tobytes()
+
+
+class TestParseTimestamp:
+    @pytest.mark.parametrize("text", ["2014-01-01T00:00:00Z", "0005-01-01T23:00:00Z",
+                                      "9999-12-31T23:00:00Z", "2016-02-29T12:00:00Z"])
+    def test_canonical_stamp_round_trips(self, text):
+        assert dataset.format_timestamp(parse_timestamp(text)) == text
+
+    @pytest.mark.parametrize("text", [
+        "2014-1-1T1:00:00Z", "2014-01-01T1:00:00Z", "2014-01-01T00:00:00Z".translate(ARABIC_INDIC),
+        "\u0662\u0660\u0661\u0664-01-01T00:00:00Z", "2014-01-01 00:00:00Z",
+        "2014-01-01T00:00:00", "2014-01-01T00:00:00z", "2014-01-01T00:00:00Z\n",
+        " 2014-01-01T00:00:00Z", "-999-01-01T00:00:00Z", "+2014-01-01T00:00:00Z",
+        "2014-01-01T00:00+01Z", "2014-01-01T00+0100Z", "2014-02-30T00:00:00Z",
+        "2014-13-01T00:00:00Z", "2014-01-01T24:00:00Z", "10000-01-01T00:00:00Z", ""])
+    def test_other_forms_refused_without_a_warning(self, text):
+        # np.datetime64 alone reads a timezone suffix, with a warning, and a negative year
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=re.escape(
+                    f"bad timestamp {text!r}: expected YYYY-MM-DDTHH:00:00Z")):
+                parse_timestamp(text)
+
+    @pytest.mark.parametrize("text", ["2014-01-01T00:30:00Z", "2014-01-01T00:00:59Z"])
+    def test_off_the_hour_refused(self, text):
+        with pytest.raises(DataError, match=re.escape(f"bad timestamp {text!r}: not on the hour")):
+            parse_timestamp(text)
 
 
 class TestIngest:
@@ -162,8 +210,8 @@ class TestIngest:
     @pytest.mark.parametrize("cell", ["1_0", "١٢", "１２", "12\xa0"])
     @pytest.mark.parametrize("lineno", [2, 3])
     def test_underscore_or_non_ascii_cell_refused(self, tmp_path, cell, lineno):
-        # float() reads the first three as 10.0, 12.0 and 12.0; line 2 is read by
-        # _parse_line, line 3 by the chunk path, where loadtxt accepts 12\xa0
+        # float() reads the first three as 10.0, 12.0 and 12.0 and loadtxt reads
+        # 12\xa0 as 12.0; the chunk path refuses each, on the first line and after it
         rows = ["1.0,2.0", "3.0,4.0"]
         rows[lineno - 2] = f"1.0,{cell}"
         path = tmp_path / "cell.csv"
@@ -237,6 +285,9 @@ class TestIngest:
             d = ts.item()
             return f"{d.year}-{d.month}-{d.day}T{d.hour}:0:00Z"
 
+        def restamp(line, edit):
+            return set_field(line, 0, edit(line.split(",")[0]))
+
         def missing_pair(line, rng):
             # NA and empty side by side, the second of them at the end of the line
             fields = line.split(",")
@@ -263,13 +314,19 @@ class TestIngest:
             "non_finite": lambda lines, r, rng: set_field(
                 lines[r + 1], 1 + int(rng.integers(n)),
                 str(rng.choice(["inf", "nan", "-Infinity", "1e999"]))),
-            # accepted by the per-line parse: same values as the canonical line
+            # stamps that strptime reads, but not of the zero-padded ASCII form
             "unpadded_stamp": lambda lines, r, rng: set_field(
                 lines[r + 1], 0, unpadded(stamp_of(lines[r + 1]))),
+            "non_ascii_digits": lambda lines, r, rng: restamp(
+                lines[r + 1], lambda t: t[:4].translate(ARABIC_INDIC) + t[4:]),
+            "one_digit_hour": lambda lines, r, rng: restamp(
+                lines[r + 1], lambda t: t[:11] + str(int(t[11:13]) % 10) + t[13:]),
+            # accepted by the per-line parse: same values as the canonical line
             "missing_cell": lambda lines, r, rng: set_field(
                 lines[r + 1], 1 + int(rng.integers(n)), str(rng.choice(["", "NA"]))),
             "spaced_cell": lambda lines, r, rng: set_field(lines[r + 1], 1, " 2.5 "),
-            # inputs that np.loadtxt reads unlike the per-line parse
+            # inputs that np.loadtxt reads unlike the per-line parse, or refuses
+            # where float() reads them
             "blank_line": lambda lines, r, rng: lines[r + 1] + "\n",
             "comment_line": lambda lines, r, rng: "#" + lines[r + 1],
             "literal_nan": lambda lines, r, rng: set_field(
@@ -333,7 +390,7 @@ class TestIngest:
 
     def test_clean_file_reads_each_chunk_in_one_pass(self, tmp_path, monkeypatch):
         rng = seeded_rng(23)
-        T = 2 * dataset.CSV_CHUNK_ROWS + 10  # the first line, then three chunks
+        T = 2 * dataset.CSV_CHUNK_ROWS + 10  # three chunks, the first line in the first
         stamps = np.datetime_as_string(parse_timestamp("2014-01-01T00:00:00Z")
                                        + np.arange(T) * HOUR, unit="s")
         lines = ["timestamp,A,B,C"]
@@ -349,7 +406,16 @@ class TestIngest:
         monkeypatch.setattr(dataset, "_parse_line", lambda path, lineno, *rest: (
             linenos.append(lineno) or parse_line(path, lineno, *rest)))
         assert outcome(via_ingest_csv, path) == outcome(per_line_loop, path)
-        assert linenos == [2]
+        assert linenos == []
+
+    def test_refused_chunk_without_a_fault_is_not_accepted(self, tmp_path, monkeypatch):
+        # the per-line code only names faults, so a chunk that the chunk reader
+        # refuses is never read through it
+        path = tmp_path / "ok.csv"
+        path.write_text(CSV_OK)
+        monkeypatch.setattr(dataset, "_read_chunk", lambda *args: None)
+        with pytest.raises(DataError, match="lines 2-4 refused with no line at fault"):
+            ingest_csv(path)
 
     def test_year_10000_on_the_grid_refused(self, tmp_path):
         path = tmp_path / "y10k.csv"

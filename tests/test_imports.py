@@ -1,7 +1,7 @@
 """Every name a module of the package imports is used in that module, every
 name the package defines is named somewhere outside its own definition and
-outside the tests, and lstm.predict_batches is the package's only forward-only
-pass."""
+outside the tests, lstm.predict_batches is the package's only forward-only
+pass, and dataset.parse_timestamp is its only timestamp parser."""
 
 import ast
 import io
@@ -122,6 +122,24 @@ def forward_only_callers(module: str, source: str) -> list[str]:
     return found
 
 
+# datetime parsers that read one-digit fields, non-ASCII digits or other forms
+# that dataset.parse_timestamp refuses
+LENIENT_PARSERS = ("strptime", "fromisoformat")
+
+
+def lenient_parser_calls(source: str) -> list[str]:
+    """`name (line N)` for every call of `source` to a function or method
+    named in LENIENT_PARSERS."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in LENIENT_PARSERS:
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
 def test_modules_found():
     assert len(MODULES) >= 8
 
@@ -168,6 +186,23 @@ def test_detects_a_forward_only_caller():
               "def c(net, x):\n    def inner(flag):\n        return run(x, keep_cache=flag)\n"
               "    return net_forward(net, x, keep_cache=True)\n")
     assert forward_only_callers("m", source) == ["m.a", "m.B.b", "m.c.inner"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[p.name for p in MODULES])
+def test_no_lenient_timestamp_parser(module):
+    assert lenient_parser_calls(module.read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_lenient_timestamp_parser():
+    source = ("from datetime import date, datetime\nimport time\n"
+              "from time import strptime\n\n"
+              "def a(text):\n    return datetime.strptime(text, '%Y')\n\n"
+              "def b(text):\n    return date.fromisoformat(text), time.strptime(text)\n\n"
+              "def c(text):\n    # strptime in a comment, and as a string: 'strptime'\n"
+              "    return strptime(text, '%H'), datetime.now().fromisoformat(text)\n")
+    assert lenient_parser_calls(source) == [
+        "strptime (line 6)", "fromisoformat (line 9)", "strptime (line 9)",
+        "strptime (line 13)", "fromisoformat (line 13)"]
 
 
 def test_detects_an_unnamed_definition():
