@@ -5,8 +5,8 @@ steps, the model for offset i consumes the last ell station vectors, of which
 ell-i+1 are real and i-1 are forecasts produced earlier in the block (when
 i-1 >= ell, the input is the last ell forecasts only). The schedule counts
 from the block: offset i serves row b + i - 1 of the block that starts at row
-b. Blocks start where --test-start, forecast --at or the command's default
-first block puts them, then every h rows.
+b. Blocks start at --test-start or forecast --at, or else at the held-out cut
+max(ell, b) of the configured train/validation split, then every h rows.
 
 Banks are trained in cascade: the offset-1 model learns from all-real inputs,
 its sliding-window predictions become the offset-1 forecast overlay, the
@@ -21,7 +21,7 @@ import struct
 import numpy as np
 
 from .dataset import (Normalizer, TimeSeriesPanel, assemble_input, denormalize,
-                      fit_normalizer, format_timestamp, make_samples, normalize, HOUR)
+                      fit_normalizer, make_samples, normalize)
 from .errors import DataError, NumericsError
 from .lstm import LstmLayerParams, LstmNetwork, init_params, predict_batches
 from .training import TrainConfig, train_model
@@ -198,22 +198,11 @@ def train_bank(train_panel: TimeSeriesPanel, val_panel: TimeSeriesPanel,
 
 def forecast_block(bank: ModelBank, history_panel: TimeSeriesPanel,
                    block_start) -> ForecastBlock:
-    """Forecast the h hours starting at block_start from real history before it."""
-    block_start = np.datetime64(block_start, "s")
-    ts = history_panel.timestamps
-    idx = int(np.searchsorted(ts, block_start))
-    if 0 < idx < history_panel.n_times and ts[idx] != block_start:
-        raise DataError(
-            f"block start {format_timestamp(block_start)} is not on the panel's hourly grid")
-    if idx == history_panel.n_times and ts[-1] + HOUR != block_start:
-        raise DataError(
-            f"block start {format_timestamp(block_start)} lies beyond the panel's history")
-    if idx < bank.config.ell:
-        raise DataError(
-            f"only {idx} history rows before {format_timestamp(block_start)}, "
-            f"need at least ell={bank.config.ell}")
+    """Forecast the h hours from block_start, a panel hour or the hour after the
+    last row, from the real history before it."""
+    idx = history_panel.index_of(block_start, past_end=True)
     preds = bank.predict_block(history_panel.values[:idx])
-    return ForecastBlock(block_start=block_start, predictions=preds)
+    return ForecastBlock(block_start=np.datetime64(block_start, "s"), predictions=preds)
 
 
 def save_bank(bank: ModelBank, path) -> None:

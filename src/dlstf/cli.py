@@ -218,17 +218,18 @@ def _load_bank_and_panel(cfg: RunConfig, args) -> tuple[ModelBank, TimeSeriesPan
     return bank, panel
 
 
-def _split_train_val(panel: TimeSeriesPanel, cfg: RunConfig
-                     ) -> tuple[TimeSeriesPanel, TimeSeriesPanel]:
+def _cuts(panel: TimeSeriesPanel, cfg: RunConfig) -> tuple[int, int]:
+    """The row cuts (a, b): train on [0, a), validate on [a, b), hold out [b, T).
+    train_end and val_end name the last rows of the first two ranges and must lie
+    in the panel; without them the cuts are `fraction_cuts` of the fractions."""
     train_end = cfg.get_timestamp("train_end")
     val_end = cfg.get_timestamp("val_end")
     if (train_end is None) != (val_end is None):
         given, missing = ("train_end", "val_end") if val_end is None else ("val_end", "train_end")
         raise UsageError(f"{given} needs {missing}: set both or neither")
     if train_end is not None:
-        a = int(np.searchsorted(panel.timestamps, train_end, side="right"))
-        b = int(np.searchsorted(panel.timestamps, val_end, side="right"))
-        if not 0 < a < b <= panel.n_times:
+        a, b = panel.index_of(train_end) + 1, panel.index_of(val_end) + 1
+        if not a < b:
             raise DataError("train_end/val_end do not cut the panel into nonempty ranges")
     else:
         train_frac, val_frac = cfg.get_float("train_frac"), cfg.get_float("val_frac")
@@ -237,28 +238,25 @@ def _split_train_val(panel: TimeSeriesPanel, cfg: RunConfig
         a, b = fraction_cuts(panel.n_times, train_frac, val_frac)
         if not 0 < a < b:
             raise DataError(f"panel too short (T={panel.n_times}) for the requested fractions")
-    return panel.slice_rows(0, a), panel.slice_rows(a, b)
+    return a, b
 
 
-def _test_window(panel: TimeSeriesPanel, cfg: RunConfig, ell: int, h: int,
-                 default_first: int | None = None) -> tuple[TimeSeriesPanel, int]:
-    """Resolve --test-start/--test-end into (panel slice, first block index);
-    without test_start the first block is default_first, or ell if that is None."""
+def _test_window(panel: TimeSeriesPanel, cfg: RunConfig, ell: int,
+                 h: int) -> tuple[TimeSeriesPanel, int]:
+    """The scored range as (panel cut after test_end, first block row). The first
+    block starts at test_start, or else at max(ell, b), the held-out cut of
+    `_cuts`, so that every scoring command walks the same rows; test_start and
+    test_end must lie in the panel."""
     test_start = cfg.get_timestamp("test_start")
     test_end = cfg.get_timestamp("test_end")
     if test_start is not None and test_end is not None and test_start > test_end:
         raise DataError(f"test_start {format_timestamp(test_start)} falls after "
                         f"test_end {format_timestamp(test_end)}")
-    sliced = panel
-    if test_end is not None:
-        hi = int(np.searchsorted(panel.timestamps, test_end, side="right"))
-        if hi == 0:
-            raise DataError("test_end precedes the panel")
-        sliced = panel.slice_rows(0, hi)
+    sliced = panel if test_end is None else panel.slice_rows(0, panel.index_of(test_end) + 1)
     if test_start is None:
-        first = ell if default_first is None else default_first
+        first = max(ell, _cuts(panel, cfg)[1])
     else:
-        first = sliced.index_of(np.datetime64(test_start, "s"))
+        first = panel.index_of(test_start)
         if first < ell:
             raise DataError(
                 f"only {first} rows precede test_start; need ell={ell} history rows")
@@ -312,7 +310,8 @@ def _cmd_train(args) -> int:
         sys.stdout.write(cfg.dump())
         return 0
     panel = _load_panel(cfg, args.data)
-    train_panel, val_panel = _split_train_val(panel, cfg)
+    a, b = _cuts(panel, cfg)
+    train_panel, val_panel = panel.slice_rows(0, a), panel.slice_rows(a, b)
     check_train_rows(train_panel.n_times, cfg.get_int("ell"), cfg.get_int("h"))
     hcfg = cfg.horizon_config(panel.n_stations)
     train = cfg.train_config()
@@ -353,14 +352,7 @@ def _cmd_baseline(args) -> int:
         raise UsageError(f"--order must be >= 1, got {args.order}")
     panel = _load_panel(cfg, args.data)
     h, ell = cfg.get_int("h"), cfg.get_int("ell")
-    default_first = None
-    if cfg.get_timestamp("test_start") is None:
-        # without an explicit window, hold out the tail past train_frac
-        train_frac = cfg.get_float("train_frac")
-        if not 0 < train_frac < 1:
-            raise UsageError(f"train_frac must lie strictly between 0 and 1, got {train_frac}")
-        default_first = max(ell, fraction_cuts(panel.n_times, train_frac, 0.0)[0])
-    sliced, first = _test_window(panel, cfg, ell, h, default_first)
+    sliced, first = _test_window(panel, cfg, ell, h)
     # built after the window checks: it holds h widths
     shape = cfg.horizon_config(panel.n_stations)
     if args.method == "persistence":

@@ -4,8 +4,9 @@ A panel holds n stations by T hourly observations (m/s) with NaN marking
 missing values. The CSV schema is: UTF-8, header ``timestamp,<id1>,<id2>,...``,
 then one line per hour ``YYYY-MM-DDTHH:00:00Z`` followed by one decimal value
 per station; an empty field or the literal ``NA`` means missing, and no other
-non-finite value is accepted. Station ids are unique and can name files. LF
-line endings, a CR only as a line's last character; a leading BOM is ignored.
+non-finite value is accepted. Station ids are unique, can name files and have
+no surrounding whitespace. LF line endings, a CR only as a line's last
+character; a leading BOM is ignored.
 """
 
 from __future__ import annotations
@@ -87,12 +88,16 @@ class TimeSeriesPanel:
         except ValueError:
             raise DataError(f"unknown station id {station_id!r}") from None
 
-    def index_of(self, ts: np.datetime64) -> int:
-        """Row index of an exact timestamp."""
-        i = int(np.searchsorted(self.timestamps, ts))
-        if i >= self.n_times or self.timestamps[i] != ts:
-            raise DataError(f"timestamp {format_timestamp(ts)} is not in the panel")
-        return i
+    def index_of(self, ts: np.datetime64, past_end: bool = False) -> int:
+        """The row k of the hour ts = t0 + k hours, the package's one rule from a
+        time to a row: 0 <= k < T, or k == T too when `past_end` is set (the
+        block start after the last row). Any other time is a DataError."""
+        t0, last = self.timestamps[0], self.timestamps[-1]
+        k, off_grid = divmod(np.datetime64(ts) - t0, HOUR)
+        if off_grid or not 0 <= k < self.n_times + past_end:
+            raise DataError(f"timestamp {format_timestamp(ts)} is not in the panel "
+                            f"({format_timestamp(t0)} .. {format_timestamp(last)})")
+        return int(k)
 
     def slice_rows(self, lo: int, hi: int) -> "TimeSeriesPanel":
         if not 0 <= lo < hi <= self.n_times:
@@ -220,6 +225,9 @@ def ingest_csv(path) -> TimeSeriesPanel:
         # plot writes <id>.csv beside its index.csv
         if "/" in sid or "\\" in sid or sid in (".", "..", "index"):
             raise DataError(f"{path}: station id {sid!r} cannot name a file")
+        # plot --stations strips each id it is given
+        if sid != sid.strip():
+            raise DataError(f"{path}: station id {sid!r} has leading or trailing whitespace")
     n = len(station_ids)
     T = len(lines) - 1
     if T == 0:

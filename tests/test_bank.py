@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from dlstf.bank import (BANK_MAGIC, HorizonConfig, ModelBank, forecast_block, load_bank,
                         save_bank, train_bank)
 from dlstf.dataset import (HOUR, Normalizer, TimeSeriesPanel, assemble_input, fit_normalizer,
-                           fraction_cuts, make_samples, normalize)
+                           format_timestamp, fraction_cuts, make_samples, normalize)
 from dlstf.errors import DataError
 from dlstf.evaluation import bank_forecaster, block_walk
 from dlstf.lstm import init_params, net_forward
@@ -215,10 +216,11 @@ class TestForecastBlock:
             forecast_block(bank, panel, panel.timestamps[cfg.ell - 1])
 
     def test_block_start_before_the_panel_counts_its_history(self, small_bank_setup):
-        # an hour on the grid, 4 hours before the first row: there is no row
-        # to be off the grid of, only too little history
+        # an hour on the grid, 4 hours before the first row, is not in the panel
         panel, _, _, _, cfg, bank = small_bank_setup
-        with pytest.raises(DataError, match=f"only 0 history rows .* need at least ell={cfg.ell}"):
+        with pytest.raises(DataError, match=re.escape(
+                f"timestamp {format_timestamp(panel.timestamps[0] - 4 * HOUR)} "
+                "is not in the panel (")):
             forecast_block(bank, panel, panel.timestamps[0] - 4 * HOUR)
 
 

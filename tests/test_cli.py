@@ -13,8 +13,8 @@ import pytest
 from dlstf.bank import BANK_MAGIC, BANK_VERSION, HorizonConfig, load_bank, save_bank
 from dlstf import cli as cli_module
 from dlstf import dataset as dataset_module
-from dlstf.cli import (CONFIG_DEFAULTS, KNOWN_KEYS, RunConfig, UsageError, _split_train_val,
-                       run_cli)
+from dlstf import evaluation as evaluation_module
+from dlstf.cli import CONFIG_DEFAULTS, KNOWN_KEYS, RunConfig, UsageError, _cuts, run_cli
 from dlstf.dataset import (HOUR, TimeSeriesPanel, fill_missing, format_timestamp, fraction_cuts,
                            ingest_csv, write_csv)
 from dlstf.errors import DataError
@@ -148,7 +148,8 @@ class TestUsageErrors:
         _, data, _, _ = tiny_data
         assert run("baseline", "--method", "persistence", "--train-frac", frac,
                    "--data", str(data), "--report", str(tmp_path / "r.csv")) == 1
-        assert "train_frac must lie strictly between 0 and 1" in capsys.readouterr().err
+        assert ("train_frac and val_frac must be positive and sum to at most 1"
+                in capsys.readouterr().err)
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("given, missing", [("train-end", "val_end"),
@@ -447,6 +448,84 @@ class TestTestWindow:
         assert not report.exists()
 
 
+class TestOneRowRule:
+    """Every timestamp flag maps to a row by index_of, and without --test-start
+    every scoring command walks from the held-out cut max(ell, b)."""
+
+    def test_default_scoring_commands_walk_the_same_rows(self, tiny_data, tmp_path,
+                                                          monkeypatch):
+        _, data, _, bank = tiny_data
+        firsts, counts = [], []
+        walk, score = evaluation_module.block_walk, cli_module.evaluate
+
+        def recording_walk(forecaster, panel, cfg, first_block_index=None):
+            firsts.append(first_block_index)
+            return walk(forecaster, panel, cfg, first_block_index)
+
+        def recording_evaluate(*args, **kwargs):
+            report = score(*args, **kwargs)
+            counts.append(report.sample_count)
+            return report
+
+        monkeypatch.setattr(evaluation_module, "block_walk", recording_walk)
+        monkeypatch.setattr(cli_module, "block_walk", recording_walk)
+        monkeypatch.setattr(cli_module, "evaluate", recording_evaluate)
+        assert run("evaluate", "--model", str(bank), "--data", str(data),
+                   "--report", str(tmp_path / "e.csv")) == 0
+        assert run("plot", "--model", str(bank), "--data", str(data), "--stations", "all",
+                   "--out", str(tmp_path / "p")) == 0
+        for method in ("persistence", "ar"):
+            assert run("baseline", "--method", method, "--h", "2", "--ell", "6",
+                       "--data", str(data), "--report", str(tmp_path / f"{method}.csv")) == 0
+        assert firsts == [fraction_cuts(400, 0.7, 0.15)[1]] * 4
+        assert len(counts) == 3 and counts[0] > 0 and len(set(counts)) == 1
+
+    @pytest.mark.parametrize("hours", [-1, 1], ids=["before", "after"])
+    @pytest.mark.parametrize("flag", ["train-end", "val-end", "test-start", "test-end", "at"])
+    def test_time_outside_the_panel_exit_2(self, tiny_data, tmp_path, capsys, flag, hours):
+        # --at may name the hour after the last row, so its "after" is one hour later
+        _, data, cfg, bank = tiny_data
+        ts = ingest_csv(data).timestamps
+        edge = ts[0] if hours < 0 else ts[-1] + (flag == "at") * HOUR
+        stamp = format_timestamp(edge + hours * HOUR)
+        out = tmp_path / "out"
+        if flag in ("train-end", "val-end"):
+            cuts = {"train-end": format_timestamp(ts[280]), "val-end": format_timestamp(ts[340])}
+            cuts[flag] = stamp
+            argvs = [["train", "--config", str(cfg), "--out", str(out),
+                      "--train-end", cuts["train-end"], "--val-end", cuts["val-end"]]]
+        elif flag == "at":
+            argvs = [["forecast", "--model", str(bank), "--out", str(out), "--at", stamp]]
+        else:
+            argvs = [["evaluate", "--model", str(bank), "--report", str(out), f"--{flag}", stamp],
+                     ["baseline", "--method", "persistence", "--report", str(out),
+                      f"--{flag}", stamp]]
+        for argv in argvs:
+            assert run(*argv, "--data", str(data)) == 2
+            assert (f"data error: timestamp {stamp} is not in the panel "
+                    f"({format_timestamp(ts[0])} .. {format_timestamp(ts[-1])})"
+                    in capsys.readouterr().err)
+            assert not out.exists()
+
+    def test_at_the_hour_after_the_last_row_forecasts(self, tiny_data, capsys):
+        _, data, _, bank = tiny_data
+        at = format_timestamp(ingest_csv(data).timestamps[-1] + HOUR)
+        assert run("forecast", "--model", str(bank), "--data", str(data), "--at", at) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 1 + 2 and lines[1].startswith(at + ",")
+
+    def test_station_id_with_surrounding_space_exit_2(self, tiny_data, tmp_path, capsys):
+        _, data, _, _ = tiny_data
+        rest = data.read_text().split("\n", 1)[1]
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("timestamp,S00, S01,S02\n" + rest)
+        report = tmp_path / "r.csv"
+        assert run("baseline", "--method", "persistence", "--data", str(spaced),
+                   "--report", str(report)) == 2
+        assert "station id ' S01' has leading or trailing whitespace" in capsys.readouterr().err
+        assert not report.exists()
+
+
 class TestForecast:
     def test_prints_block(self, tiny_data, capsys):
         _, data, _, bank_path = tiny_data
@@ -564,7 +643,9 @@ class TestNonFiniteForecast:
         _, data, _, bank_path = tiny_data
         bank = load_bank(bank_path)
         panel, _ = fill_missing(ingest_csv(data), 3)
-        starts = np.arange(bank.config.ell, panel.n_times - bank.config.h + 1, bank.config.h)
+        # the default walk starts at the held-out cut
+        first = max(bank.config.ell, fraction_cuts(panel.n_times, 0.7, 0.15)[1])
+        starts = np.arange(first, panel.n_times - bank.config.h + 1, bank.config.h)
         nz = bank.normalizer
         head = (bank.predict_blocks(panel.values, starts)[0, :, 0] - nz.mins[0]) / nz.spans[0]
         scale = np.finfo(np.float64).max / (nz.spans[0] * np.median(np.abs(head)))
@@ -702,8 +783,7 @@ class TestHugeHorizon:
         assert run("baseline", "--method", "ar", "--order", "3", "--h", "100000000",
                    "--data", str(data), "--report", str(tmp_path / "r.csv"), *window) == 2
         err = capsys.readouterr().err
-        assert ("panel too short for a baseline block" in err
-                or "test window is too short for a single block" in err)
+        assert "test window is too short for a single block" in err
         assert not (tmp_path / "r.csv").exists()
 
     def test_train_exit_2(self, tiny_data, tmp_path, capsys):
@@ -751,7 +831,8 @@ class TestPlot:
                    "--stations", "S03", "--out", str(out_dir)) == 0
         panel = ingest_csv(data)
         bank = load_bank(bank_path)
-        preds, _ = block_walk(bank_forecaster(bank), panel, bank.config)
+        first = max(bank.config.ell, fraction_cuts(panel.n_times, 0.7, 0.15)[1])
+        preds, _ = block_walk(bank_forecaster(bank), panel, bank.config, first_block_index=first)
         col = panel.station_index("S03")
         lines = (out_dir / "S03.csv").read_text().strip().split("\n")[1:]
         assert len(lines) == int(np.isfinite(preds[:, col]).sum())
@@ -824,14 +905,11 @@ class TestSplitRule:
                     a, b = fraction_cuts(T, train_frac, val_frac)
                     if train_frac + val_frac > 1:
                         with pytest.raises(UsageError):
-                            _split_train_val(panel, cfg)
+                            _cuts(panel, cfg)
                     elif not 0 < a < b:
                         with pytest.raises(DataError):
-                            _split_train_val(panel, cfg)
+                            _cuts(panel, cfg)
                     else:
-                        cli_train, cli_val = _split_train_val(panel, cfg)
-                        for got, (lo, hi) in ((cli_train, (0, a)), (cli_val, (a, b))):
-                            assert np.array_equal(got.timestamps, panel.timestamps[lo:hi])
-                            assert np.array_equal(got.values, panel.values[lo:hi])
+                        assert _cuts(panel, cfg) == (a, b)
                         compared += 1
         assert compared > 300

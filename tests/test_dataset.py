@@ -190,6 +190,14 @@ class TestIngest:
         with pytest.raises(DataError, match="duplicate station id 'S00'"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("sid", [" S01", "S01 ", "\tS01", " "])
+    def test_station_id_with_surrounding_whitespace_named(self, tmp_path, sid):
+        path = tmp_path / "spaced.csv"
+        path.write_text(f"timestamp,S00,{sid},S02\n2014-01-01T00:00:00Z,1.0,2.0,3.0\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"station id {sid!r} has leading or trailing whitespace")):
+            ingest_csv(path)
+
     def test_gap_named_with_row(self, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text("timestamp,AAA\n"
@@ -700,3 +708,28 @@ class TestPanelInvariants:
         p = panel_from(np.arange(5.0))
         with pytest.raises(ValueError):
             p.values[0, 0] = 9.9
+
+
+class TestIndexOf:
+    """index_of is the one rule from a time to a row: t0 + k hours is row k."""
+
+    NOT_IN_PANEL = re.escape(
+        "is not in the panel (2020-01-01T00:00:00Z .. 2020-01-01T04:00:00Z)")
+
+    def test_every_row_and_the_hour_after_the_last(self):
+        p = panel_from(np.arange(5.0))
+        assert [p.index_of(ts) for ts in p.timestamps] == list(range(5))
+        end = p.timestamps[-1] + HOUR
+        assert p.index_of(end, past_end=True) == 5
+        with pytest.raises(DataError, match=self.NOT_IN_PANEL):
+            p.index_of(end)
+
+    @pytest.mark.parametrize("past_end", [False, True])
+    @pytest.mark.parametrize("ts", ["2019-12-31T23:00:00", "2020-01-01T06:00:00",
+                                    "2020-01-01T00:30", "2020-01-01T03:59:59",
+                                    "2020-01-01T01:00:00.5"])
+    def test_off_the_panel_or_the_grid_refused(self, ts, past_end):
+        ts = np.datetime64(ts)
+        text = re.escape(f"timestamp {dataset.format_timestamp(ts)} ") + self.NOT_IN_PANEL
+        with pytest.raises(DataError, match=text):
+            panel_from(np.arange(5.0)).index_of(ts, past_end=past_end)

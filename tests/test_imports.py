@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, every
 name the package defines is named somewhere outside its own definition and
 outside the tests, lstm.predict_batches is the package's only forward-only
-pass, and dataset.parse_timestamp is its only timestamp parser."""
+pass, dataset.parse_timestamp is its only timestamp parser, and
+TimeSeriesPanel.index_of its only map from a time to a row."""
 
 import ast
 import io
@@ -125,17 +126,19 @@ def forward_only_callers(module: str, source: str) -> list[str]:
 # datetime parsers that read one-digit fields, non-ASCII digits or other forms
 # that dataset.parse_timestamp refuses
 LENIENT_PARSERS = ("strptime", "fromisoformat")
+# a second rule from a time to a row, beside TimeSeriesPanel.index_of's t0 + k hours
+ROW_LOOKUPS = ("searchsorted",)
 
 
-def lenient_parser_calls(source: str) -> list[str]:
+def calls_named(source: str, names: tuple[str, ...]) -> list[str]:
     """`name (line N)` for every call of `source` to a function or method
-    named in LENIENT_PARSERS."""
+    named in `names`."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in LENIENT_PARSERS:
+            if name in names:
                 found.append(f"{name} (line {node.lineno})")
     return found
 
@@ -190,7 +193,7 @@ def test_detects_a_forward_only_caller():
 
 @pytest.mark.parametrize("module", MODULES, ids=[p.name for p in MODULES])
 def test_no_lenient_timestamp_parser(module):
-    assert lenient_parser_calls(module.read_text(encoding="utf-8")) == []
+    assert calls_named(module.read_text(encoding="utf-8"), LENIENT_PARSERS) == []
 
 
 def test_detects_a_lenient_timestamp_parser():
@@ -200,9 +203,23 @@ def test_detects_a_lenient_timestamp_parser():
               "def b(text):\n    return date.fromisoformat(text), time.strptime(text)\n\n"
               "def c(text):\n    # strptime in a comment, and as a string: 'strptime'\n"
               "    return strptime(text, '%H'), datetime.now().fromisoformat(text)\n")
-    assert lenient_parser_calls(source) == [
+    assert calls_named(source, LENIENT_PARSERS) == [
         "strptime (line 6)", "fromisoformat (line 9)", "strptime (line 9)",
         "strptime (line 13)", "fromisoformat (line 13)"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[p.name for p in MODULES])
+def test_one_time_to_row_rule(module):
+    assert calls_named(module.read_text(encoding="utf-8"), ROW_LOOKUPS) == []
+
+
+def test_detects_a_second_time_to_row_rule():
+    source = ("import numpy as np\nfrom numpy import searchsorted\n\n"
+              "def a(ts, t):\n    return int(np.searchsorted(ts, t, side='right'))\n\n"
+              "def b(panel, t):\n    # searchsorted in a comment, and as a string: 'searchsorted'\n"
+              "    return panel.timestamps.searchsorted(t), searchsorted(panel.timestamps, t)\n")
+    assert calls_named(source, ROW_LOOKUPS) == [
+        "searchsorted (line 5)", "searchsorted (line 9)", "searchsorted (line 9)"]
 
 
 def test_detects_an_unnamed_definition():
