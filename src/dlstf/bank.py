@@ -99,8 +99,7 @@ class ModelBank:
         window = values[starts - cfg.ell + np.arange(cfg.ell)[:, None]]
         if not np.all(np.isfinite(window)):
             raise DataError("the last ell history rows contain missing values")
-        nz = self.normalizer
-        window = (window - nz.mins) / nz.spans
+        window = normalize(window, self.normalizer)
         out = np.empty((cfg.h, len(starts), cfg.n))
         forecasts: dict[int, np.ndarray] = {}
         # an overflow shows as a non-finite result, checked once below
@@ -109,7 +108,7 @@ class ModelBank:
                 seq = assemble_input(window, forecasts, i, cfg.ell)
                 out[i - 1] = predict_batches(self.models[i - 1], seq)
                 forecasts[i] = out[i - 1]
-            out = denormalize(out, nz)
+            out = denormalize(out, self.normalizer)
         if not np.isfinite(out).all():
             bad = ~np.isfinite(out).all(axis=2)
             i = int(np.flatnonzero(bad.any(axis=1))[0])
@@ -149,12 +148,12 @@ def check_train_rows(T: int, ell: int, h: int) -> None:
 
 def train_bank(train_panel: TimeSeriesPanel, val_panel: TimeSeriesPanel,
                cfg: HorizonConfig, train: TrainConfig, progress=None) -> ModelBank:
-    """Cascade-train all h models on raw (missing-repaired) panels.
+    """Cascade-train all h models on raw (missing-repaired) panels in m/s.
 
     Model i trains with `train`, its seed replaced by `train.seed + i - 1`. The
-    normalizer is fitted on the train panel, both panels are normalized,
-    and models are trained in offset order: after model i finishes, its
-    sliding-window predictions over both panels populate the offset-i forecast
+    normalizer is fitted on the train panel, both panels' values are normalized
+    into arrays, and models are trained in offset order: after model i finishes,
+    its sliding-window predictions over both ranges populate the offset-i forecast
     overlay consumed by later models; the validation ones are those train_model
     made at its best epoch. `progress(i, history)` is called after
     each model when given.
@@ -166,19 +165,19 @@ def train_bank(train_panel: TimeSeriesPanel, val_panel: TimeSeriesPanel,
     check_train_rows(train_panel.n_times, cfg.ell, cfg.h)
 
     nz = fit_normalizer(train_panel)
-    norm_train = normalize(train_panel, nz)
-    norm_val = normalize(val_panel, nz)
+    train_values = normalize(train_panel.values, nz)
+    val_values = normalize(val_panel.values, nz)
 
     n_overlays = max(cfg.h - 1, 0)
-    ov_train = np.full((n_overlays, norm_train.n_times, cfg.n), np.nan)
-    ov_val = np.full((n_overlays, norm_val.n_times, cfg.n), np.nan)
+    ov_train = np.full((n_overlays, *train_values.shape), np.nan)
+    ov_val = np.full((n_overlays, *val_values.shape), np.nan)
 
     models: list[LstmNetwork] = []
     for i in range(1, cfg.h + 1):
         tc = replace(train, seed=train.seed + i - 1)
         net = init_params(list(cfg.widths[i - 1]), cfg.n, tc.seed)
-        tr = make_samples(norm_train, ov_train, cfg.ell, i)
-        va = make_samples(norm_val, ov_val, cfg.ell, i)
+        tr = make_samples(train_values, ov_train, cfg.ell, i)
+        va = make_samples(val_values, ov_val, cfg.ell, i)
         if len(tr) == 0:
             raise DataError(f"model {i}: no usable training samples")
         if len(va) == 0:

@@ -126,32 +126,31 @@ class RunConfig:
 
     def horizon_config(self, n: int) -> HorizonConfig:
         """The bank shape for n stations; an out-of-range value is a usage error."""
-        try:
-            return HorizonConfig.default(
-                n=n,
-                h=self.get_int("h"),
-                ell=self.get_int("ell"),
-                first_widths=self.get_widths("m1_layers"),
-                later_widths=self.get_widths("mi_layers"),
-            )
-        except ValueError as exc:
-            raise UsageError(f"invalid configuration: {exc}") from None
+        return _configured(HorizonConfig.default, n=n, h=self.get_int("h"), ell=self.get_int("ell"),
+                           first_widths=self.get_widths("m1_layers"),
+                           later_widths=self.get_widths("mi_layers"))
 
     def train_config(self) -> TrainConfig:
         """The training settings of every model; an out-of-range value is a usage error."""
-        try:
-            return TrainConfig(
-                learning_rate=self.get_float("learning_rate"),
-                rho=self.get_float("rho"),
-                epsilon=self.get_float("epsilon"),
-                batch_size=self.get_int("batch_size"),
-                max_epochs=self.get_int("max_epochs"),
-                patience=self.get_int("patience"),
-                seed=self.get_seed(),
-                clip_norm=self.get_float("clip_norm"),
-            )
-        except ValueError as exc:
-            raise UsageError(f"invalid configuration: {exc}") from None
+        return _configured(
+            TrainConfig,
+            learning_rate=self.get_float("learning_rate"),
+            rho=self.get_float("rho"),
+            epsilon=self.get_float("epsilon"),
+            batch_size=self.get_int("batch_size"),
+            max_epochs=self.get_int("max_epochs"),
+            patience=self.get_int("patience"),
+            seed=self.get_seed(),
+            clip_norm=self.get_float("clip_norm"),
+        )
+
+
+def _configured(make, **settings):
+    """make(**settings), where the ValueError of an out-of-range value is a usage error."""
+    try:
+        return make(**settings)
+    except ValueError as exc:
+        raise UsageError(f"invalid configuration: {exc}") from None
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -353,8 +352,8 @@ def _cmd_baseline(args) -> int:
     panel = _load_panel(cfg, args.data)
     h, ell = cfg.get_int("h"), cfg.get_int("ell")
     sliced, first = _test_window(panel, cfg, ell, h)
-    # built after the window checks: it holds h widths
-    shape = cfg.horizon_config(panel.n_stations)
+    # built after the window checks: it holds h widths, the defaults, which no baseline reads
+    shape = _configured(HorizonConfig.default, n=panel.n_stations, h=h, ell=ell)
     if args.method == "persistence":
         forecaster = persistence_forecaster(h)
     else:

@@ -46,7 +46,7 @@ def format_timestamp(ts: np.datetime64) -> str:
 
 @dataclass(frozen=True)
 class TimeSeriesPanel:
-    """n stations x T hourly observations; values are float64 with NaN = missing."""
+    """n stations x T hourly observations in m/s; values are float64 with NaN = missing."""
 
     station_ids: tuple[str, ...]
     timestamps: np.ndarray
@@ -105,8 +105,8 @@ class TimeSeriesPanel:
         return TimeSeriesPanel(self.station_ids, self.timestamps[lo:hi], self.values[lo:hi])
 
 
-# data lines per array pass of ingest_csv and write_csv; bounds the memory
-# a pass holds beyond the panel itself
+# data lines per array pass of ingest_csv and write_csv; bounds a pass's joined text, regex
+# output and loadtxt buffers, not ingest_csv's whole-file text (ROADMAP item 7 streams it)
 CSV_CHUNK_ROWS = 1024
 
 
@@ -371,19 +371,21 @@ def fit_normalizer(panel: TimeSeriesPanel) -> Normalizer:
     return Normalizer(panel.station_ids, mins, maxs)
 
 
-def normalize(panel: TimeSeriesPanel, nz: Normalizer) -> TimeSeriesPanel:
-    if panel.station_ids != nz.station_ids:
-        raise DataError("normalizer station order does not match the panel")
-    vals = (panel.values - nz.mins) / nz.spans
-    return TimeSeriesPanel(panel.station_ids, panel.timestamps, vals)
+def _station_axis(values, nz: Normalizer) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape[-1] != len(nz.station_ids):
+        raise ValueError(f"last axis must have {len(nz.station_ids)} stations")
+    return values
+
+
+def normalize(values: np.ndarray, nz: Normalizer) -> np.ndarray:
+    """The one scaling rule: any (..., n) array of m/s values to normalized, by position."""
+    return (_station_axis(values, nz) - nz.mins) / nz.spans
 
 
 def denormalize(values: np.ndarray, nz: Normalizer) -> np.ndarray:
     """Invert normalization on any (..., n) array of station values."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape[-1] != len(nz.station_ids):
-        raise ValueError(f"last axis must have {len(nz.station_ids)} stations")
-    return values * nz.spans + nz.mins
+    return _station_axis(values, nz) * nz.spans + nz.mins
 
 
 def fraction_cuts(n_times: int, train_frac: float, val_frac: float) -> tuple[int, int]:
@@ -434,8 +436,8 @@ def assemble_input(window, forecasts, i: int, ell: int) -> np.ndarray:
     return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
-def make_samples(panel: TimeSeriesPanel, forecast_overlay, ell: int, i: int) -> SampleSet:
-    """Assemble supervised samples for the model at horizon offset i.
+def make_samples(values: np.ndarray, forecast_overlay, ell: int, i: int) -> SampleSet:
+    """Assemble the samples of the model at horizon offset i from (T, n) normalized values.
 
     Every target row t with a full ell-step history is offset i of the block
     that starts at b = t-i+1, and its input is `assemble_input` of that block's
@@ -448,7 +450,7 @@ def make_samples(panel: TimeSeriesPanel, forecast_overlay, ell: int, i: int) -> 
         raise ValueError("offset i must be >= 1")
     if ell < 1:
         raise ValueError("input horizon ell must be >= 1")
-    values = panel.values
+    values = np.asarray(values, dtype=np.float64)
     T, n = values.shape
     n_fc = min(i - 1, ell)
     # target t = ell + k is offset i of the block that starts at b = t-i+1;

@@ -174,9 +174,9 @@ def evaluate(forecaster, test_panel: TimeSeriesPanel, cfg: HorizonConfig,
              first_block_index: int | None = None) -> ErrorReport:
     """Walk the test panel block by block and report per-station metrics.
 
-    The first ell rows serve as warm-up history; thereafter blocks step by h,
-    with all rows before each block available as real history. Positions with
-    a missing actual are excluded from the error sums.
+    The rows before `first_block_index` (default ell) serve as warm-up history;
+    thereafter blocks step by h, with all rows before each block available as
+    real history. Positions with a missing actual are excluded from the error sums.
     """
     preds, _ = block_walk(forecaster, test_panel, cfg, first_block_index)
     mask = np.isfinite(preds) & np.isfinite(test_panel.values)

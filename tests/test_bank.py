@@ -95,7 +95,7 @@ class TestAssembleInput:
         panel = TimeSeriesPanel(("A", "B", "C"), t0 + np.arange(T) * HOUR, vals)
         overlay = rng.uniform(0, 1, (h - 1, T, n))
         for i in (1, 2, 3, 6):
-            out = make_samples(panel, overlay, ell, i)
+            out = make_samples(panel.values, overlay, ell, i)
             ks = [k for k, t in enumerate(out.target_indices) if t - i + 1 >= ell][:5]
             blocks = [int(out.target_indices[k]) - i + 1 for k in ks]
             for k, b in zip(ks, blocks):
@@ -153,7 +153,7 @@ class TestTrainBank:
         # of the seed's initial weights under the unchanged TrainConfig
         _, train, val, _, cfg, bank = small_bank_setup
         nz = fit_normalizer(train)
-        tr, va = (make_samples(normalize(p, nz), None, cfg.ell, 1) for p in (train, val))
+        tr, va = (make_samples(normalize(p.values, nz), None, cfg.ell, 1) for p in (train, val))
         net = init_params(list(cfg.widths[0]), cfg.n, SMALL_TRAIN.seed)
         expected, _, _ = train_model(net, tr, va, SMALL_TRAIN)
         for a, b in zip(bank.models[0].param_arrays(), expected.param_arrays()):

@@ -20,6 +20,7 @@ from dlstf.dataset import (HOUR, TimeSeriesPanel, fill_missing, format_timestamp
 from dlstf.errors import DataError
 from dlstf.evaluation import bank_forecaster, block_walk
 from dlstf.synth import synth_generate
+from dlstf.training import TrainConfig
 from conftest import offset_stub_bank, stub_panel
 
 
@@ -151,6 +152,31 @@ class TestUsageErrors:
         assert ("train_frac and val_frac must be positive and sum to at most 1"
                 in capsys.readouterr().err)
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--h", "--ell"])
+    def test_baseline_window_shape_below_one(self, tiny_data, tmp_path, capsys, flag):
+        _, data, _, _ = tiny_data
+        assert run("baseline", "--method", "persistence", flag, "0",
+                   "--data", str(data), "--report", str(tmp_path / "r.csv")) == 1
+        assert ("invalid configuration: h, ell and n must all be >= 1"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("method", ["persistence", "ar"])
+    @pytest.mark.parametrize("line", ["m1_layers = x", "mi_layers = 0"])
+    def test_baseline_reads_no_width_key(self, tiny_data, tmp_path, method, line):
+        # the walk's shape takes the default widths, which no baseline uses
+        _, data, _, _ = tiny_data
+        plain, widths = tmp_path / "plain.cfg", tmp_path / "widths.cfg"
+        plain.write_text("h = 2\nell = 6\n")
+        widths.write_text(plain.read_text() + line + "\n")
+        reports = []
+        for cfg in (plain, widths):
+            report = tmp_path / f"{cfg.stem}.csv"
+            assert run("baseline", "--method", method, "--config", str(cfg),
+                       "--data", str(data), "--report", str(report)) == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("given, missing", [("train-end", "val_end"),
                                                 ("val-end", "train_end")])
@@ -741,6 +767,12 @@ class TestDumpConfig:
         out = capsys.readouterr().out
         assert out == "".join(f"{k} = {v}\n" for k, v in CONFIG_DEFAULTS)
         assert RunConfig.build(str(cfg), {}).digest() == RunConfig(dict(CONFIG_DEFAULTS)).digest()
+
+    def test_defaults_match_the_library_defaults(self):
+        # CONFIG_DEFAULTS repeats the defaults of TrainConfig and HorizonConfig.default
+        defaults = RunConfig(dict(CONFIG_DEFAULTS))
+        assert defaults.train_config() == TrainConfig()
+        assert defaults.horizon_config(6) == HorizonConfig.default(6)
 
     def test_leading_byte_order_mark_ignored(self, tmp_path):
         plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"

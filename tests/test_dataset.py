@@ -518,22 +518,22 @@ class TestNormalizer:
     def test_hand_computed(self):
         p = panel_from([2.0, 6.0, 10.0])
         nz = fit_normalizer(p)
-        out = normalize(p, nz)
-        assert np.array_equal(out.values[:, 0], [0.0, 0.5, 1.0])
+        out = normalize(p.values, nz)
+        assert np.array_equal(out[:, 0], [0.0, 0.5, 1.0])
 
     def test_roundtrip_inverse(self):
         rng = seeded_rng(9)
         p = panel_from(rng.uniform(-3, 14, (50, 4)))
         nz = fit_normalizer(p)
-        back = denormalize(normalize(p, nz).values, nz)
+        back = denormalize(normalize(p.values, nz), nz)
         assert np.max(np.abs(back - p.values)) < 1e-12
 
     def test_constant_station_unit_span_with_warning(self):
         p = panel_from(np.full(10, 4.0))
         with pytest.warns(UserWarning, match="constant"):
             nz = fit_normalizer(p)
-        out = normalize(p, nz)
-        assert np.array_equal(out.values[:, 0], np.zeros(10))
+        out = normalize(p.values, nz)
+        assert np.array_equal(out[:, 0], np.zeros(10))
 
     def test_statistics_from_training_range_only(self):
         rng = seeded_rng(10)
@@ -576,7 +576,7 @@ class TestMakeSamples:
     def test_sample_count_all_real(self):
         rng = seeded_rng(11)
         p = panel_from(rng.uniform(0, 1, (100, 2)))
-        out = make_samples(p, None, ell=12, i=1)
+        out = make_samples(p.values, None, ell=12, i=1)
         assert len(out) == 88
         assert out.skipped == 0
         seq, target = out.x[:, 0], out.y[0]
@@ -590,7 +590,7 @@ class TestMakeSamples:
         overlay = np.full((2, T, n), np.nan)
         overlay[0] = 1000.0 + np.arange(T)[:, None]  # offset-1 forecasts
         overlay[1] = 2000.0 + np.arange(T)[:, None]  # offset-2 forecasts
-        out = make_samples(p, overlay, ell=5, i=3)
+        out = make_samples(p.values, overlay, ell=5, i=3)
         seq = out.x[:, 0]
         t = out.target_indices[0]
         # 3 real rows for positions t-5 .. t-3, then overlay offsets 1 and 2
@@ -603,7 +603,7 @@ class TestMakeSamples:
         p = panel_from(np.arange(T, dtype=float)[:, None] * np.ones((1, n)))
         overlay = np.stack([k * 100.0 + np.arange(T)[:, None] * np.ones((1, n))
                             for k in range(1, 5)])
-        out = make_samples(p, overlay, ell=3, i=5)
+        out = make_samples(p.values, overlay, ell=3, i=5)
         seq = out.x[:, 0]
         t = out.target_indices[0]
         # all three rows come from forecasts at offsets i-ell..i-1 = 2, 3, 4
@@ -616,7 +616,7 @@ class TestMakeSamples:
         vals = rng.uniform(0, 1, (40, 2))
         vals[20, 0] = np.nan
         p = panel_from(vals)
-        out = make_samples(p, None, ell=6, i=1)
+        out = make_samples(p.values, None, ell=6, i=1)
         # row 20 poisons 7 samples: as target at t=20 and as input for t=21..26
         assert out.skipped == 7
         assert len(out) == (40 - 6) - 7
@@ -628,7 +628,7 @@ class TestMakeSamples:
             T = int(rng.integers(30, 80))
             ell = int(rng.integers(1, 8))
             p = panel_from(rng.uniform(0, 1, (T, 2)))
-            out = make_samples(p, None, ell=ell, i=1)
+            out = make_samples(p.values, None, ell=ell, i=1)
             assert len(out) == T - ell - out.skipped
 
     def test_matches_per_target_loop(self):
@@ -665,7 +665,7 @@ class TestMakeSamples:
             overlay = rng.uniform(0, 1, (i - 1, T, n))
             overlay[rng.uniform(size=overlay.shape) < nan_frac] = np.nan
             p = panel_from(vals)
-            out = make_samples(p, overlay if i > 1 else None, ell, i)
+            out = make_samples(p.values, overlay if i > 1 else None, ell, i)
             x, y, kept, skipped = per_target_loop(p.values, overlay, ell, i)
             for got, want in ((out.x, x), (out.y, y), (out.target_indices, kept)):
                 assert got.dtype == want.dtype and got.shape == want.shape
@@ -680,21 +680,21 @@ class TestMakeSamples:
         vals = seeded_rng(15).uniform(0, 1, (40, 3))
         vals[20, 1] = np.nan
         overlay = np.full((i - 1, 40, 3), 0.5)
-        out = make_samples(panel_from(vals), overlay if i > 1 else None, ell=6, i=i)
+        out = make_samples(vals, overlay if i > 1 else None, ell=6, i=i)
         assert 0 < out.skipped < 40 - 6
         assert out.x.flags.c_contiguous
 
     def test_invalid_arguments(self):
         p = panel_from(np.arange(30.0))
         with pytest.raises(ValueError):
-            make_samples(p, None, ell=0, i=1)
+            make_samples(p.values, None, ell=0, i=1)
         with pytest.raises(ValueError):
-            make_samples(p, None, ell=3, i=0)
+            make_samples(p.values, None, ell=3, i=0)
 
     def test_overlay_required_for_later_offsets(self):
         p = panel_from(np.arange(30.0))
         with pytest.raises(ValueError, match="forecast_overlay"):
-            make_samples(p, None, ell=3, i=2)
+            make_samples(p.values, None, ell=3, i=2)
 
 
 class TestPanelInvariants:

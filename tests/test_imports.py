@@ -1,8 +1,10 @@
 """Every name a module of the package imports is used in that module, every
 name the package defines is named somewhere outside its own definition and
 outside the tests, lstm.predict_batches is the package's only forward-only
-pass, dataset.parse_timestamp is its only timestamp parser, and
-TimeSeriesPanel.index_of its only map from a time to a row."""
+pass, dataset.parse_timestamp is its only timestamp parser,
+TimeSeriesPanel.index_of its only map from a time to a row, and
+dataset.normalize and dataset.denormalize, the one scaling rule and its
+inverse, the only functions that read a normalizer's spans."""
 
 import ast
 import io
@@ -101,9 +103,9 @@ def unnamed_definitions(defining: dict[str, str], searched: dict[str, str]) -> l
     return unnamed
 
 
-def forward_only_callers(module: str, source: str) -> list[str]:
-    """Qualified names of the functions of `source` that pass keep_cache other
-    than a literal True, by keyword or as net_forward's third argument."""
+def scopes_where(module: str, source: str, hit) -> list[str]:
+    """The qualified name of the function, class or module of `source` that
+    holds each node for which `hit(node)` is true."""
     found = []
 
     def visit(node, scope):
@@ -111,16 +113,29 @@ def forward_only_callers(module: str, source: str) -> list[str]:
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}"
-            elif isinstance(child, ast.Call):
-                flags = [k.value for k in child.keywords if k.arg == "keep_cache"]
-                if ast.unparse(child.func).endswith("net_forward"):
-                    flags += child.args[2:3]
-                if any(not (isinstance(f, ast.Constant) and f.value is True) for f in flags):
-                    found.append(scope)
+            elif hit(child):
+                found.append(scope)
             visit(child, inner)
 
     visit(ast.parse(source), module)
     return found
+
+
+def passes_keep_cache(node) -> bool:
+    """Whether `node` is a call that passes keep_cache other than a literal
+    True, by keyword or as net_forward's third argument."""
+    if not isinstance(node, ast.Call):
+        return False
+    flags = [k.value for k in node.keywords if k.arg == "keep_cache"]
+    if ast.unparse(node.func).endswith("net_forward"):
+        flags += node.args[2:3]
+    return any(not (isinstance(f, ast.Constant) and f.value is True) for f in flags)
+
+
+def reads_spans(node) -> bool:
+    """Whether `node` reads an attribute named spans, as a normalizer's is."""
+    return isinstance(node, ast.Attribute) and node.attr == "spans" \
+        and isinstance(node.ctx, ast.Load)
 
 
 # datetime parsers that read one-digit fields, non-ASCII digits or other forms
@@ -179,7 +194,7 @@ def test_detects_a_definition_only_the_tests_reach():
 
 def test_predict_batches_is_the_only_forward_only_pass():
     callers = [name for p in MODULES
-               for name in forward_only_callers(p.stem, p.read_text(encoding="utf-8"))]
+               for name in scopes_where(p.stem, p.read_text(encoding="utf-8"), passes_keep_cache)]
     assert callers == ["lstm.predict_batches"]
 
 
@@ -188,7 +203,7 @@ def test_detects_a_forward_only_caller():
               "class B:\n    def b(self, x):\n        return lstm.net_forward(self.net, x, False)\n\n"
               "def c(net, x):\n    def inner(flag):\n        return run(x, keep_cache=flag)\n"
               "    return net_forward(net, x, keep_cache=True)\n")
-    assert forward_only_callers("m", source) == ["m.a", "m.B.b", "m.c.inner"]
+    assert scopes_where("m", source, passes_keep_cache) == ["m.a", "m.B.b", "m.c.inner"]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=[p.name for p in MODULES])
@@ -220,6 +235,21 @@ def test_detects_a_second_time_to_row_rule():
               "    return panel.timestamps.searchsorted(t), searchsorted(panel.timestamps, t)\n")
     assert calls_named(source, ROW_LOOKUPS) == [
         "searchsorted (line 5)", "searchsorted (line 9)", "searchsorted (line 9)"]
+
+
+def test_one_scaling_rule():
+    readers = {name for p in MODULES
+               for name in scopes_where(p.stem, p.read_text(encoding="utf-8"), reads_spans)}
+    assert sorted(readers) == ["dataset.denormalize", "dataset.normalize"]
+
+
+def test_detects_a_second_scaling_rule():
+    source = ("def a(nz, x):\n    return (x - nz.mins) / nz.spans\n\n"
+              "class B:\n    def b(self, x):\n        return x * self.normalizer.spans\n\n"
+              "def c(nz):\n    # nz.spans in a comment, and as a string: 'nz.spans'\n"
+              "    nz.spans = None\n    def inner(w):\n        return w / nz.spans[0]\n"
+              "    return inner\n")
+    assert scopes_where("m", source, reads_spans) == ["m.a", "m.B.b", "m.c.inner"]
 
 
 def test_detects_an_unnamed_definition():
