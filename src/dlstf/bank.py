@@ -29,6 +29,8 @@ from .training import TrainConfig, train_model
 BANK_MAGIC = b"DLSTF\x00"
 BANK_VERSION = 1
 
+DEFAULT_H = 6
+DEFAULT_ELL = 12
 DEFAULT_FIRST_WIDTHS = (32,)
 DEFAULT_LATER_WIDTHS = (64, 64)
 
@@ -51,7 +53,7 @@ class HorizonConfig:
             raise ValueError("every model needs at least one positive layer width")
 
     @classmethod
-    def default(cls, n: int, h: int = 6, ell: int = 12,
+    def default(cls, n: int, h: int = DEFAULT_H, ell: int = DEFAULT_ELL,
                 first_widths: tuple[int, ...] = DEFAULT_FIRST_WIDTHS,
                 later_widths: tuple[int, ...] = DEFAULT_LATER_WIDTHS) -> "HorizonConfig":
         """Standard bank: one small net for offset 1, stacked nets for the rest."""

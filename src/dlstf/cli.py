@@ -15,11 +15,15 @@ import functools
 import hashlib
 import os
 import sys
+from collections.abc import Callable
+from dataclasses import fields
 from pathlib import Path
+from typing import Any, NamedTuple
 
 import numpy as np
 
-from .bank import (HorizonConfig, ModelBank, check_train_rows, forecast_block, load_bank,
+from .bank import (DEFAULT_ELL, DEFAULT_FIRST_WIDTHS, DEFAULT_H, DEFAULT_LATER_WIDTHS,
+                   HorizonConfig, ModelBank, check_train_rows, forecast_block, load_bank,
                    save_bank, train_bank)
 from .dataset import (HOUR, TimeSeriesPanel, fill_missing, format_timestamp,
                       fraction_cuts, ingest_csv, parse_timestamp, write_csv)
@@ -37,29 +41,54 @@ class UsageError(Exception):
     pass
 
 
-# effective-config keys in canonical dump order, with their default values
-CONFIG_DEFAULTS: tuple[tuple[str, str], ...] = (
-    ("h", "6"),
-    ("ell", "12"),
-    ("m1_layers", "32"),
-    ("mi_layers", "64 64"),
-    ("learning_rate", "0.001"),
-    ("rho", "0.9"),
-    ("epsilon", "1e-08"),
-    ("batch_size", "32"),
-    ("max_epochs", "200"),
-    ("patience", "10"),
-    ("clip_norm", "5.0"),
-    ("seed", "0"),
-    ("train_frac", "0.7"),
-    ("val_frac", "0.15"),
-    ("max_gap", "3"),
-    ("train_end", ""),
-    ("val_end", ""),
-    ("test_start", ""),
-    ("test_end", ""),
-)
-KNOWN_KEYS = tuple(k for k, _ in CONFIG_DEFAULTS)
+def _widths(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.replace(",", " ").split())
+
+
+def _timestamp(text: str):
+    return None if text == "" else parse_timestamp(text)
+
+
+class _Key(NamedTuple):
+    """A config key's parser, which raises ValueError on text that is no valid `kind`, its
+    default, and the rule `valid` a parsed value must meet, else `refusal` refuses it."""
+    parse: Callable[[str], Any]
+    kind: str
+    default: Any
+    valid: Callable[[Any], bool] = lambda value: True
+    refusal: str = ""
+
+
+_TIMESTAMP, _NO_WIDTH = "timestamp (YYYY-MM-DDTHH:00:00Z)", "must list at least one layer width"
+# every config key in dump order, which the config digest hashes; the bank
+# shape and training keys take the library's defaults
+CONFIG_KEYS: dict[str, _Key] = {
+    "h": _Key(int, "integer", DEFAULT_H),
+    "ell": _Key(int, "integer", DEFAULT_ELL),
+    "m1_layers": _Key(_widths, "width list", DEFAULT_FIRST_WIDTHS, bool, _NO_WIDTH),
+    "mi_layers": _Key(_widths, "width list", DEFAULT_LATER_WIDTHS, bool, _NO_WIDTH),
+    "learning_rate": _Key(float, "number", TrainConfig.learning_rate),
+    "rho": _Key(float, "number", TrainConfig.rho),
+    "epsilon": _Key(float, "number", TrainConfig.epsilon),
+    "batch_size": _Key(int, "integer", TrainConfig.batch_size),
+    "max_epochs": _Key(int, "integer", TrainConfig.max_epochs),
+    "patience": _Key(int, "integer", TrainConfig.patience),
+    "clip_norm": _Key(float, "number", TrainConfig.clip_norm),
+    "seed": _Key(int, "integer", TrainConfig.seed, lambda seed: seed >= 0,
+                 "must be a non-negative integer, got {}"),
+    "train_frac": _Key(float, "number", 0.7),
+    "val_frac": _Key(float, "number", 0.15),
+    "max_gap": _Key(int, "integer", 3, lambda max_gap: max_gap >= 0, "must be >= 0, got {}"),
+    "train_end": _Key(_timestamp, _TIMESTAMP, ""),
+    "val_end": _Key(_timestamp, _TIMESTAMP, ""),
+    "test_start": _Key(_timestamp, _TIMESTAMP, ""),
+    "test_end": _Key(_timestamp, _TIMESTAMP, ""),
+}
+
+
+def _text(default) -> str:
+    """A default as config text, a width list space-separated."""
+    return " ".join(map(str, default)) if isinstance(default, tuple) else str(default)
 
 
 class RunConfig:
@@ -70,7 +99,7 @@ class RunConfig:
 
     @classmethod
     def build(cls, config_path: str | None, flag_overrides: dict[str, str | None]) -> "RunConfig":
-        values = dict(CONFIG_DEFAULTS)
+        values = {key: _text(entry.default) for key, entry in CONFIG_KEYS.items()}
         file_values = {} if config_path is None else parse_config_file(config_path)
         for key, val in file_values.items():
             if key not in values:
@@ -86,63 +115,31 @@ class RunConfig:
         return cls(values)
 
     def dump(self) -> str:
-        return "".join(f"{k} = {self.values[k]}\n" for k in KNOWN_KEYS)
+        return "".join(f"{k} = {self.values[k]}\n" for k in CONFIG_KEYS)
 
     def digest(self) -> str:
         return hashlib.sha256(self.dump().encode("utf-8")).hexdigest()
 
-    def _parse(self, key: str, conv, kind: str):
-        raw = self.values[key]
+    def get(self, key: str) -> Any:
+        """The value of `key` as its table entry parses it; a value the entry
+        refuses is a usage error."""
+        entry, text = CONFIG_KEYS[key], self.values[key]
         try:
-            return conv(raw)
-        except (ValueError, DataError):
-            raise UsageError(f"config key {key!r}: {raw!r} is not a valid {kind}") from None
-
-    def get_int(self, key: str) -> int:
-        return self._parse(key, int, "integer")
-
-    def get_seed(self) -> int:
-        seed = self.get_int("seed")
-        if seed < 0:
-            raise UsageError(f"config key 'seed' must be a non-negative integer, got {seed}")
-        return seed
-
-    def get_float(self, key: str) -> float:
-        return self._parse(key, float, "number")
-
-    def get_widths(self, key: str) -> tuple[int, ...]:
-        raw = self.values[key].replace(",", " ")
-        widths = self._parse(key, lambda _: tuple(int(tok) for tok in raw.split()),
-                             "width list")
-        if not widths:
-            raise UsageError(f"config key {key!r} must list at least one layer width")
-        return widths
-
-    def get_timestamp(self, key: str):
-        raw = self.values[key]
-        if raw == "":
-            return None
-        return self._parse(key, parse_timestamp, "timestamp (YYYY-MM-DDTHH:00:00Z)")
+            value = entry.parse(text)
+        except ValueError:
+            raise UsageError(f"config key {key!r}: {text!r} is not a valid {entry.kind}") from None
+        if not entry.valid(value):
+            raise UsageError(f"config key {key!r} {entry.refusal.format(value)}")
+        return value
 
     def horizon_config(self, n: int) -> HorizonConfig:
         """The bank shape for n stations; an out-of-range value is a usage error."""
-        return _configured(HorizonConfig.default, n=n, h=self.get_int("h"), ell=self.get_int("ell"),
-                           first_widths=self.get_widths("m1_layers"),
-                           later_widths=self.get_widths("mi_layers"))
+        return _configured(HorizonConfig.default, n=n, h=self.get("h"), ell=self.get("ell"),
+                           first_widths=self.get("m1_layers"), later_widths=self.get("mi_layers"))
 
     def train_config(self) -> TrainConfig:
         """The training settings of every model; an out-of-range value is a usage error."""
-        return _configured(
-            TrainConfig,
-            learning_rate=self.get_float("learning_rate"),
-            rho=self.get_float("rho"),
-            epsilon=self.get_float("epsilon"),
-            batch_size=self.get_int("batch_size"),
-            max_epochs=self.get_int("max_epochs"),
-            patience=self.get_int("patience"),
-            seed=self.get_seed(),
-            clip_norm=self.get_float("clip_norm"),
-        )
+        return _configured(TrainConfig, **{f.name: self.get(f.name) for f in fields(TrainConfig)})
 
 
 def _configured(make, **settings):
@@ -197,11 +194,8 @@ def _log(msg: str) -> None:
 
 
 def _load_panel(cfg: RunConfig, data_path: str) -> TimeSeriesPanel:
-    max_gap = cfg.get_int("max_gap")
-    if max_gap < 0:
-        raise UsageError(f"config key 'max_gap' must be >= 0, got {max_gap}")
-    panel = ingest_csv(data_path)
-    panel, report = fill_missing(panel, max_gap)
+    max_gap = cfg.get("max_gap")  # a refused value is reported before the CSV is read
+    panel, report = fill_missing(ingest_csv(data_path), max_gap)
     if report.runs:
         _log(f"missing data: filled {len(report.filled)} runs, "
              f"left {len(report.unfilled)} unfilled")
@@ -221,8 +215,7 @@ def _cuts(panel: TimeSeriesPanel, cfg: RunConfig) -> tuple[int, int]:
     """The row cuts (a, b): train on [0, a), validate on [a, b), hold out [b, T).
     train_end and val_end name the last rows of the first two ranges and must lie
     in the panel; without them the cuts are `fraction_cuts` of the fractions."""
-    train_end = cfg.get_timestamp("train_end")
-    val_end = cfg.get_timestamp("val_end")
+    train_end, val_end = cfg.get("train_end"), cfg.get("val_end")
     if (train_end is None) != (val_end is None):
         given, missing = ("train_end", "val_end") if val_end is None else ("val_end", "train_end")
         raise UsageError(f"{given} needs {missing}: set both or neither")
@@ -231,7 +224,7 @@ def _cuts(panel: TimeSeriesPanel, cfg: RunConfig) -> tuple[int, int]:
         if not a < b:
             raise DataError("train_end/val_end do not cut the panel into nonempty ranges")
     else:
-        train_frac, val_frac = cfg.get_float("train_frac"), cfg.get_float("val_frac")
+        train_frac, val_frac = cfg.get("train_frac"), cfg.get("val_frac")
         if not 0 < train_frac < train_frac + val_frac <= 1:
             raise UsageError("train_frac and val_frac must be positive and sum to at most 1")
         a, b = fraction_cuts(panel.n_times, train_frac, val_frac)
@@ -246,8 +239,7 @@ def _test_window(panel: TimeSeriesPanel, cfg: RunConfig, ell: int,
     block starts at test_start, or else at max(ell, b), the held-out cut of
     `_cuts`, so that every scoring command walks the same rows; test_start and
     test_end must lie in the panel."""
-    test_start = cfg.get_timestamp("test_start")
-    test_end = cfg.get_timestamp("test_end")
+    test_start, test_end = cfg.get("test_start"), cfg.get("test_end")
     if test_start is not None and test_end is not None and test_start > test_end:
         raise DataError(f"test_start {format_timestamp(test_start)} falls after "
                         f"test_end {format_timestamp(test_end)}")
@@ -293,7 +285,7 @@ def _run_config(args, *required: str) -> RunConfig:
     """A command's effective config, with every flag whose dest is a config key
     as an override; then the `required` options are checked and the seed and
     digest logged. `train --dump-config` skips the check and the log."""
-    cfg = RunConfig.build(args.config, {k: getattr(args, k, None) for k in KNOWN_KEYS})
+    cfg = RunConfig.build(args.config, {k: getattr(args, k, None) for k in CONFIG_KEYS})
     if getattr(args, "dump_config", False):
         return cfg
     for name in required:
@@ -311,7 +303,7 @@ def _cmd_train(args) -> int:
     panel = _load_panel(cfg, args.data)
     a, b = _cuts(panel, cfg)
     train_panel, val_panel = panel.slice_rows(0, a), panel.slice_rows(a, b)
-    check_train_rows(train_panel.n_times, cfg.get_int("ell"), cfg.get_int("h"))
+    check_train_rows(train_panel.n_times, cfg.get("ell"), cfg.get("h"))
     hcfg = cfg.horizon_config(panel.n_stations)
     train = cfg.train_config()
 
@@ -350,7 +342,7 @@ def _cmd_baseline(args) -> int:
     if args.method == "ar" and args.order < 1:
         raise UsageError(f"--order must be >= 1, got {args.order}")
     panel = _load_panel(cfg, args.data)
-    h, ell = cfg.get_int("h"), cfg.get_int("ell")
+    h, ell = cfg.get("h"), cfg.get("ell")
     sliced, first = _test_window(panel, cfg, ell, h)
     # built after the window checks: it holds h widths, the defaults, which no baseline reads
     shape = _configured(HorizonConfig.default, n=panel.n_stations, h=h, ell=ell)
@@ -418,7 +410,7 @@ def _gradcheck_instance(seed: int):
 
 
 def _cmd_gradcheck(args) -> int:
-    net, sample = _gradcheck_instance(_run_config(args).get_seed())
+    net, sample = _gradcheck_instance(_run_config(args).get("seed"))
     err = gradient_check(net, sample, eps=1e-5)
     print(f"max relative error: {err:.3e}")
     if err < GRADCHECK_TOLERANCE:
@@ -431,7 +423,7 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_synth(args) -> int:
     cfg = _run_config(args, "out")
     try:
-        panel = synth_generate(args.n, args.T, cfg.get_seed(),
+        panel = synth_generate(args.n, args.T, cfg.get("seed"),
                                coupling=args.coupling, noise=args.noise)
     except ValueError as exc:
         raise UsageError(str(exc)) from None

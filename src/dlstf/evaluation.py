@@ -226,10 +226,14 @@ def persistence_forecaster(h: int):
 
 
 def fit_ar_models(panel: TimeSeriesPanel, p: int) -> list[ArModel]:
-    """Fit one AR(p) per station over the whole (gap-free) panel."""
+    """Fit one AR(p) per station over the whole (gap-free) panel; a refused fit
+    raises `ar_fit`'s exception class, its text prefixed with the station id."""
     models = []
     for s, sid in enumerate(panel.station_ids):
-        m = ar_fit(panel.values[:, s], p)
+        try:
+            m = ar_fit(panel.values[:, s], p)
+        except ValueError as exc:  # DataError too
+            raise type(exc)(f"station {sid!r}: {exc}") from None
         models.append(ArModel(sid, m.order, m.intercept, m.coefficients))
     return models
 

@@ -1,10 +1,12 @@
 import argparse
+import hashlib
 import os
 import re
 import struct
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from dlstf.bank import BANK_MAGIC, BANK_VERSION, HorizonConfig, load_bank, save_
 from dlstf import cli as cli_module
 from dlstf import dataset as dataset_module
 from dlstf import evaluation as evaluation_module
-from dlstf.cli import CONFIG_DEFAULTS, KNOWN_KEYS, RunConfig, UsageError, _cuts, run_cli
+from dlstf.cli import RunConfig, UsageError, _cuts, run_cli
 from dlstf.dataset import (HOUR, TimeSeriesPanel, fill_missing, format_timestamp, fraction_cuts,
                            ingest_csv, write_csv)
 from dlstf.errors import DataError
@@ -35,6 +37,17 @@ def non_canonical_forms(ts):
 
 
 NON_CANONICAL_STAMPS = non_canonical_forms(np.datetime64("2014-01-01T01:00:00"))
+
+# The `train --dump-config` bytes of a run without a config, and their sha256,
+# which every manifest records as config_digest. Pinned as literals, so that the
+# table of config keys is compared with fixed bytes and not with itself.
+DEFAULT_DUMP = (
+    "h = 6\nell = 12\nm1_layers = 32\nmi_layers = 64 64\nlearning_rate = 0.001\n"
+    "rho = 0.9\nepsilon = 1e-08\nbatch_size = 32\nmax_epochs = 200\npatience = 10\n"
+    "clip_norm = 5.0\nseed = 0\ntrain_frac = 0.7\nval_frac = 0.15\nmax_gap = 3\n"
+    "train_end = \nval_end = \ntest_start = \ntest_end = \n")
+DEFAULT_DIGEST = "4a41c6fffd80f00cde72b38710b8b9231b2de9cb33f8eb16a8ae87a5cc7a3e42"
+DUMP_KEYS = tuple(line.split(" = ")[0] for line in DEFAULT_DUMP.splitlines())
 
 
 def run(*argv):
@@ -143,6 +156,25 @@ class TestUsageErrors:
                    "--report", str(tmp_path / "r.csv")) == 2
         assert "cannot fit AR(5000)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault, reason", [
+        ("gap", "AR fitting range contains missing values"),
+        ("constant", "singular design matrix: series has no AR structure to fit")],
+        ids=["gap", "constant"])
+    def test_ar_fit_error_names_the_station_exit_2(self, tmp_path, capsys, fault, reason):
+        panel = synth_generate(4, 1500, 5)
+        values = panel.values.copy()
+        if fault == "gap":  # 20 hours, longer than max_gap, inside the fit range
+            values[400:420, 2] = np.nan
+        else:
+            values[:, 2] = 4.0
+        data, report = tmp_path / "panel.csv", tmp_path / "r.csv"
+        write_csv(replace(panel, values=values), data)
+        assert run("baseline", "--method", "ar", "--data", str(data),
+                   "--report", str(report)) == 2
+        err = capsys.readouterr().err
+        assert f"cannot fit AR(3): station 'S02': {reason}" in err
+        assert not report.exists()
+
     @pytest.mark.parametrize("frac", ["1.5", "-0.5"])
     def test_baseline_train_frac_outside_unit_interval(self, tiny_data, tmp_path, capsys,
                                                        frac):
@@ -245,7 +277,7 @@ class TestFlagWiring:
             required = [arg for a in sub._actions if a.required
                         for arg in (a.option_strings[0], a.choices[0])]
             for action in sub._actions:
-                if action.dest not in KNOWN_KEYS:
+                if action.dest not in DUMP_KEYS:
                     continue
                 # a key flag is a plain string option named after its key
                 assert action.option_strings == ["--" + action.dest.replace("_", "-")]
@@ -255,7 +287,28 @@ class TestFlagWiring:
                 args = parser.parse_args([name, action.option_strings[0], value, *required])
                 assert cli_module._run_config(args).values[action.dest] == value
                 wired.add(action.dest)
-        assert wired == set(KNOWN_KEYS) - {"rho", "epsilon", "clip_norm", "max_gap"}
+        assert wired == set(DUMP_KEYS) - {"rho", "epsilon", "clip_norm", "max_gap"}
+
+    def test_each_command_accepts_exactly_its_pinned_flags(self):
+        common = ["-h", "--help", "--config", "--seed"]
+        pinned = {
+            "train": ["--data", "--h", "--ell", "--max-epochs", "--learning-rate",
+                      "--batch-size", "--patience", "--m1-layers", "--mi-layers", "--train-frac",
+                      "--val-frac", "--train-end", "--val-end", "--out", "--dump-config"],
+            "forecast": ["--model", "--data", "--out", "--at"],
+            "evaluate": ["--model", "--data", "--report", "--test-start", "--test-end"],
+            "baseline": ["--data", "--report", "--h", "--ell", "--train-frac", "--test-start",
+                         "--test-end", "--method", "--order"],
+            "gradcheck": [],
+            "synth": ["--out", "--n", "--T", "--coupling", "--noise"],
+            "plot": ["--model", "--data", "--test-start", "--test-end", "--stations", "--out"],
+        }
+        commands = next(a for a in cli_module._build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        assert list(commands) == list(pinned)
+        for name, sub in commands.items():
+            flags = [flag for action in sub._actions for flag in action.option_strings]
+            assert flags == common + pinned[name], name
 
 
     def test_consecutive_calls_share_no_parsed_values(self, capsys):
@@ -765,12 +818,35 @@ class TestDumpConfig:
         cfg.write_text(block)
         assert run("train", "--config", str(cfg), "--dump-config") == 0
         out = capsys.readouterr().out
-        assert out == "".join(f"{k} = {v}\n" for k, v in CONFIG_DEFAULTS)
-        assert RunConfig.build(str(cfg), {}).digest() == RunConfig(dict(CONFIG_DEFAULTS)).digest()
+        assert out == DEFAULT_DUMP
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEFAULT_DIGEST
+        assert RunConfig.build(str(cfg), {}).digest() == DEFAULT_DIGEST
 
-    def test_defaults_match_the_library_defaults(self):
-        # CONFIG_DEFAULTS repeats the defaults of TrainConfig and HorizonConfig.default
-        defaults = RunConfig(dict(CONFIG_DEFAULTS))
+    def test_every_key_set_dumps_in_key_order(self, tmp_path, capsys):
+        # the file lists the keys out of order; the dump keeps each value's text
+        cfg = tmp_path / "every.cfg"
+        cfg.write_text(
+            "test_end = 2000-01-15T00:00:00Z\nseed = 42\nh = 4\nclip_norm = 2.5\n"
+            "m1_layers = 16, 8\nell = 8\nmi_layers = 24 12\nlearning_rate = 0.002\n"
+            "rho = 0.95\nepsilon = 1e-7\nbatch_size = 16\nmax_epochs = 50\npatience = 5\n"
+            "train_frac = 0.6\nval_frac = 0.2\nmax_gap = 5\n"
+            "train_end = 2000-01-10T00:00:00Z\nval_end = 2000-01-12T00:00:00Z\n"
+            "test_start = 2000-01-13T00:00:00Z\n")
+        assert run("train", "--config", str(cfg), "--dump-config") == 0
+        out = capsys.readouterr().out
+        assert out == (
+            "h = 4\nell = 8\nm1_layers = 16, 8\nmi_layers = 24 12\nlearning_rate = 0.002\n"
+            "rho = 0.95\nepsilon = 1e-7\nbatch_size = 16\nmax_epochs = 50\npatience = 5\n"
+            "clip_norm = 2.5\nseed = 42\ntrain_frac = 0.6\nval_frac = 0.2\nmax_gap = 5\n"
+            "train_end = 2000-01-10T00:00:00Z\nval_end = 2000-01-12T00:00:00Z\n"
+            "test_start = 2000-01-13T00:00:00Z\ntest_end = 2000-01-15T00:00:00Z\n")
+        digest = "8202f4be6c5a3401c35ac563b115e9f5d2ad5281df9636dab787f1ab4f813054"
+        assert RunConfig.build(str(cfg), {}).digest() == digest
+
+    def test_defaults_match_the_library_defaults(self, monkeypatch):
+        monkeypatch.delenv("DLSTF_SEED", raising=False)
+        defaults = RunConfig.build(None, {})
+        assert defaults.dump() == DEFAULT_DUMP
         assert defaults.train_config() == TrainConfig()
         assert defaults.horizon_config(6) == HorizonConfig.default(6)
 

@@ -252,6 +252,17 @@ class TestEvaluate:
         assert report.mean_mae == pytest.approx(float(np.mean(report.mae)), abs=1e-15)
         assert report.mean_rmse == pytest.approx(float(np.mean(report.rmse)), abs=1e-15)
 
+    def test_constant_station_makes_the_mean_nrmse_nan(self):
+        # a station whose actual range is zero has NaN NRMSE, and the station
+        # mean keeps that NaN, while the mean MAE and RMSE stay finite
+        values = seeded_rng(11).uniform(0, 10, (60, 3))
+        values[:, 1] = 6.5
+        report = evaluate(persistence_forecaster(4), panel_from(values),
+                          schedule_cfg(3, h=4, ell=6))
+        assert math.isnan(report.nrmse[1]) and np.isfinite(report.nrmse[[0, 2]]).all()
+        assert math.isnan(report.mean_nrmse)
+        assert math.isfinite(report.mean_mae) and math.isfinite(report.mean_rmse)
+
 
 def gappy_values(seed, T=160, n=3, gaps=6, max_len=4):
     """Seeded AR-like panel with `gaps` NaN runs of 1..max_len rows after row 40."""
