@@ -122,9 +122,11 @@ class RunConfig:
 
     def get(self, key: str) -> Any:
         """The value of `key` as its table entry parses it; a value the entry
-        refuses is a usage error."""
+        refuses, or one with ``_`` or a non-ASCII character, is a usage error."""
         entry, text = CONFIG_KEYS[key], self.values[key]
-        try:
+        try:  # as for CSV cells: int() and float() alone also read 1_2, ١٢ and １２
+            if not text.isascii() or "_" in text:
+                raise ValueError(text)
             value = entry.parse(text)
         except ValueError:
             raise UsageError(f"config key {key!r}: {text!r} is not a valid {entry.kind}") from None

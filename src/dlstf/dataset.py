@@ -11,7 +11,8 @@ character; a leading BOM is ignored.
 
 from __future__ import annotations
 
-import io
+import codecs
+import itertools
 import math
 import re
 import warnings
@@ -53,9 +54,17 @@ class TimeSeriesPanel:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "station_ids", tuple(self.station_ids))
-        ts = np.asarray(self.timestamps, dtype="datetime64[s]")
-        vals = np.asarray(self.values, dtype=np.float64)
+        self._seal(self.station_ids, np.asarray(self.timestamps, dtype="datetime64[s]").copy(),
+                   np.asarray(self.values, dtype=np.float64).copy())
+
+    @classmethod
+    def _adopt(cls, station_ids, timestamps, values) -> "TimeSeriesPanel":
+        """A panel of arrays that this module built, or of views of a panel's: checked
+        and made read-only as the constructor's copies are, but not copied."""
+        return object.__new__(cls)._seal(station_ids, timestamps, values)
+
+    def _seal(self, station_ids, ts: np.ndarray, vals: np.ndarray) -> "TimeSeriesPanel":
+        object.__setattr__(self, "station_ids", tuple(station_ids))
         if vals.ndim != 2 or vals.shape != (ts.shape[0], len(self.station_ids)):
             raise ValueError(
                 f"values must be (T={ts.shape[0]}, n={len(self.station_ids)}), got {vals.shape}")
@@ -67,12 +76,11 @@ class TimeSeriesPanel:
             raise ValueError(
                 f"timestamps must increase in exact 1-hour steps; violated at row {bad} "
                 f"({format_timestamp(ts[bad])})")
-        ts = ts.copy()
-        vals = vals.copy()
         ts.setflags(write=False)
         vals.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "values", vals)
+        return self
 
     @property
     def n_stations(self) -> int:
@@ -100,14 +108,16 @@ class TimeSeriesPanel:
         return int(k)
 
     def slice_rows(self, lo: int, hi: int) -> "TimeSeriesPanel":
+        """Rows [lo, hi) as a panel whose arrays are read-only views of this one's."""
         if not 0 <= lo < hi <= self.n_times:
             raise ValueError(f"bad row slice [{lo}, {hi}) for T={self.n_times}")
-        return TimeSeriesPanel(self.station_ids, self.timestamps[lo:hi], self.values[lo:hi])
+        return TimeSeriesPanel._adopt(self.station_ids, self.timestamps[lo:hi], self.values[lo:hi])
 
 
-# data lines per array pass of ingest_csv and write_csv; bounds a pass's joined text, regex
-# output and loadtxt buffers, not ingest_csv's whole-file text (ROADMAP item 7 streams it)
+# data lines per array pass of ingest_csv and write_csv; bounds a pass's lines, joined text,
+# regex output and loadtxt buffers, which with one read block are all the text ingest holds
 CSV_CHUNK_ROWS = 1024
+_READ_BYTES = 1 << 14  # bytes per read of ingest_csv
 
 
 def _parse_line(path, lineno: int, line: str, station_ids: list[str], prev) -> None:
@@ -155,8 +165,8 @@ _EMPTY_CELL = re.compile(r",(?=,|\n|\Z)")
 
 def _loadtxt(text: str, n: int):
     """The n cells after the timestamp of each line, or None if loadtxt refuses them."""
-    try:
-        return np.loadtxt(io.StringIO(text), delimiter=",", usecols=range(1, n + 1),
+    try:  # a list of lines takes a quarter of the memory of a StringIO of their text
+        return np.loadtxt(text.split("\n"), delimiter=",", usecols=range(1, n + 1),
                           comments=None, ndmin=2, dtype=np.float64)
     except ValueError:
         return None
@@ -192,6 +202,33 @@ def _read_chunk(chunk: list[str], stamps: np.ndarray, n: int):
     return cells
 
 
+def _line_blocks(path):
+    """The lines of the UTF-8 file at `path` after any BOM, one list per read block,
+    split on "\n" only and each without one trailing CR; a last line that is empty or
+    a lone CR is none. A byte that is not UTF-8 is named as one decode would name it."""
+    with open(path, "rb") as fh:
+        if not codecs.BOM_UTF8.startswith(fh.read(3)):  # skip a BOM, or a file that is part of one
+            fh.seek(0)
+        pos, carry, tail = 0, b"", ""  # carry: the bytes of a character cut by a block
+        while True:
+            data = carry + (block := fh.read(_READ_BYTES))
+            try:
+                text, used = codecs.utf_8_decode(data, "strict", not block)
+            except UnicodeDecodeError as exc:
+                at, last = pos + exc.start, pos + exc.end - 1
+                where = (f"byte 0x{data[exc.start]:02x} in position {at}" if at == last
+                         else f"bytes in position {at}-{last}")
+                raise DataError(f"{path}: not UTF-8 text: 'utf-8' codec can't decode "
+                                f"{where}: {exc.reason}") from None
+            text = tail + text
+            lines = (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
+            tail = lines.pop()
+            yield lines if block or tail in ("", "\r") else lines + [tail.removesuffix("\r")]
+            if not block:
+                return
+            pos, carry = pos + used, data[used:]
+
+
 def ingest_csv(path) -> TimeSeriesPanel:
     """Parse a panel CSV; empty cells and ``NA`` become missing values.
 
@@ -199,21 +236,19 @@ def ingest_csv(path) -> TimeSeriesPanel:
     every value, one call per CSV_CHUNK_ROWS data lines. A chunk that it refuses
     goes line by line through `_parse_line`, which names the file's first error
     in line order; if no line there has a fault, the chunk's lines are named.
+    It reads the file twice: to count its lines and name any non-UTF-8 byte, then to parse.
     """
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            raw = fh.read()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
-    lines = raw.split("\n")
-    if "\r" in raw:
-        lines = [ln[:-1] if ln.endswith("\r") else ln for ln in lines]
-    del raw
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    count = sum(map(len, _line_blocks(path)))
+    lines = itertools.chain.from_iterable(_line_blocks(path))
+
+    def take(k: int) -> list[str]:
+        if len(got := list(itertools.islice(lines, k))) != k:
+            raise DataError(f"{path}: file changed while it was read")
+        return got
+
+    if count == 0:
         raise DataError(f"{path}: empty file")
-    header = lines[0].split(",")
+    header = take(1)[0].split(",")
     if len(header) < 2 or header[0] != "timestamp":
         raise DataError(f"{path}: missing header; first line must be 'timestamp,<id1>,...'")
     station_ids = header[1:]
@@ -229,27 +264,30 @@ def ingest_csv(path) -> TimeSeriesPanel:
         if sid != sid.strip():
             raise DataError(f"{path}: station id {sid!r} has leading or trailing whitespace")
     n = len(station_ids)
-    T = len(lines) - 1
+    T = count - 1
     if T == 0:
         raise DataError(f"{path}: no data rows")
 
+    chunk = take(min(CSV_CHUNK_ROWS, T))
     try:
-        t0 = parse_timestamp(lines[1].split(",", 1)[0])
+        t0 = parse_timestamp(chunk[0].split(",", 1)[0])
     except DataError:
-        _parse_line(path, 2, lines[1], station_ids, None)  # names line 2's first fault
+        _parse_line(path, 2, chunk[0], station_ids, None)  # names line 2's first fault
         raise
     stamps = t0 + np.arange(T) * HOUR
     values = np.empty((T, n))
     for lo in range(0, T, CSV_CHUNK_ROWS):
-        hi = min(lo + CSV_CHUNK_ROWS, T)
-        chunk = lines[lo + 1:hi + 1]
+        hi = lo + len(chunk)
         cells = _read_chunk(chunk, stamps[lo:hi], n)
         if cells is None:
             for r, line in enumerate(chunk, start=lo):
                 _parse_line(path, r + 2, line, station_ids, stamps[r - 1] if r else None)
             raise DataError(f"{path}: lines {lo + 2}-{hi + 1} refused with no line at fault")
         values[lo:hi] = cells
-    return TimeSeriesPanel(tuple(station_ids), stamps, values)
+        chunk = take(min(CSV_CHUNK_ROWS, T - hi))
+    if next(lines, None) is not None:
+        raise DataError(f"{path}: file changed while it was read")
+    return TimeSeriesPanel._adopt(tuple(station_ids), stamps, values)
 
 
 def write_csv(panel: TimeSeriesPanel, path) -> None:
@@ -319,7 +357,7 @@ def fill_missing(panel: TimeSeriesPanel, max_gap: int) -> tuple[TimeSeriesPanel,
     ids = panel.station_ids
     runs = [GapRun(ids[s], a, k, f) for s, a, k, f in zip(
         station.tolist(), start.tolist(), length.tolist(), filled.tolist())]
-    return TimeSeriesPanel(panel.station_ids, panel.timestamps, values), GapReport(runs)
+    return TimeSeriesPanel._adopt(ids, panel.timestamps, values), GapReport(runs)
 
 
 @dataclass(frozen=True)

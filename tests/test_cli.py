@@ -236,6 +236,95 @@ class TestUsageErrors:
         assert f"{line.split()[0]} must be finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "x.bank").exists()
 
+    # int() and float() read each of these; as in a CSV cell, a config value must be
+    # ASCII with no _, so each run has one spelling and one config digest
+    @pytest.mark.parametrize("key,text,kind", [
+        ("h", "1_2", "integer"), ("h", "\u0661\u0662", "integer"), ("h", "\uff11\uff12", "integer"),
+        ("batch_size", "1_6", "integer"), ("seed", "\u0663", "integer"),
+        ("learning_rate", "1_0e-3", "number"), ("learning_rate", "\uff11e-3", "number"),
+        ("m1_layers", "3_2", "width list"), ("mi_layers", "64 \uff16\uff14", "width list")])
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_number_with_underscore_or_non_ascii_digit_exit_1(self, tiny_data, tmp_path, capsys,
+                                                              source, key, text, kind):
+        _, data, cfg, _ = tiny_data
+        out = tmp_path / "x.bank"
+        argv = ["train", "--data", str(data), "--config", str(cfg), "--out", str(out)]
+        if source == "config":
+            bad = tmp_path / "number.cfg"
+            bad.write_text(cfg.read_text().replace(f"{key} =", f"# {key} =")
+                           + f"{key} = {text}\n", encoding="utf-8")
+            argv[4] = str(bad)
+        else:
+            argv += [f"--{key.replace('_', '-')}", text]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert f"dlstf: error: config key {key!r}: {text!r} is not a valid {kind}\n" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_max_gap_with_non_ascii_digit_exit_1(self, tiny_data, tmp_path, capsys):
+        _, data, cfg, _ = tiny_data
+        bad = tmp_path / "gap.cfg"
+        bad.write_text(cfg.read_text() + "max_gap = \u0663\n", encoding="utf-8")
+        assert run("baseline", "--method", "persistence", "--data", str(data), "--config",
+                   str(bad), "--report", str(tmp_path / "r.csv")) == 1
+        assert "config key 'max_gap': '\u0663' is not a valid integer" in capsys.readouterr().err
+
+
+class TestCsvExitCodes:
+    """A malformed panel CSV exits 2 with one stderr line naming the fault, wherever
+    a read block or a chunk of lines ends."""
+
+    def write(self, path, lines, tail=b""):
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8") + tail)
+        return path
+
+    def train(self, data, tmp_path):
+        return run("train", "--data", str(data), "--out", str(tmp_path / "x.bank"))
+
+    def lines(self, T=60):
+        panel = stub_panel(T, 2)
+        stamps = np.datetime_as_string(panel.timestamps, unit="s")
+        return ["timestamp," + ",".join(panel.station_ids)] + [
+            f"{ts}Z," + ",".join(map(repr, row)) for ts, row in zip(stamps, panel.values.tolist())]
+
+    def test_lone_cr_in_a_later_chunk_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(dataset_module, "CSV_CHUNK_ROWS", 8)
+        lines = self.lines()
+        lines[40] = lines[40].rsplit(",", 1)[0] + ",2\r5"
+        data = self.write(tmp_path / "cr.csv", lines)
+        assert self.train(data, tmp_path) == 2
+        sid = lines[0].rsplit(",", 1)[1]
+        assert capsys.readouterr().err.endswith(
+            f"dlstf: data error: {data}: line 41, column {sid!r}: non-numeric cell '2\\r5'\n")
+
+    def test_non_utf8_byte_after_a_data_fault_exit_2(self, tmp_path, capsys):
+        lines = self.lines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",abc"
+        data = self.write(tmp_path / "bad.csv", lines, b"\xff\n")
+        at = data.stat().st_size - 2
+        assert self.train(data, tmp_path) == 2
+        assert capsys.readouterr().err.endswith(
+            f"dlstf: data error: {data}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+            f"in position {at}: invalid start byte\n")
+
+    def test_file_changed_while_read_exit_2(self, tmp_path, capsys, monkeypatch):
+        lines = self.lines()
+        data = self.write(tmp_path / "changing.csv", lines)
+        line_blocks, passes = dataset_module._line_blocks, []
+
+        def grow_after_the_count(path):
+            passes.append(path)
+            yield from line_blocks(path)
+            if len(passes) == 1:
+                self.write(data, lines + lines[-1:])
+
+        monkeypatch.setattr(dataset_module, "_line_blocks", grow_after_the_count)
+        assert self.train(data, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"dlstf: data error: {data}: file changed while it was read\n")
+        assert "Traceback" not in err
+
 
 class TestSeed:
     """The seed is a non-negative integer from the flag, the config file or DLSTF_SEED;

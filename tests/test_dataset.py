@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from datetime import datetime, timedelta
 
@@ -105,6 +106,26 @@ def per_line_loop(path):
         rows.append(row)
     return (tuple(station_ids), np.array(stamps, dtype="datetime64[s]"),
             np.array(rows, dtype=np.float64))
+
+
+# read block sizes for ingest_csv: a byte or a few, about a line, many lines and the default
+READ_SIZES = (1, 2, 7, 64, 1000, dataset._READ_BYTES)
+
+
+def csv_lines(T, n=2, start="2014-01-01T00:00:00Z"):
+    """The header and T clean data lines of an n-station CSV, without line ends."""
+    stamps = np.datetime_as_string(parse_timestamp(start) + np.arange(T) * HOUR, unit="s")
+    return ["timestamp," + ",".join(f"S{k}" for k in range(n))] + [
+        f"{ts}Z," + ",".join(f"{t + k / 4:g}" for k in range(n)) for t, ts in enumerate(stamps)]
+
+
+def whole_file_decode_error(path):
+    """What ingest_csv says of a file that is not UTF-8: the error of one decode of all
+    of it, which names the first bad byte by its position after any BOM."""
+    with pytest.raises(UnicodeDecodeError) as exc:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            fh.read()
+    return f"{path}: not UTF-8 text: {exc.value}"
 
 
 def via_ingest_csv(path):
@@ -379,6 +400,8 @@ class TestIngest:
             eol = "\r\n" if trial % 4 == 1 else "\n"
             text = eol.join(lines) + ("" if trial % 5 == 2 else eol)
             path.write_bytes(text.encode("utf-8"))
+            # most files span several read blocks, and a block may end inside a CRLF
+            monkeypatch.setattr(dataset, "_READ_BYTES", READ_SIZES[trial % len(READ_SIZES)])
             assert outcome(via_ingest_csv, path) == outcome(per_line_loop, path), (trial, kind, pos)
 
     def test_character_sweep_matches_per_line_loop(self, tmp_path):
@@ -437,6 +460,127 @@ class TestIngest:
         plain.write_text(CSV_OK)
         bom.write_bytes(b"\xef\xbb\xbf" + CSV_OK.encode("utf-8"))
         assert outcome(via_ingest_csv, bom) == outcome(via_ingest_csv, plain)
+
+
+class TestStreamingRead:
+    """ingest_csv reads the file in blocks of _READ_BYTES bytes: no block boundary may
+    change a panel, a line number or an error text, and a byte that is not UTF-8
+    anywhere is named as a decode of the whole file names it."""
+
+    def test_crlf_split_across_blocks(self, tmp_path, monkeypatch):
+        lines = csv_lines(30)
+        crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
+        crlf.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        lf.write_bytes(("\n".join(lines) + "\n").encode())
+        cut = crlf.read_bytes().index(b"\r\n", 300) + 1  # the first block ends with a CR
+        for size in (cut, 1, 2):
+            monkeypatch.setattr(dataset, "_READ_BYTES", size)
+            assert outcome(via_ingest_csv, crlf) == outcome(per_line_loop, lf)
+
+    @pytest.mark.parametrize("refused", [False, True])
+    def test_multibyte_character_split_across_blocks(self, tmp_path, monkeypatch, refused):
+        lines = csv_lines(30)
+        lines[0] = "timestamp,Z\u00fcrich,S1"
+        if refused:
+            lines[21] = lines[21].rsplit(",", 1)[0] + ",1.5\u20ac"
+        path = tmp_path / "mb.csv"
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        data = path.read_bytes()
+        expected = outcome(per_line_loop, path)
+        assert isinstance(expected, str) == refused
+        for char in ("\u00fc", "\u20ac") if refused else ("\u00fc",):
+            at = data.index(char.encode("utf-8"))
+            for size in range(at + 1, at + len(char.encode("utf-8"))):  # cut inside the character
+                monkeypatch.setattr(dataset, "_READ_BYTES", size)
+                assert outcome(via_ingest_csv, path) == expected, (char, size)
+        if refused:
+            assert expected == f"{path}: line 22, column 'S1': non-numeric cell '1.5\u20ac'"
+
+    def test_lone_cr_in_a_later_chunk_names_its_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataset, "CSV_CHUNK_ROWS", 4)
+        monkeypatch.setattr(dataset, "_READ_BYTES", 16)
+        lines = csv_lines(20)
+        lines[14] = lines[14].rsplit(",", 1)[0] + ",2\r5"  # data row 13, in the fourth chunk
+        path = tmp_path / "cr.csv"
+        path.write_bytes(("\n".join(lines) + "\n").encode())
+        with pytest.raises(DataError) as exc:
+            ingest_csv(path)
+        assert str(exc.value) == f"{path}: line 15, column 'S1': non-numeric cell '2\\r5'"
+
+    @pytest.mark.parametrize("case", [
+        "first_block", "later_block", "bom", "after_a_data_fault", "after_a_header_fault",
+        "cut_sequence", "truncated_at_end", "surrogate"])
+    def test_non_utf8_byte_named_as_a_whole_file_decode(self, tmp_path, monkeypatch, case):
+        lines = csv_lines(300)
+        if case == "after_a_data_fault":
+            lines[3] = lines[3].rsplit(",", 1)[0] + ",abc"
+        elif case == "after_a_header_fault":
+            lines[0] = "time,S0,S1"
+        data = ("\n".join(lines) + "\n").encode()
+        at = {"first_block": 40, "later_block": 5000, "bom": 5000, "cut_sequence": 5000,
+              "truncated_at_end": len(data), "surrogate": 7000}.get(case, len(data) - 10)
+        bad = {"cut_sequence": b"\xe2\x82A", "truncated_at_end": b"\xe2\x82",
+               "surrogate": b"\xed\xa0\x80"}.get(case, b"\xff")
+        data = (b"\xef\xbb\xbf" if case == "bom" else b"") + data[:at] + bad + data[at:]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        expected = whole_file_decode_error(path)
+        for size in READ_SIZES:
+            monkeypatch.setattr(dataset, "_READ_BYTES", size)
+            with pytest.raises(DataError) as exc:
+                ingest_csv(path)
+            assert str(exc.value) == expected, size
+
+    @pytest.mark.parametrize("data,error", [
+        (b"", "empty file"), (b"\r", "empty file"), (b"\xef\xbb\xbf", "empty file"),
+        (b"\xef\xbb", "empty file"), (b"\n", "missing header"),
+        (b"timestamp,A\n", "no data rows"), (b"timestamp,A", "no data rows"),
+        (b"\xef\xbb\xbftimestamp,A\r\n\r", "no data rows")])
+    def test_file_without_data_rows(self, tmp_path, monkeypatch, data, error):
+        path = tmp_path / "short.csv"
+        path.write_bytes(data)
+        for size in (1, 2, dataset._READ_BYTES):
+            monkeypatch.setattr(dataset, "_READ_BYTES", size)
+            with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {error}')}"):
+                ingest_csv(path)
+
+    def test_bom_and_missing_final_newline(self, tmp_path, monkeypatch):
+        text = "\n".join(csv_lines(25)).encode()
+        plain, variant = tmp_path / "plain.csv", tmp_path / "variant.csv"
+        plain.write_bytes(text + b"\n")
+        expected = outcome(via_ingest_csv, plain)
+        for data in (b"\xef\xbb\xbf" + text + b"\n", text, b"\xef\xbb\xbf" + text, text + b"\r",
+                     text + b"\n\r", text.replace(b"\n", b"\r\n")):
+            variant.write_bytes(data)
+            for size in (1, 2, 3, 4, 100, dataset._READ_BYTES):
+                monkeypatch.setattr(dataset, "_READ_BYTES", size)
+                assert outcome(via_ingest_csv, variant) == expected, (data[-3:], size)
+
+    @pytest.mark.parametrize("change", ["grow", "shrink", "not_utf8"])
+    def test_file_changed_between_count_and_parse(self, tmp_path, monkeypatch, change):
+        lines = csv_lines(50)
+        path = tmp_path / "changing.csv"
+        path.write_bytes(("\n".join(lines) + "\n").encode())
+        extra = {"grow": "\n".join(csv_lines(51)[-1:]).encode() + b"\n",
+                 "not_utf8": b"\xff\n"}.get(change)
+        line_blocks, passes = dataset._line_blocks, []
+
+        def change_after_the_count(p):
+            passes.append(p)
+            yield from line_blocks(p)
+            if len(passes) == 1:
+                if extra is None:
+                    path.write_bytes(("\n".join(lines[:-2]) + "\n").encode())
+                else:
+                    with open(path, "ab") as fh:
+                        fh.write(extra)
+
+        monkeypatch.setattr(dataset, "_line_blocks", change_after_the_count)
+        message = ("not UTF-8 text" if change == "not_utf8"
+                   else "file changed while it was read")
+        with pytest.raises(DataError, match=message):
+            ingest_csv(path)
+        assert len(passes) == 2
 
 
 class TestFillMissing:
@@ -708,6 +852,71 @@ class TestPanelInvariants:
         p = panel_from(np.arange(5.0))
         with pytest.raises(ValueError):
             p.values[0, 0] = 9.9
+
+    def test_constructor_copies_its_input(self):
+        vals = np.arange(10.0).reshape(5, 2)
+        stamps = parse_timestamp("2014-01-01T00:00:00Z") + np.arange(5) * HOUR
+        p = TimeSeriesPanel(("A", "B"), stamps, vals)
+        assert not np.shares_memory(p.values, vals)
+        assert not np.shares_memory(p.timestamps, stamps)
+        assert vals.flags.writeable and stamps.flags.writeable
+
+    def test_slice_rows_is_a_read_only_view(self):
+        p = panel_from(np.arange(10.0).reshape(5, 2))
+        s = p.slice_rows(1, 4)
+        assert np.shares_memory(s.values, p.values)
+        assert np.shares_memory(s.timestamps, p.timestamps)
+        assert not s.values.flags.writeable and not s.timestamps.flags.writeable
+        assert np.array_equal(s.values, p.values[1:4])
+        assert np.array_equal(s.timestamps, p.timestamps[1:4])
+
+    def test_slice_rows_still_checks_its_range(self):
+        p = panel_from(np.arange(5.0))
+        for lo, hi in ((0, 0), (3, 2), (-1, 2), (0, 6)):
+            with pytest.raises(ValueError, match="bad row slice"):
+                p.slice_rows(lo, hi)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, traced by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """Deterministic tracemalloc bounds: ingest holds the panel plus a few chunks of
+    text, however long the file, and fill_missing copies the panel once."""
+
+    CHUNKS = 24
+
+    @pytest.fixture(scope="class")
+    def gappy(self):
+        rng = seeded_rng(41)
+        T = self.CHUNKS * dataset.CSV_CHUNK_ROWS
+        vals = rng.normal(8.0, 3.0, (T, 6))
+        for start in rng.choice(np.arange(1, T - 10, 12), size=60, replace=False):
+            vals[start:start + int(rng.integers(1, 6)), int(rng.integers(6))] = np.nan
+        return panel_from(vals)
+
+    def test_ingest_holds_the_panel_and_a_few_chunks(self, gappy, tmp_path):
+        path = tmp_path / "long.csv"
+        write_csv(gappy, path)
+        chunk_bytes = path.stat().st_size / self.CHUNKS
+        panel, peak = traced_peak(ingest_csv, path)
+        assert np.array_equal(panel.values, gappy.values, equal_nan=True)
+        # a whole-file read holds the file's text and a string per line: over 40 chunks here
+        assert peak < panel.values.nbytes + panel.timestamps.nbytes + 8 * chunk_bytes
+
+    def test_fill_missing_peaks_under_two_panels(self, gappy):
+        (filled, report), peak = traced_peak(fill_missing, gappy, 3)
+        assert report.filled and np.isnan(gappy.values).any()
+        assert np.shares_memory(filled.timestamps, gappy.timestamps)
+        assert peak < 2 * gappy.values.nbytes
 
 
 class TestIndexOf:

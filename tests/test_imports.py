@@ -2,9 +2,10 @@
 name the package defines is named somewhere outside its own definition and
 outside the tests, lstm.predict_batches is the package's only forward-only
 pass, dataset.parse_timestamp is its only timestamp parser,
-TimeSeriesPanel.index_of its only map from a time to a row, and
+TimeSeriesPanel.index_of its only map from a time to a row,
 dataset.normalize and dataset.denormalize, the one scaling rule and its
-inverse, the only functions that read a normalizer's spans."""
+inverse, the only functions that read a normalizer's spans, and dataset.py,
+which reads a panel CSV in blocks, makes no read of a whole file."""
 
 import ast
 import io
@@ -158,6 +159,25 @@ def calls_named(source: str, names: tuple[str, ...]) -> list[str]:
     return found
 
 
+# file methods that read all of a file; a read() is one too unless it is given a size
+WHOLE_FILE_READS = ("readlines", "read_text", "read_bytes")
+
+
+def whole_file_reads(source: str) -> list[str]:
+    """`name (line N)` for every call of `source` to a method named in
+    WHOLE_FILE_READS, or to read() with no size, a size of None or of -1."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        name = node.func.attr
+        size = node.args[:1] + [k.value for k in node.keywords if k.arg == "size"]
+        if name in WHOLE_FILE_READS or name == "read" and (
+                not size or ast.unparse(size[0]) in ("None", "-1")):
+            found.append((node.lineno, node.col_offset, f"{name} (line {node.lineno})"))
+    return [text for *_, text in sorted(found)]
+
+
 def test_modules_found():
     assert len(MODULES) >= 8
 
@@ -235,6 +255,22 @@ def test_detects_a_second_time_to_row_rule():
               "    return panel.timestamps.searchsorted(t), searchsorted(panel.timestamps, t)\n")
     assert calls_named(source, ROW_LOOKUPS) == [
         "searchsorted (line 5)", "searchsorted (line 9)", "searchsorted (line 9)"]
+
+
+def test_dataset_reads_no_whole_file():
+    assert whole_file_reads((PACKAGE / "dataset.py").read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_whole_file_read():
+    source = ("from pathlib import Path\n\n"
+              "def a(path):\n    with open(path) as fh:\n        return fh.read()\n\n"
+              "def b(path):\n    return Path(path).read_text(), Path(path).read_bytes()\n\n"
+              "def c(fh, n):\n    # fh.read() in a comment, and as a string: 'fh.readlines()'\n"
+              "    return fh.readlines(), fh.read(None), fh.read(-1), fh.read(size=-1)\n\n"
+              "def d(fh, n):\n    return fh.read(4096), fh.read(n), fh.read(size=n), read()\n")
+    assert whole_file_reads(source) == [
+        "read (line 5)", "read_text (line 8)", "read_bytes (line 8)", "readlines (line 12)",
+        "read (line 12)", "read (line 12)", "read (line 12)"]
 
 
 def test_one_scaling_rule():
