@@ -5,7 +5,7 @@ to the end of the line, and no key may be set twice); CLI flags override file
 values, and the seed falls back to the DLSTF_SEED environment variable. Every
 subcommand that writes files also writes a plain-text run manifest recording
 the command, seed, config digest and a sha256 per produced file. Exit codes:
-0 success, 1 usage error, 2 data error, 3 numerical failure.
+0 success, 1 usage error or not enough memory, 2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -198,9 +198,9 @@ def _log(msg: str) -> None:
 def _load_panel(cfg: RunConfig, data_path: str) -> TimeSeriesPanel:
     max_gap = cfg.get("max_gap")  # a refused value is reported before the CSV is read
     panel, report = fill_missing(ingest_csv(data_path), max_gap)
-    if report.runs:
-        _log(f"missing data: filled {len(report.filled)} runs, "
-             f"left {len(report.unfilled)} unfilled")
+    filled, unfilled = len(report.filled), len(report.unfilled)
+    if filled or unfilled:
+        _log(f"missing data: filled {filled} runs, left {unfilled} unfilled")
     return panel
 
 
@@ -529,6 +529,9 @@ def run_cli(argv) -> int:
     except NumericsError as exc:
         print(f"dlstf: numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"dlstf: error: not enough memory: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -304,31 +304,19 @@ def write_csv(panel: TimeSeriesPanel, path) -> None:
 
 
 @dataclass(frozen=True)
-class GapRun:
-    station_id: str
-    start: int
-    length: int
-    filled: bool
-
-
-@dataclass
 class GapReport:
-    runs: list[GapRun]
-
-    @property
-    def filled(self) -> list[GapRun]:
-        return [r for r in self.runs if r.filled]
-
-    @property
-    def unfilled(self) -> list[GapRun]:
-        return [r for r in self.runs if not r.filled]
+    filled: np.ndarray
+    unfilled: np.ndarray
 
 
 def fill_missing(panel: TimeSeriesPanel, max_gap: int) -> tuple[TimeSeriesPanel, GapReport]:
     """Linearly interpolate interior missing runs of length <= max_gap.
 
     Longer runs and runs touching either end of the panel stay missing.
-    Every run, filled or not, is listed in the returned report.
+    The report lists every run as one row of a (k, 3) integer array,
+    ``(station column, first row, length)``, in station-then-row order:
+    ``filled`` holds the repaired runs and ``unfilled`` the runs left missing,
+    so ``len()`` of each is its run count.
     """
     if max_gap < 0:
         raise ValueError("max_gap must be >= 0")
@@ -341,23 +329,20 @@ def fill_missing(panel: TimeSeriesPanel, max_gap: int) -> tuple[TimeSeriesPanel,
     edges = np.diff(padded.reshape(-1))
     station, start = np.divmod(np.flatnonzero(edges == 1), T + 2)
     stop = np.flatnonzero(edges == -1) % (T + 2)
-    length = stop - start
-    filled = (start > 0) & (stop < T) & (length <= max_gap)
+    runs = np.stack([station, start, stop - start], axis=1)
+    filled = (start > 0) & (stop < T) & (runs[:, 2] <= max_gap)
+    report = GapReport(runs[filled], runs[~filled])
 
-    lens = length[filled]
-    cols = np.repeat(station[filled], lens)
-    first = np.repeat(start[filled], lens)
+    station, start, lens = report.filled.T
+    cols = np.repeat(station, lens)
+    first = np.repeat(start, lens)
     run_len = np.repeat(lens, lens)
     j = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
     left = values[first - 1, cols]
     right = values[first + run_len, cols]
     frac = (j + 1) / (run_len + 1)
     values[first + j, cols] = left + frac * (right - left)
-
-    ids = panel.station_ids
-    runs = [GapRun(ids[s], a, k, f) for s, a, k, f in zip(
-        station.tolist(), start.tolist(), length.tolist(), filled.tolist())]
-    return TimeSeriesPanel._adopt(ids, panel.timestamps, values), GapReport(runs)
+    return TimeSeriesPanel._adopt(panel.station_ids, panel.timestamps, values), report
 
 
 @dataclass(frozen=True)

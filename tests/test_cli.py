@@ -237,7 +237,7 @@ class TestUsageErrors:
         assert not (tmp_path / "x.bank").exists()
 
     # int() and float() read each of these; as in a CSV cell, a config value must be
-    # ASCII with no _, so each run has one spelling and one config digest
+    # ASCII with no _
     @pytest.mark.parametrize("key,text,kind", [
         ("h", "1_2", "integer"), ("h", "\u0661\u0662", "integer"), ("h", "\uff11\uff12", "integer"),
         ("batch_size", "1_6", "integer"), ("seed", "\u0663", "integer"),
@@ -599,6 +599,63 @@ class TestTrainEvaluate:
         assert outputs[0][1] == outputs[1][1]
 
 
+class TestMissingDataLine:
+    """Each command that reads a panel counts its repaired and unrepaired gaps in one
+    stderr line, and a panel with no gap prints none."""
+
+    def test_train_evaluate_baseline_print_the_counts(self, tiny_data, tmp_path, capsys):
+        _, data, cfg, _ = tiny_data
+        panel = ingest_csv(data)
+        values = panel.values.copy()
+        values[0, 0] = np.nan          # touches the first row: left missing
+        values[50, 0] = np.nan         # one row: filled
+        values[80:83, 1] = np.nan      # max_gap = 3 rows: filled
+        values[120:124, 2] = np.nan    # max_gap + 1 rows: left missing
+        gappy = tmp_path / "gappy.csv"
+        write_csv(TimeSeriesPanel(panel.station_ids, panel.timestamps, values), gappy)
+        bank = tmp_path / "gappy.bank"
+        for argv in (["train", "--config", str(cfg), "--out", str(bank)],
+                     ["evaluate", "--model", str(bank), "--report", str(tmp_path / "e.csv")],
+                     ["baseline", "--method", "persistence",
+                      "--report", str(tmp_path / "b.csv")]):
+            assert run(*argv, "--data", str(gappy)) == 0
+            lines = capsys.readouterr().err.splitlines()
+            assert [line for line in lines if line.startswith("missing data")] == [
+                "missing data: filled 2 runs, left 2 unfilled"], argv[0]
+
+    def test_no_gap_no_line(self, tiny_data, tmp_path, capsys):
+        _, data, _, _ = tiny_data
+        assert run("baseline", "--method", "persistence", "--data", str(data),
+                   "--report", str(tmp_path / "b.csv")) == 0
+        assert "missing data" not in capsys.readouterr().err
+
+
+class TestOutOfMemory:
+    """A size beyond a 47-bit address space fails its first allocation at once, so
+    nothing is committed; the command exits 1 with numpy's text, not a traceback."""
+
+    def assert_one_line(self, capsys):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(
+            "dlstf: error: not enough memory: Unable to allocate")
+
+    def test_train_width_exit_1(self, tiny_data, tmp_path, capsys):
+        _, data, cfg, _ = tiny_data
+        huge = tmp_path / "huge.cfg"
+        huge.write_text(cfg.read_text().replace("m1_layers = 4", f"m1_layers = {10**15}"))
+        out = tmp_path / "x.bank"
+        assert run("train", "--data", str(data), "--config", str(huge), "--out", str(out)) == 1
+        self.assert_one_line(capsys)
+        assert not out.exists()
+
+    def test_synth_length_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run("synth", "--n", "2", "--T", str(10**15), "--out", str(out)) == 1
+        self.assert_one_line(capsys)
+        assert not out.exists()
+
+
 class TestTestWindow:
     @pytest.mark.parametrize("command", ["baseline", "evaluate"])
     def test_start_after_end_exit_2(self, tiny_data, tmp_path, capsys, command):
@@ -931,6 +988,14 @@ class TestDumpConfig:
             "test_start = 2000-01-13T00:00:00Z\ntest_end = 2000-01-15T00:00:00Z\n")
         digest = "8202f4be6c5a3401c35ac563b115e9f5d2ad5281df9636dab787f1ab4f813054"
         assert RunConfig.build(str(cfg), {}).digest() == digest
+
+    def test_digest_hashes_each_value_as_given(self, monkeypatch):
+        # four spellings of h = 6 parse alike, yet dump and hash as four texts
+        monkeypatch.delenv("DLSTF_SEED", raising=False)
+        configs = [RunConfig.build(None, {"h": text}) for text in ("6", "+6", " 6", "06")]
+        assert [cfg.get("h") for cfg in configs] == [6] * 4
+        digests = [cfg.digest() for cfg in configs]
+        assert digests[0] == DEFAULT_DIGEST and len(set(digests)) == 4
 
     def test_defaults_match_the_library_defaults(self, monkeypatch):
         monkeypatch.delenv("DLSTF_SEED", raising=False)

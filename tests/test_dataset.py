@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dlstf import dataset
-from dlstf.dataset import (HOUR, GapRun, Normalizer, TimeSeriesPanel, denormalize,
+from dlstf.dataset import (HOUR, Normalizer, TimeSeriesPanel, denormalize,
                            fill_missing, fit_normalizer, fraction_cuts, ingest_csv,
                            make_samples, normalize, parse_timestamp, write_csv)
 from dlstf.errors import DataError
@@ -589,14 +589,14 @@ class TestFillMissing:
         fixed, report = fill_missing(p, max_gap=1)
         assert np.array_equal(fixed.values[:, 0], [3.0, 4.0, 5.0])
         assert len(report.filled) == 1
-        assert report.filled[0].start == 1 and report.filled[0].length == 1
+        assert report.filled.tolist() == [[0, 1, 1]]
 
     def test_long_run_left_missing_and_reported(self):
         p = panel_from([1.0, np.nan, np.nan, np.nan, np.nan, 2.0])
         fixed, report = fill_missing(p, max_gap=3)
         assert np.isnan(fixed.values[1:5, 0]).all()
         assert len(report.unfilled) == 1
-        assert report.unfilled[0].length == 4
+        assert report.unfilled.tolist() == [[0, 1, 4]]
 
     def test_boundary_runs_never_filled(self):
         p = panel_from([np.nan, 2.0, 3.0, np.nan])
@@ -604,12 +604,13 @@ class TestFillMissing:
         assert np.isnan(fixed.values[0, 0])
         assert np.isnan(fixed.values[3, 0])
         assert len(report.unfilled) == 2
+        assert report.unfilled.tolist() == [[0, 0, 1], [0, 3, 1]]
 
     def test_no_missing_identity(self):
         p = panel_from([1.0, 2.0, 3.0])
         fixed, report = fill_missing(p, max_gap=3)
         assert np.array_equal(fixed.values, p.values)
-        assert report.runs == []
+        assert report.filled.shape == report.unfilled.shape == (0, 3)
 
     def test_multi_step_interpolation_values(self):
         p = panel_from([0.0, np.nan, np.nan, 3.0])
@@ -621,9 +622,9 @@ class TestFillMissing:
         def per_run_loop(panel, max_gap):
             # one run at a time, one element at a time, as fill_missing filled them before
             values = panel.values.copy()
-            runs = []
+            filled, unfilled = [], []
             T = panel.n_times
-            for s, sid in enumerate(panel.station_ids):
+            for s in range(panel.n_stations):
                 col = values[:, s]
                 missing = np.isnan(col)
                 t = 0
@@ -640,10 +641,10 @@ class TestFillMissing:
                         for j in range(length):
                             frac = (j + 1) / (length + 1)
                             col[start + j] = left + frac * (right - left)
-                        runs.append(GapRun(sid, start, length, True))
+                        filled.append([s, start, length])
                     else:
-                        runs.append(GapRun(sid, start, length, False))
-            return values, runs
+                        unfilled.append([s, start, length])
+            return values, filled, unfilled
 
         rng = seeded_rng(18)
         for trial in range(300):
@@ -652,10 +653,11 @@ class TestFillMissing:
             vals[rng.uniform(size=(T, n)) < (0.0, 0.05, 0.3, 0.7, 1.0)[trial % 5]] = np.nan
             max_gap = int(rng.integers(0, 6))
             fixed, report = fill_missing(panel_from(vals), max_gap)
-            want_values, want_runs = per_run_loop(panel_from(vals), max_gap)
+            want_values, *want_runs = per_run_loop(panel_from(vals), max_gap)
             assert fixed.values.tobytes() == want_values.tobytes()
-            assert report.runs == want_runs
-            assert all(type(v) is int for r in report.runs for v in (r.start, r.length))
+            for runs, want in zip((report.filled, report.unfilled), want_runs):
+                assert runs.dtype.kind == "i" and runs.shape == (len(want), 3)
+                assert runs.tolist() == want
 
 
 class TestNormalizer:
@@ -914,9 +916,20 @@ class TestPeakMemory:
 
     def test_fill_missing_peaks_under_two_panels(self, gappy):
         (filled, report), peak = traced_peak(fill_missing, gappy, 3)
-        assert report.filled and np.isnan(gappy.values).any()
+        assert len(report.filled) and np.isnan(gappy.values).any()
         assert np.shares_memory(filled.timestamps, gappy.timestamps)
         assert peak < 2 * gappy.values.nbytes
+
+    def test_fill_missing_report_small_with_many_runs(self):
+        # 5% of cells missing at random gives about 7,000 runs; a report of one Python
+        # object per run peaks near 2.9x the values
+        rng = seeded_rng(42)
+        vals = rng.normal(8.0, 3.0, (self.CHUNKS * dataset.CSV_CHUNK_ROWS, 6))
+        vals[rng.uniform(size=vals.shape) < 0.05] = np.nan
+        gappy = panel_from(vals)
+        (_, report), peak = traced_peak(fill_missing, gappy, 3)
+        assert len(report.filled) + len(report.unfilled) > 6000
+        assert peak < 2.5 * gappy.values.nbytes
 
 
 class TestIndexOf:
