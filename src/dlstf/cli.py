@@ -3,9 +3,11 @@
 Configuration is a flat key = value text file ('#' starts a comment that runs
 to the end of the line, and no key may be set twice); CLI flags override file
 values, and the seed falls back to the DLSTF_SEED environment variable. Every
-subcommand that writes files also writes a plain-text run manifest recording
-the command, seed, config digest and a sha256 per produced file. Exit codes:
-0 success, 1 usage error or not enough memory, 2 data error, 3 numerical failure.
+value is parsed and checked when the config is built, so every command refuses
+every bad value before it reads a file. Every subcommand that writes files also
+writes a plain-text run manifest recording the command, seed, config digest and
+a sha256 per produced file. Exit codes: 0 success, 1 usage error or not enough
+memory, 2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -58,6 +60,19 @@ class _Key(NamedTuple):
     valid: Callable[[Any], bool] = lambda value: True
     refusal: str = ""
 
+    def read(self, key: str, text: str) -> Any:
+        """`text` parsed and checked; a value this entry refuses, or one with ``_`` or
+        a non-ASCII character, is a usage error naming `key`."""
+        try:  # as for CSV cells: int() and float() alone also read 1_2, ١٢ and １２
+            if not text.isascii() or "_" in text:
+                raise ValueError(text)
+            value = self.parse(text)
+        except ValueError:
+            raise UsageError(f"config key {key!r}: {text!r} is not a valid {self.kind}") from None
+        if not self.valid(value):
+            raise UsageError(f"config key {key!r} {self.refusal.format(value)}")
+        return value
+
 
 _TIMESTAMP, _NO_WIDTH = "timestamp (YYYY-MM-DDTHH:00:00Z)", "must list at least one layer width"
 # every config key in dump order, which the config digest hashes; the bank
@@ -92,26 +107,38 @@ def _text(default) -> str:
 
 
 class RunConfig:
-    """Effective run configuration: defaults, overlaid by file values, then flags."""
+    """Effective run configuration: defaults, then DLSTF_SEED, file values and flags, each
+    stripped. Every value is parsed and checked, and `train` built, when it is made."""
 
     def __init__(self, values: dict[str, str]):
         self.values = values
+        self._parsed = {key: entry.read(key, values[key]) for key, entry in CONFIG_KEYS.items()}
+        self.train = _configured(TrainConfig, **{f.name: self.get(f.name)
+                                                for f in fields(TrainConfig)})
+        train_end, val_end = self.get("train_end"), self.get("val_end")
+        if (train_end is None) != (val_end is None):
+            pair = ("train_end", "val_end") if val_end is None else ("val_end", "train_end")
+            raise UsageError("{} needs {}: set both or neither".format(*pair))
+        train_frac, val_frac = self.get("train_frac"), self.get("val_frac")
+        if train_end is None and not 0 < train_frac < train_frac + val_frac <= 1:
+            raise UsageError("train_frac and val_frac must be positive and sum to at most 1")
+        test_start, test_end = self.get("test_start"), self.get("test_end")
+        if test_start is not None and test_end is not None and test_start > test_end:
+            raise DataError(f"test_start {format_timestamp(test_start)} falls after "
+                            f"test_end {format_timestamp(test_end)}")
 
     @classmethod
     def build(cls, config_path: str | None, flag_overrides: dict[str, str | None]) -> "RunConfig":
         values = {key: _text(entry.default) for key, entry in CONFIG_KEYS.items()}
+        values["seed"] = os.environ.get("DLSTF_SEED", values["seed"]).strip()
         file_values = {} if config_path is None else parse_config_file(config_path)
         for key, val in file_values.items():
             if key not in values:
                 raise UsageError(f"{config_path}: unknown config key {key!r}")
             values[key] = val
-        env_seed = os.environ.get("DLSTF_SEED")
-        if env_seed is not None and "seed" not in file_values \
-                and flag_overrides.get("seed") is None:
-            values["seed"] = env_seed
         for key, val in flag_overrides.items():
             if val is not None:
-                values[key] = str(val)
+                values[key] = str(val).strip()
         return cls(values)
 
     def dump(self) -> str:
@@ -121,27 +148,12 @@ class RunConfig:
         return hashlib.sha256(self.dump().encode("utf-8")).hexdigest()
 
     def get(self, key: str) -> Any:
-        """The value of `key` as its table entry parses it; a value the entry
-        refuses, or one with ``_`` or a non-ASCII character, is a usage error."""
-        entry, text = CONFIG_KEYS[key], self.values[key]
-        try:  # as for CSV cells: int() and float() alone also read 1_2, ١٢ and １２
-            if not text.isascii() or "_" in text:
-                raise ValueError(text)
-            value = entry.parse(text)
-        except ValueError:
-            raise UsageError(f"config key {key!r}: {text!r} is not a valid {entry.kind}") from None
-        if not entry.valid(value):
-            raise UsageError(f"config key {key!r} {entry.refusal.format(value)}")
-        return value
+        return self._parsed[key]
 
     def horizon_config(self, n: int) -> HorizonConfig:
         """The bank shape for n stations; an out-of-range value is a usage error."""
         return _configured(HorizonConfig.default, n=n, h=self.get("h"), ell=self.get("ell"),
                            first_widths=self.get("m1_layers"), later_widths=self.get("mi_layers"))
-
-    def train_config(self) -> TrainConfig:
-        """The training settings of every model; an out-of-range value is a usage error."""
-        return _configured(TrainConfig, **{f.name: self.get(f.name) for f in fields(TrainConfig)})
 
 
 def _configured(make, **settings):
@@ -196,8 +208,7 @@ def _log(msg: str) -> None:
 
 
 def _load_panel(cfg: RunConfig, data_path: str) -> TimeSeriesPanel:
-    max_gap = cfg.get("max_gap")  # a refused value is reported before the CSV is read
-    panel, report = fill_missing(ingest_csv(data_path), max_gap)
+    panel, report = fill_missing(ingest_csv(data_path), cfg.get("max_gap"))
     filled, unfilled = len(report.filled), len(report.unfilled)
     if filled or unfilled:
         _log(f"missing data: filled {filled} runs, left {unfilled} unfilled")
@@ -218,18 +229,12 @@ def _cuts(panel: TimeSeriesPanel, cfg: RunConfig) -> tuple[int, int]:
     train_end and val_end name the last rows of the first two ranges and must lie
     in the panel; without them the cuts are `fraction_cuts` of the fractions."""
     train_end, val_end = cfg.get("train_end"), cfg.get("val_end")
-    if (train_end is None) != (val_end is None):
-        given, missing = ("train_end", "val_end") if val_end is None else ("val_end", "train_end")
-        raise UsageError(f"{given} needs {missing}: set both or neither")
     if train_end is not None:
         a, b = panel.index_of(train_end) + 1, panel.index_of(val_end) + 1
         if not a < b:
             raise DataError("train_end/val_end do not cut the panel into nonempty ranges")
     else:
-        train_frac, val_frac = cfg.get("train_frac"), cfg.get("val_frac")
-        if not 0 < train_frac < train_frac + val_frac <= 1:
-            raise UsageError("train_frac and val_frac must be positive and sum to at most 1")
-        a, b = fraction_cuts(panel.n_times, train_frac, val_frac)
+        a, b = fraction_cuts(panel.n_times, cfg.get("train_frac"), cfg.get("val_frac"))
         if not 0 < a < b:
             raise DataError(f"panel too short (T={panel.n_times}) for the requested fractions")
     return a, b
@@ -242,9 +247,6 @@ def _test_window(panel: TimeSeriesPanel, cfg: RunConfig, ell: int,
     `_cuts`, so that every scoring command walks the same rows; test_start and
     test_end must lie in the panel."""
     test_start, test_end = cfg.get("test_start"), cfg.get("test_end")
-    if test_start is not None and test_end is not None and test_start > test_end:
-        raise DataError(f"test_start {format_timestamp(test_start)} falls after "
-                        f"test_end {format_timestamp(test_end)}")
     sliced = panel if test_end is None else panel.slice_rows(0, panel.index_of(test_end) + 1)
     if test_start is None:
         first = max(ell, _cuts(panel, cfg)[1])
@@ -286,7 +288,7 @@ def emit_plot_data(predictions: np.ndarray, panel: TimeSeriesPanel,
 def _run_config(args, *required: str) -> RunConfig:
     """A command's effective config, with every flag whose dest is a config key
     as an override; then the `required` options are checked and the seed and
-    digest logged. `train --dump-config` skips the check and the log."""
+    digest logged. `train --dump-config` skips the option check and the log."""
     cfg = RunConfig.build(args.config, {k: getattr(args, k, None) for k in CONFIG_KEYS})
     if getattr(args, "dump_config", False):
         return cfg
@@ -307,13 +309,12 @@ def _cmd_train(args) -> int:
     train_panel, val_panel = panel.slice_rows(0, a), panel.slice_rows(a, b)
     check_train_rows(train_panel.n_times, cfg.get("ell"), cfg.get("h"))
     hcfg = cfg.horizon_config(panel.n_stations)
-    train = cfg.train_config()
 
     def progress(i, hist):
         _log(f"model {i}/{hcfg.h}: stopped epoch {hist.stopped_epoch}, "
              f"best epoch {hist.best_epoch}, val MAE {hist.val_losses[hist.best_epoch - 1]:.5f}")
 
-    bank = train_bank(train_panel, val_panel, hcfg, train, progress=progress)
+    bank = train_bank(train_panel, val_panel, hcfg, cfg.train, progress=progress)
     out = Path(args.out)
     save_bank(bank, out)
     write_manifest(out.with_name(out.name + ".run.txt"), "train", cfg, [out])
@@ -365,8 +366,7 @@ def _cmd_forecast(args) -> int:
     try:
         at = parse_timestamp(args.at)
     except DataError:
-        raise UsageError(f"--at {args.at!r} is not a valid timestamp "
-                         "(YYYY-MM-DDTHH:00:00Z)") from None
+        raise UsageError(f"--at {args.at!r} is not a valid {_TIMESTAMP}") from None
     bank, panel = _load_bank_and_panel(cfg, args)
     block = forecast_block(bank, panel, at)
     lines = ["timestamp," + ",".join(panel.station_ids)]

@@ -56,11 +56,17 @@ class TimeSeriesPanel:
     def __post_init__(self):
         self._seal(self.station_ids, np.asarray(self.timestamps, dtype="datetime64[s]").copy(),
                    np.asarray(self.values, dtype=np.float64).copy())
+        off_grid = np.flatnonzero(np.diff(self.timestamps) != HOUR)
+        if off_grid.size:
+            bad = int(off_grid[0]) + 1
+            raise ValueError(
+                f"timestamps must increase in exact 1-hour steps; violated at row {bad} "
+                f"({format_timestamp(self.timestamps[bad])})")
 
     @classmethod
     def _adopt(cls, station_ids, timestamps, values) -> "TimeSeriesPanel":
-        """A panel of arrays that this module built, or of views of a panel's: checked
-        and made read-only as the constructor's copies are, but not copied."""
+        """A panel of hourly-grid arrays that this module built, or of views of a panel's:
+        shape-checked and made read-only, but neither copied nor grid-checked again."""
         return object.__new__(cls)._seal(station_ids, timestamps, values)
 
     def _seal(self, station_ids, ts: np.ndarray, vals: np.ndarray) -> "TimeSeriesPanel":
@@ -70,12 +76,6 @@ class TimeSeriesPanel:
                 f"values must be (T={ts.shape[0]}, n={len(self.station_ids)}), got {vals.shape}")
         if ts.shape[0] == 0:
             raise ValueError("panel must contain at least one row")
-        diffs = np.diff(ts)
-        if diffs.size and not np.all(diffs == HOUR):
-            bad = int(np.flatnonzero(diffs != HOUR)[0]) + 1
-            raise ValueError(
-                f"timestamps must increase in exact 1-hour steps; violated at row {bad} "
-                f"({format_timestamp(ts[bad])})")
         ts.setflags(write=False)
         vals.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)

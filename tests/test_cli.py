@@ -196,8 +196,9 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("method", ["persistence", "ar"])
     @pytest.mark.parametrize("line", ["m1_layers = x", "mi_layers = 0"])
-    def test_baseline_reads_no_width_key(self, tiny_data, tmp_path, method, line):
-        # the walk's shape takes the default widths, which no baseline uses
+    def test_baseline_reads_no_width_key(self, tiny_data, tmp_path, capsys, method, line):
+        # the walk's shape takes the default widths, which no baseline uses; a width
+        # list that does not parse is still refused, as every bad value is
         _, data, _, _ = tiny_data
         plain, widths = tmp_path / "plain.cfg", tmp_path / "widths.cfg"
         plain.write_text("h = 2\nell = 6\n")
@@ -205,8 +206,15 @@ class TestUsageErrors:
         reports = []
         for cfg in (plain, widths):
             report = tmp_path / f"{cfg.stem}.csv"
-            assert run("baseline", "--method", method, "--config", str(cfg),
-                       "--data", str(data), "--report", str(report)) == 0
+            code = run("baseline", "--method", method, "--config", str(cfg),
+                       "--data", str(data), "--report", str(report))
+            if cfg is widths and line == "m1_layers = x":
+                assert code == 1
+                assert ("config key 'm1_layers': 'x' is not a valid width list"
+                        in capsys.readouterr().err)
+                assert not report.exists()
+                return
+            assert code == 0
             reports.append(report.read_bytes())
         assert reports[0] == reports[1]
 
@@ -326,21 +334,39 @@ class TestCsvExitCodes:
         assert "Traceback" not in err
 
 
+COMMANDS = ["train", "forecast", "evaluate", "baseline", "gradcheck", "synth", "plot"]
+
+
+def command_argv(command, tiny_data, out):
+    """A valid argv of `command` on the tiny panel and bank, writing to `out`."""
+    _, data, _, bank = tiny_data
+    return {"train": ["train", "--data", str(data), "--out", str(out)],
+            "forecast": ["forecast", "--model", str(bank), "--data", str(data),
+                         "--at", format_timestamp(ingest_csv(data).timestamps[-1]),
+                         "--out", str(out)],
+            "evaluate": ["evaluate", "--model", str(bank), "--data", str(data),
+                         "--report", str(out)],
+            "baseline": ["baseline", "--method", "persistence", "--data", str(data),
+                         "--report", str(out)],
+            "gradcheck": ["gradcheck"],
+            "synth": ["synth", "--n", "2", "--T", "120", "--out", str(out)],
+            "plot": ["plot", "--model", str(bank), "--data", str(data), "--stations", "all",
+                     "--out", str(out)]}[command]
+
+
 class TestSeed:
     """The seed is a non-negative integer from the flag, the config file or DLSTF_SEED;
-    anything else is a usage error naming the key, for every command that uses it."""
+    anything else is a usage error naming the key, for every command."""
 
     @pytest.mark.parametrize("source", ["flag", "config", "env"])
-    @pytest.mark.parametrize("command", ["gradcheck", "synth", "train"])
+    @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("seed,reason", [("-3", "must be a non-negative integer"),
-                                             ("1.5", "is not a valid integer")])
+                                             ("1.5", "is not a valid integer"),
+                                             ("abc", "is not a valid integer")])
     def test_invalid_seed_exit_1(self, tiny_data, tmp_path, capsys, monkeypatch,
                                  source, command, seed, reason):
-        _, data, _, _ = tiny_data
         out = tmp_path / "out"
-        argv = {"gradcheck": ["gradcheck"],
-                "synth": ["synth", "--n", "2", "--T", "120", "--out", str(out)],
-                "train": ["train", "--data", str(data), "--out", str(out)]}[command]
+        argv = command_argv(command, tiny_data, out)
         if source == "flag":
             argv += ["--seed", seed]
         elif source == "config":
@@ -356,8 +382,35 @@ class TestSeed:
         assert not out.exists()
 
 
+class TestConfigValueSweep:
+    """Every command refuses every bad config value, whether it reads the key or not,
+    before it reads a file."""
+
+    @pytest.mark.parametrize("key", list(cli_module.CONFIG_KEYS))
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unparsable_value_exit_1(self, tiny_data, tmp_path, capsys, command, key):
+        cfg, out = tmp_path / "x.cfg", tmp_path / "out"
+        cfg.write_text(f"{key} = x\n")
+        before = sorted(tmp_path.iterdir())
+        assert run(*command_argv(command, tiny_data, out), "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert f"dlstf: error: config key {key!r}" in err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == before
+
+
 class TestFlagWiring:
-    def test_every_key_flag_overrides_its_key(self):
+    def test_every_key_flag_overrides_its_key(self, tmp_path):
+        # a valid value other than the default for each key flag; the config file sets
+        # the split times, which go together, so that each may be set alone by its flag
+        cfg = tmp_path / "ends.cfg"
+        cfg.write_text("train_end = 2000-01-09T00:00:00Z\nval_end = 2000-01-10T00:00:00Z\n")
+        values = {"h": "3", "ell": "5", "m1_layers": "8", "mi_layers": "8 8",
+                  "learning_rate": "0.002", "batch_size": "16", "max_epochs": "7",
+                  "patience": "4", "seed": "5", "train_frac": "0.6", "val_frac": "0.2",
+                  "train_end": "2000-01-11T00:00:00Z", "val_end": "2000-01-12T00:00:00Z",
+                  "test_start": "2000-01-13T00:00:00Z", "test_end": "2000-01-14T00:00:00Z"}
+        defaults = dict(line.split(" = ") for line in DEFAULT_DUMP.splitlines())
         parser = cli_module._build_parser()
         commands = next(a for a in parser._actions
                         if isinstance(a, argparse._SubParsersAction)).choices
@@ -372,8 +425,10 @@ class TestFlagWiring:
                 assert action.option_strings == ["--" + action.dest.replace("_", "-")]
                 assert action.default is None and action.type is None
                 assert action.nargs is None and action.const is None
-                value = f"v-{name}-{action.dest}"
-                args = parser.parse_args([name, action.option_strings[0], value, *required])
+                value = values[action.dest]
+                assert value != defaults[action.dest]
+                args = parser.parse_args([name, "--config", str(cfg), action.option_strings[0],
+                                          value, *required])
                 assert cli_module._run_config(args).values[action.dest] == value
                 wired.add(action.dest)
         assert wired == set(DUMP_KEYS) - {"rho", "epsilon", "clip_norm", "max_gap"}
@@ -990,18 +1045,37 @@ class TestDumpConfig:
         assert RunConfig.build(str(cfg), {}).digest() == digest
 
     def test_digest_hashes_each_value_as_given(self, monkeypatch):
-        # four spellings of h = 6 parse alike, yet dump and hash as four texts
+        # four spellings of h = 6 parse alike; " 6" is stripped to "6", and the other
+        # three dump and hash as three texts
         monkeypatch.delenv("DLSTF_SEED", raising=False)
         configs = [RunConfig.build(None, {"h": text}) for text in ("6", "+6", " 6", "06")]
         assert [cfg.get("h") for cfg in configs] == [6] * 4
         digests = [cfg.digest() for cfg in configs]
-        assert digests[0] == DEFAULT_DIGEST and len(set(digests)) == 4
+        assert digests[0] == digests[2] == DEFAULT_DIGEST and len(set(digests)) == 3
+
+    def test_flag_and_env_values_stripped(self, tmp_path, capsys, monkeypatch):
+        # a value from a flag or DLSTF_SEED dumps as a config file gives it, so the dump
+        # of any run reads back to its own digest
+        monkeypatch.setenv("DLSTF_SEED", " 4 ")
+        assert run("train", "--dump-config", "--h", " 6", "--ell", "8\t") == 0
+        dump = capsys.readouterr().out
+        assert dump == DEFAULT_DUMP.replace("ell = 12", "ell = 8").replace("seed = 0", "seed = 4")
+        echo = tmp_path / "echo.cfg"
+        echo.write_text(dump)
+        assert RunConfig.build(str(echo), {}).digest() == hashlib.sha256(
+            dump.encode("utf-8")).hexdigest()
+
+    def test_unparsable_flag_value_exit_1(self, capsys):
+        assert run("train", "--dump-config", "--h", "x") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dlstf: error: config key 'h': 'x' is not a valid integer" in captured.err
 
     def test_defaults_match_the_library_defaults(self, monkeypatch):
         monkeypatch.delenv("DLSTF_SEED", raising=False)
         defaults = RunConfig.build(None, {})
         assert defaults.dump() == DEFAULT_DUMP
-        assert defaults.train_config() == TrainConfig()
+        assert defaults.train == TrainConfig()
         assert defaults.horizon_config(6) == HorizonConfig.default(6)
 
     def test_leading_byte_order_mark_ignored(self, tmp_path):
@@ -1162,13 +1236,14 @@ class TestSplitRule:
             panel = full.slice_rows(0, T)
             for train_frac in fracs:
                 for val_frac in fracs:
-                    cfg = RunConfig.build(None, {"train_frac": train_frac,
-                                                 "val_frac": val_frac})
-                    a, b = fraction_cuts(T, train_frac, val_frac)
+                    fracs_given = {"train_frac": train_frac, "val_frac": val_frac}
                     if train_frac + val_frac > 1:
-                        with pytest.raises(UsageError):
-                            _cuts(panel, cfg)
-                    elif not 0 < a < b:
+                        with pytest.raises(UsageError, match="sum to at most 1"):
+                            RunConfig.build(None, fracs_given)
+                        continue
+                    cfg = RunConfig.build(None, fracs_given)
+                    a, b = fraction_cuts(T, train_frac, val_frac)
+                    if not 0 < a < b:
                         with pytest.raises(DataError):
                             _cuts(panel, cfg)
                     else:

@@ -892,7 +892,8 @@ def traced_peak(fn, *args):
 
 class TestPeakMemory:
     """Deterministic tracemalloc bounds: ingest holds the panel plus a few chunks of
-    text, however long the file, and fill_missing copies the panel once."""
+    text, however long the file, fill_missing copies the panel once, and a row slice
+    copies and computes no array of its length."""
 
     CHUNKS = 24
 
@@ -919,6 +920,13 @@ class TestPeakMemory:
         assert len(report.filled) and np.isnan(gappy.values).any()
         assert np.shares_memory(filled.timestamps, gappy.timestamps)
         assert peak < 2 * gappy.values.nbytes
+
+    def test_slice_rows_holds_no_array_of_its_length(self, gappy):
+        # a slice of a checked panel lies on its hourly grid, so it is not checked again
+        sliced, peak = traced_peak(gappy.slice_rows, 0, gappy.n_times)
+        assert np.shares_memory(sliced.values, gappy.values)
+        assert np.shares_memory(sliced.timestamps, gappy.timestamps)
+        assert peak < 0.02 * gappy.values.nbytes
 
     def test_fill_missing_report_small_with_many_runs(self):
         # 5% of cells missing at random gives about 7,000 runs; a report of one Python
