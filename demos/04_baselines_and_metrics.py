@@ -33,7 +33,7 @@ coef = ", ".join(f"{c:+.3f}" for c in m.coefficients)
 print(f"\nstation {panel.station_ids[0]} AR(3): intercept {m.intercept:+.3f}, "
       f"lags [{coef}]")
 print("3-step recursion from the last observations:",
-      np.round(ar_forecast(m, panel.values[:holdout, 0], 3), 3))
+      np.round(ar_forecast(m, panel.values[None, :holdout, 0], 3)[:, 0], 3))
 
 report_ar.to_csv("baseline_report.csv")
 print("\nwrote baseline_report.csv (station rows plus a MEAN row)")

@@ -47,6 +47,10 @@ def _widths(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
+def _valid_widths(widths: tuple[int, ...]) -> bool:
+    return bool(widths) and min(widths) >= 1
+
+
 def _timestamp(text: str):
     return None if text == "" else parse_timestamp(text)
 
@@ -74,14 +78,15 @@ class _Key(NamedTuple):
         return value
 
 
-_TIMESTAMP, _NO_WIDTH = "timestamp (YYYY-MM-DDTHH:00:00Z)", "must list at least one layer width"
+_TIMESTAMP, _AT_LEAST_1 = "timestamp (YYYY-MM-DDTHH:00:00Z)", "must be >= 1, got {}"
+_WIDTHS = "must list at least one layer width, each >= 1"
 # every config key in dump order, which the config digest hashes; the bank
 # shape and training keys take the library's defaults
 CONFIG_KEYS: dict[str, _Key] = {
-    "h": _Key(int, "integer", DEFAULT_H),
-    "ell": _Key(int, "integer", DEFAULT_ELL),
-    "m1_layers": _Key(_widths, "width list", DEFAULT_FIRST_WIDTHS, bool, _NO_WIDTH),
-    "mi_layers": _Key(_widths, "width list", DEFAULT_LATER_WIDTHS, bool, _NO_WIDTH),
+    "h": _Key(int, "integer", DEFAULT_H, lambda h: h >= 1, _AT_LEAST_1),
+    "ell": _Key(int, "integer", DEFAULT_ELL, lambda ell: ell >= 1, _AT_LEAST_1),
+    "m1_layers": _Key(_widths, "width list", DEFAULT_FIRST_WIDTHS, _valid_widths, _WIDTHS),
+    "mi_layers": _Key(_widths, "width list", DEFAULT_LATER_WIDTHS, _valid_widths, _WIDTHS),
     "learning_rate": _Key(float, "number", TrainConfig.learning_rate),
     "rho": _Key(float, "number", TrainConfig.rho),
     "epsilon": _Key(float, "number", TrainConfig.epsilon),
@@ -120,7 +125,7 @@ class RunConfig:
             pair = ("train_end", "val_end") if val_end is None else ("val_end", "train_end")
             raise UsageError("{} needs {}: set both or neither".format(*pair))
         train_frac, val_frac = self.get("train_frac"), self.get("val_frac")
-        if train_end is None and not 0 < train_frac < train_frac + val_frac <= 1:
+        if not 0 < train_frac < train_frac + val_frac <= 1:
             raise UsageError("train_frac and val_frac must be positive and sum to at most 1")
         test_start, test_end = self.get("test_start"), self.get("test_end")
         if test_start is not None and test_end is not None and test_start > test_end:

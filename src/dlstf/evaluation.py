@@ -81,17 +81,16 @@ def ar_fit(series: np.ndarray, p: int) -> ArModel:
 
 
 def ar_forecast(model: ArModel, history: np.ndarray, h: int) -> np.ndarray:
-    """Recursive h-step forecast; each prediction feeds the later lags.
-
-    A (t,) history gives (h,), a (B, t) one (h, B): the sum runs elementwise
-    in lag order, so a block's bits do not depend on B."""
+    """Recursive h-step forecasts of B series from their (B, t) histories, as
+    (h, B); each prediction feeds the later lags. The sum runs elementwise in
+    lag order, so a series' bits do not depend on B."""
     history = np.asarray(history, dtype=np.float64)
-    if history.ndim not in (1, 2) or history.shape[-1] < model.order:
+    if history.ndim != 2 or history.shape[1] < model.order:
         raise ValueError(
-            f"need at least {model.order} history values, got shape {history.shape}")
+            f"need (B, t) histories of at least {model.order} values, got shape {history.shape}")
     lags = list(history.T[::-1][:model.order])  # lags[0] = most recent
     c = model.coefficients
-    out = np.empty((h,) + history.shape[:-1])
+    out = np.empty((h, history.shape[0]))
     for step in range(h):
         acc = c[0] * lags[0]
         for j in range(1, model.order):

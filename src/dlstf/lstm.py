@@ -24,6 +24,11 @@ gradient as one product over the L*B rows (Appleyard et al. 2016,
 arXiv:1604.01946). One (L, n) sequence runs as the B = 1 batch seq[:, None].
 The forward-only pass writes every step's gates into one (B, 4H) slot whose
 f, i, k and o views it makes once: at B = 1 numpy's per-call cost bounds a step.
+
+Each step activates its (B, 4H) gate block in one pass, s * (tanh(s * v) + a)
+with per-gate scale s = [1/2, 1/2, 1, 1/2] and shift a = [1, 1, -0.0, 1]: f, i
+and o get sigmoid(v) = (tanh(v/2) + 1)/2 and k gets tanh(v) bit for bit, since
+x * 1 and x + (-0.0) are x for every x, signed zeros included.
 """
 
 from __future__ import annotations
@@ -36,8 +41,6 @@ import numpy as np
 
 # sequences per forward-only pass of predict_batches; its outputs' bytes depend on it
 PREDICT_CHUNK = 32
-# sigmoid's constants: numpy takes a 0-d array operand faster than a Python float
-_HALF, _ONE = np.array(0.5), np.array(1.0)
 
 
 @dataclass
@@ -159,25 +162,15 @@ class ForwardCache:
         return cls(layers, prediction, buffer)
 
 
-def sigmoid(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Elementwise 1/(1+exp(-v)) without overflow, written into `out` (which
-    may be v itself); exact at 0, saturates to 0 and 1."""
-    # outputs passed positionally: a keyword `out` costs each call more
-    np.multiply(v, _HALF, out)
-    np.tanh(out, out)
-    np.add(out, _ONE, out)
-    np.multiply(out, _HALF, out)
-    return out
-
-
 def _layer_forward(p: LstmLayerParams, x: np.ndarray, lc: _LayerCache | None) -> np.ndarray:
     """Run one layer over (L, B, D) inputs and return its (L, B, H) h sequence.
 
-    Every step works in place. With a cache lc the pass writes step t into
-    row t of lc's arrays, whose zero state it sets, and its gates overwrite
-    its row of the input projection, which the step has read by then. Without
-    one each step writes into the same slots: the gates' (B, 4H) block, c
-    (c_t overwrites c_{t-1}) and tanh(c); only h keeps every step.
+    Every step works in place: it adds h_{t-1} U^T into its row of the input
+    projection and activates that row into its gates. With a cache lc the
+    pass writes step t into row t of lc's arrays, whose zero state it sets,
+    and the gates overwrite the projection row. Without one each step writes
+    into the same slots: the gates' (B, 4H) block, c (c_t overwrites c_{t-1})
+    and tanh(c); only h keeps every step.
     """
     steps, batch, d = x.shape
     hid = p.hidden_dim
@@ -194,22 +187,24 @@ def _layer_forward(p: LstmLayerParams, x: np.ndarray, lc: _LayerCache | None) ->
     per_step = repeat(slots) if lc is None else zip(*slots)
     np.matmul(x.reshape(steps * batch, d), p.w.T, out=proj.reshape(steps * batch, 4 * hid))
     proj += p.b
-    pre, ik = np.empty((batch, 4 * hid)), np.empty((batch, hid))
-    pre_k = pre[:, 2 * hid:3 * hid]
+    # the activation's per-gate scale and shift, at the gate block's full
+    # shape: broadcast (4H,) rows make each step slower
+    scale, shift = np.full((batch, 4 * hid), 0.5), np.ones((batch, 4 * hid))
+    scale[:, 2 * hid:3 * hid], shift[:, 2 * hid:3 * hid] = 1.0, -0.0
+    hu, ik = np.empty((batch, 4 * hid)), np.empty((batch, hid))
     u_t = p.u.T
     h_prev = None
     for g, h_t, (gate, f_t, i_t, k_t, o_t, c_prev, c_t, tc) in zip(proj, h, per_step):
-        if h_prev is None:
-            # h_0 = 0, so h_0 U^T is exactly +0 and adding it changes no value;
-            # a copy, since the cached pass's gates overwrite g
-            np.copyto(pre, g)
-        else:
-            np.dot(h_prev, u_t, pre)
-            np.add(pre, g, pre)
-        # one sigmoid call over the fused block, then tanh over the candidate
-        # slice: cheaper per step than three calls on the f, i and o slices
-        sigmoid(pre, gate)
-        np.tanh(pre_k, k_t)
+        # h_0 = 0, so step 0's gate pre-activation is its projection row as it is
+        if h_prev is not None:
+            np.dot(h_prev, u_t, hu)
+            np.add(hu, g, g)
+        # one activation pass over the gate block; k's shift is -0.0, as +0.0
+        # would turn a -0.0 candidate into +0.0
+        np.multiply(g, scale, gate)
+        np.tanh(gate, gate)
+        np.add(gate, shift, gate)
+        np.multiply(gate, scale, gate)
         np.multiply(f_t, c_prev, c_t)
         np.multiply(i_t, k_t, ik)
         np.add(c_t, ik, c_t)

@@ -5,10 +5,12 @@ import struct
 import numpy as np
 import pytest
 
+import dlstf.bank as bank_module
 from dlstf.bank import (BANK_MAGIC, HorizonConfig, ModelBank, forecast_block, load_bank,
                         save_bank, train_bank)
-from dlstf.dataset import (HOUR, Normalizer, TimeSeriesPanel, assemble_input, fit_normalizer,
-                           format_timestamp, fraction_cuts, make_samples, normalize)
+from dlstf.dataset import (HOUR, Normalizer, TimeSeriesPanel, assemble_input, denormalize,
+                           fit_normalizer, format_timestamp, fraction_cuts, make_samples,
+                           normalize)
 from dlstf.errors import DataError
 from dlstf.evaluation import bank_forecaster, block_walk
 from dlstf.lstm import init_params, net_forward
@@ -158,6 +160,35 @@ class TestTrainBank:
         expected, _, _ = train_model(net, tr, va, SMALL_TRAIN)
         for a, b in zip(bank.models[0].param_arrays(), expected.param_arrays()):
             assert np.array_equal(a, b)
+
+
+class TestTrainServeParity:
+    @pytest.mark.parametrize("h, ell", [(3, 6), (4, 2)])
+    def test_walk_matches_the_validation_overlays(self, monkeypatch, h, ell):
+        # every complete validation block forecast by predict_blocks, offset i,
+        # is the overlay row b + i - 1 that train_bank built from model i's
+        # validation predictions; only the chunking differs, hence the rounding
+        panel = synth_generate(3, 260, seed=405, coupling=0.7, noise=0.2)
+        a, b = fraction_cuts(panel.n_times, 0.6, 0.2)
+        train, val = panel.slice_rows(0, a), panel.slice_rows(a, b)
+        assert np.isfinite(panel.values).all()
+        cfg = HorizonConfig.default(n=3, h=h, ell=ell, first_widths=(4,), later_widths=(4,))
+        overlays = []
+
+        def capture(net, train_samples, val_samples, tc):
+            result = train_model(net, train_samples, val_samples, tc)
+            overlay = np.full(val.values.shape, np.nan)
+            overlay[val_samples.target_indices] = result[2]
+            overlays.append(overlay)
+            return result
+
+        monkeypatch.setattr(bank_module, "train_model", capture)
+        bank = train_bank(train, val, cfg, SMALL_TRAIN)
+        assert len(overlays) == h
+        for b in range(ell, val.n_times - h + 1):
+            rows = np.stack([overlays[i - 1][b + i - 1] for i in range(1, h + 1)])
+            np.testing.assert_allclose(bank.predict_blocks(val.values, [b])[:, 0],
+                                       denormalize(rows, bank.normalizer), rtol=1e-9, atol=0)
 
 
 class TestForecastBlock:

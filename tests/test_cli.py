@@ -125,7 +125,8 @@ class TestUsageErrors:
         _, data, _, _ = tiny_data
         assert run("train", "--data", str(data), "--out", str(tmp_path / "x.bank"),
                    "--h", "0") == 1
-        assert "h, ell and n must all be >= 1" in capsys.readouterr().err
+        assert "config key 'h' must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.bank").exists()
 
     def test_fractions_beyond_the_panel(self, tiny_data, tmp_path, capsys):
         _, data, _, _ = tiny_data
@@ -190,15 +191,17 @@ class TestUsageErrors:
         _, data, _, _ = tiny_data
         assert run("baseline", "--method", "persistence", flag, "0",
                    "--data", str(data), "--report", str(tmp_path / "r.csv")) == 1
-        assert ("invalid configuration: h, ell and n must all be >= 1"
-                in capsys.readouterr().err)
+        assert f"config key {flag[2:]!r} must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("method", ["persistence", "ar"])
-    @pytest.mark.parametrize("line", ["m1_layers = x", "mi_layers = 0"])
+    @pytest.mark.parametrize("line", ["m1_layers = x", "mi_layers = 0", "mi_layers = 1"])
     def test_baseline_reads_no_width_key(self, tiny_data, tmp_path, capsys, method, line):
         # the walk's shape takes the default widths, which no baseline uses; a width
-        # list that does not parse is still refused, as every bad value is
+        # list that does not parse or holds a width below 1 is still refused, as
+        # every bad value is
+        refusals = {"m1_layers = x": "config key 'm1_layers': 'x' is not a valid width list",
+                    "mi_layers = 0": "config key 'mi_layers' must list at least one layer width"}
         _, data, _, _ = tiny_data
         plain, widths = tmp_path / "plain.cfg", tmp_path / "widths.cfg"
         plain.write_text("h = 2\nell = 6\n")
@@ -208,10 +211,9 @@ class TestUsageErrors:
             report = tmp_path / f"{cfg.stem}.csv"
             code = run("baseline", "--method", method, "--config", str(cfg),
                        "--data", str(data), "--report", str(report))
-            if cfg is widths and line == "m1_layers = x":
+            if cfg is widths and line in refusals:
                 assert code == 1
-                assert ("config key 'm1_layers': 'x' is not a valid width list"
-                        in capsys.readouterr().err)
+                assert refusals[line] in capsys.readouterr().err
                 assert not report.exists()
                 return
             assert code == 0
@@ -386,17 +388,40 @@ class TestConfigValueSweep:
     """Every command refuses every bad config value, whether it reads the key or not,
     before it reads a file."""
 
-    @pytest.mark.parametrize("key", list(cli_module.CONFIG_KEYS))
-    @pytest.mark.parametrize("command", COMMANDS)
-    def test_unparsable_value_exit_1(self, tiny_data, tmp_path, capsys, command, key):
+    @staticmethod
+    def refused(command, tiny_data, tmp_path, capsys, text) -> str:
+        """The stderr of `command` with config `text`, after asserting that it
+        exits 1 without a traceback and writes no file."""
         cfg, out = tmp_path / "x.cfg", tmp_path / "out"
-        cfg.write_text(f"{key} = x\n")
+        cfg.write_text(text)
         before = sorted(tmp_path.iterdir())
         assert run(*command_argv(command, tiny_data, out), "--config", str(cfg)) == 1
         err = capsys.readouterr().err
-        assert f"dlstf: error: config key {key!r}" in err
         assert "Traceback" not in err
         assert sorted(tmp_path.iterdir()) == before
+        return err
+
+    @pytest.mark.parametrize("key", list(cli_module.CONFIG_KEYS))
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unparsable_value_exit_1(self, tiny_data, tmp_path, capsys, command, key):
+        err = self.refused(command, tiny_data, tmp_path, capsys, f"{key} = x\n")
+        assert f"dlstf: error: config key {key!r}" in err
+
+    @pytest.mark.parametrize("key, value", [("h", "0"), ("ell", "0"), ("m1_layers", "0"),
+                                            ("mi_layers", "64 0"), ("mi_layers", "")])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_bank_shape_below_one_exit_1(self, tiny_data, tmp_path, capsys, command, key,
+                                         value):
+        err = self.refused(command, tiny_data, tmp_path, capsys, f"{key} = {value}\n")
+        assert f"dlstf: error: config key {key!r} must" in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_fractions_checked_with_split_times(self, tiny_data, tmp_path, capsys, command):
+        # the fractions go unused when the split times are set, yet are checked
+        err = self.refused(command, tiny_data, tmp_path, capsys,
+                           "train_end = 2000-01-05T00:00:00Z\nval_end = 2000-01-06T00:00:00Z\n"
+                           "train_frac = 5\n")
+        assert "train_frac and val_frac must be positive and sum to at most 1" in err
 
 
 class TestFlagWiring:

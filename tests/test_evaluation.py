@@ -106,24 +106,26 @@ class TestArFit:
 class TestArForecast:
     def test_hand_recursion(self):
         m = ArModel("X", 1, 0.0, np.array([0.5]))
-        out = ar_forecast(m, np.array([7.0, 2.0]), 3)
-        assert np.array_equal(out, np.array([1.0, 0.5, 0.25]))
+        out = ar_forecast(m, np.array([[7.0, 2.0]]), 3)
+        assert np.array_equal(out, np.array([[1.0], [0.5], [0.25]]))
 
     def test_zero_history_zero_forecasts(self):
         m = ArModel("X", 2, 0.0, np.array([0.4, 0.3]))
-        out = ar_forecast(m, np.zeros(5), 4)
-        assert np.array_equal(out, np.zeros(4))
+        out = ar_forecast(m, np.zeros((1, 5)), 4)
+        assert np.array_equal(out, np.zeros((4, 1)))
 
     def test_lag_order_convention(self):
         # x_next = 2.0 + 0.5*x[t-1] + 0.25*x[t-2], history [.., 4, 8]
         m = ArModel("X", 2, 2.0, np.array([0.5, 0.25]))
-        out = ar_forecast(m, np.array([4.0, 8.0]), 1)
-        assert out[0] == 2.0 + 0.5 * 8.0 + 0.25 * 4.0
+        out = ar_forecast(m, np.array([[4.0, 8.0]]), 1)
+        assert out[0, 0] == 2.0 + 0.5 * 8.0 + 0.25 * 4.0
 
     def test_insufficient_history(self):
         m = ArModel("X", 3, 0.0, np.array([0.1, 0.1, 0.1]))
         with pytest.raises(ValueError):
-            ar_forecast(m, np.array([1.0, 2.0]), 2)
+            ar_forecast(m, np.array([[1.0, 2.0]]), 2)
+        with pytest.raises(ValueError):  # a lone (t,) history is no (B, t) batch
+            ar_forecast(m, np.array([1.0, 2.0, 3.0]), 2)
 
 
 class TestArForecaster:
@@ -377,7 +379,7 @@ class TestBatchForecasters:
         batch = ar_forecast(m, history, 6)
         assert batch.shape == (6, 40)
         for j in range(40):
-            assert batch[:, j].tobytes() == ar_forecast(m, history[j], 6).tobytes()
+            assert batch[:, j].tobytes() == ar_forecast(m, history[j:j + 1], 6)[:, 0].tobytes()
 
     def test_bad_starts_rejected(self):
         values = np.ones((10, 2))

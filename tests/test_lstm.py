@@ -5,7 +5,7 @@ import pytest
 
 import dlstf.lstm as lstm_mod
 from dlstf.lstm import (LstmLayerParams, LstmNetwork, gradient_check, init_params,
-                        net_backward, net_forward, predict_batches, sigmoid)
+                        net_backward, net_forward, predict_batches)
 from conftest import (GRADCHECK_CASES, gradcheck_instance, layer_record, scalar_unroll,
                       seeded_rng)
 
@@ -469,14 +469,28 @@ class TestInitParams:
 
 
 class TestActivations:
+    """The one-pass gate activation, read from net_forward's forward record."""
+
     @staticmethod
-    def sig(z):
-        """sigmoid of z into an output array of its own."""
+    def gates(z):
+        """The activated f, i, k and o of one step whose four gates all get the
+        pre-activations z: a one-step layer with identity w and zero u and b,
+        one sequence per value of z."""
         z = np.asarray(z, dtype=np.float64)
-        return sigmoid(z, np.empty_like(z))
+        p = LstmLayerParams(4, 1, np.eye(4), np.zeros((4, 1)), np.zeros(4))
+        net = LstmNetwork([p], np.zeros((1, 1)), np.zeros(1))
+        _, cache = net_forward(net, np.repeat(z[None, :, None], 4, axis=2))
+        return [g[:, 0] for g in split_gates(cache.layers[0].gates[0])]
+
+    @classmethod
+    def sig(cls, z):
+        """The forget gate, a sigmoid as the input and output gates are."""
+        return cls.gates(z)[0]
 
     def test_analytic_points(self):
-        assert self.sig([0.0])[0] == 0.5
+        f, i, k, o = self.gates([0.0])
+        assert f[0] == i[0] == o[0] == 0.5
+        assert k[0] == 0.0
 
     def test_sigmoid_derivative_at_zero(self):
         s = self.sig([0.0])[0]
@@ -495,14 +509,18 @@ class TestActivations:
         rel = np.abs(analytic - fd) / np.maximum(1e-8, np.abs(analytic) + np.abs(fd))
         assert rel.max() < 1e-6
 
-    def test_sigmoid_out_argument_keeps_the_bits(self):
+    def test_gates_keep_the_sigmoid_and_tanh_bits(self):
+        # nonzero z: the projection keeps every such value's bits, while a BLAS
+        # product turns a -0.0 input into +0.0 before the activation sees it
         z = seeded_rng(5, 0).uniform(-30.0, 30.0, 1000)
-        out = np.empty_like(z)
-        assert sigmoid(z, out=out) is out
-        assert np.array_equal(out, 0.5 * (np.tanh(0.5 * z) + 1.0))
-        sigmoid(z, out=z)
-        assert np.array_equal(z, out)
+        f, i, k, o = self.gates(z)
+        sigmoid = 0.5 * (np.tanh(0.5 * z) + 1.0)
+        for gate in (f, i, o):
+            assert gate.tobytes() == sigmoid.tobytes()
+        assert k.tobytes() == np.tanh(z).tobytes()
 
     def test_sigmoid_extreme_inputs_stay_finite(self):
-        out = self.sig([-1e4, 1e4])
-        assert np.array_equal(out, np.array([0.0, 1.0]))
+        f, i, k, o = self.gates([-1e4, 1e4])
+        for gate in (f, i, o):
+            assert np.array_equal(gate, np.array([0.0, 1.0]))
+        assert np.array_equal(k, np.array([-1.0, 1.0]))
