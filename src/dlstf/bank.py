@@ -46,11 +46,12 @@ class HorizonConfig:
 
     def __post_init__(self):
         if self.h < 1 or self.ell < 1 or self.n < 1:
-            raise ValueError("h, ell and n must all be >= 1")
+            raise ValueError(f"h={self.h}, ell={self.ell} and n={self.n} must all be >= 1")
         if len(self.widths) != self.h:
             raise ValueError(f"need exactly {self.h} width specifications, got {len(self.widths)}")
-        if any(len(w) == 0 or any(d < 1 for d in w) for w in self.widths):
-            raise ValueError("every model needs at least one positive layer width")
+        for i, w in enumerate(self.widths, start=1):
+            if not w or min(w) < 1:
+                raise ValueError(f"model {i} needs layer widths, each >= 1, got {list(w)}")
 
     @classmethod
     def default(cls, n: int, h: int = DEFAULT_H, ell: int = DEFAULT_ELL,
@@ -214,7 +215,6 @@ def save_bank(bank: ModelBank, path) -> None:
     pairs = np.empty(2 * cfg.n)
     pairs[0::2] = nz.mins
     pairs[1::2] = nz.maxs
-    total = 2 * cfg.n
     with open(path, "wb") as fh:
         fh.write(BANK_MAGIC)
         fh.write(struct.pack("<IIII", BANK_VERSION, cfg.h, cfg.ell, cfg.n))
@@ -227,15 +227,18 @@ def save_bank(bank: ModelBank, path) -> None:
                     fh.write(block.astype("<f8", copy=False).data)
             fh.write(m.head_w.astype("<f8", copy=False).data)
             fh.write(m.head_b.astype("<f8", copy=False).data)
-            total += sum(a.size for a in m.param_arrays())
-        fh.write(struct.pack("<Q", total))
+        fh.write(struct.pack("<Q", pairs.size + sum(
+            a.size for m in bank.models for a in m.param_arrays())))
 
 
 class _Reader:
+    """The bank file's fields in order, counting the f64s read in `f64_count`."""
+
     def __init__(self, data: bytes, path):
         self.data = data
         self.pos = 0
         self.path = path
+        self.f64_count = 0
 
     def take(self, nbytes: int) -> bytes:
         if self.pos + nbytes > len(self.data):
@@ -257,11 +260,14 @@ class _Reader:
         values = np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
         if not np.all(np.isfinite(values)):
             raise DataError(f"{self.path}: non-finite value in the f64 block at offset {start}")
+        self.f64_count += count
         return values
 
 
 def load_bank(path) -> ModelBank:
-    """Read a bank file; every parameter round-trips bit-exactly through save_bank."""
+    """Read a version 1 bank file, bit-exact through save_bank. The reader checks
+    the frame only; the bank's classes refuse a bad shape, and their ValueError
+    becomes a DataError naming the path."""
     with open(path, "rb") as fh:
         data = fh.read()
     r = _Reader(data, path)
@@ -274,50 +280,29 @@ def load_bank(path) -> ModelBank:
         raise DataError(
             f"{path}: unsupported format version: found {version}, supported {BANK_VERSION}")
     h, ell, n = r.u32(), r.u32(), r.u32()
-    if h < 1 or ell < 1 or n < 1:
-        raise DataError(f"{path}: invalid dimensions h={h}, ell={ell}, n={n}")
     pairs = r.f64s(2 * n)
-    bad = np.flatnonzero(pairs[1::2] < pairs[0::2])
-    if bad.size:
-        raise DataError(f"{path}: normalizer of station {bad[0]} has min > max")
-    # station identity is not part of the format; stations match by CSV position
-    try:
-        nz = Normalizer(tuple(str(k) for k in range(n)), pairs[0::2], pairs[1::2])
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    total = 2 * n
-
-    models: list[LstmNetwork] = []
-    widths: list[tuple[int, ...]] = []
-    for i in range(1, h + 1):
-        layer_count = r.u32()
-        if layer_count < 1:
-            raise DataError(f"{path}: model with zero layers")
-        layers = []
-        expected_in = n
-        for j in range(1, layer_count + 1):
-            d, hid = r.u32(), r.u32()
-            if hid < 1:
-                raise DataError(f"{path}: model {i} layer {j} has hidden width 0")
-            if d != expected_in:
-                raise DataError(
-                    f"{path}: layer input dim {d} breaks the dimension chain "
-                    f"(expected {expected_in})")
-            w = r.f64s(4 * hid * d).reshape(4 * hid, d)
-            u = r.f64s(4 * hid * hid).reshape(4 * hid, hid)
-            layers.append(LstmLayerParams(d, hid, w, u, r.f64s(4 * hid)))
-            expected_in = hid
-        head_w = r.f64s(n * expected_in).reshape(n, expected_in)
-        head_b = r.f64s(n)
-        net = LstmNetwork(layers, head_w, head_b)
-        models.append(net)
-        widths.append(tuple(l.hidden_dim for l in layers))
-        total += sum(a.size for a in net.param_arrays())
+    models = []  # per model: its layers' (input_dim, hidden_dim, w, u, b), head_w, head_b
+    for _ in range(h):
+        layers, width = [], n
+        for _ in range(r.u32()):
+            d, width = r.u32(), r.u32()
+            layers.append((d, width, r.f64s(4 * width * d).reshape(4 * width, d),
+                           r.f64s(4 * width * width).reshape(4 * width, width),
+                           r.f64s(4 * width)))
+        models.append((layers, r.f64s(n * width).reshape(n, width), r.f64s(n)))
     declared = r.u64()
-    if declared != total:
-        raise DataError(
-            f"{path}: f64 count mismatch: trailer says {declared}, payload holds {total}")
+    if declared != r.f64_count:
+        raise DataError(f"{path}: f64 count mismatch: trailer says {declared}, "
+                        f"payload holds {r.f64_count}")
     if r.pos != len(data):
         raise DataError(f"{path}: {len(data) - r.pos} unexpected trailing bytes")
-    cfg = HorizonConfig(n=n, h=h, ell=ell, widths=tuple(widths))
-    return ModelBank(config=cfg, models=models, normalizer=nz)
+    try:
+        nets = [LstmNetwork([LstmLayerParams(*l) for l in layers], head_w, head_b)
+                for layers, head_w, head_b in models]
+        # station identity is not part of the format; stations match by CSV position
+        nz = Normalizer(tuple(str(k) for k in range(n)), pairs[0::2], pairs[1::2])
+        widths = tuple(tuple(l.hidden_dim for l in m.layers) for m in nets)
+        cfg = HorizonConfig(n=n, h=h, ell=ell, widths=widths)
+        return ModelBank(config=cfg, models=nets, normalizer=nz)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -156,9 +156,10 @@ class RunConfig:
         return self._parsed[key]
 
     def horizon_config(self, n: int) -> HorizonConfig:
-        """The bank shape for n stations; an out-of-range value is a usage error."""
-        return _configured(HorizonConfig.default, n=n, h=self.get("h"), ell=self.get("ell"),
-                           first_widths=self.get("m1_layers"), later_widths=self.get("mi_layers"))
+        """The bank shape for n stations."""
+        return HorizonConfig.default(n=n, h=self.get("h"), ell=self.get("ell"),
+                                     first_widths=self.get("m1_layers"),
+                                     later_widths=self.get("mi_layers"))
 
 
 def _configured(make, **settings):
@@ -353,7 +354,7 @@ def _cmd_baseline(args) -> int:
     h, ell = cfg.get("h"), cfg.get("ell")
     sliced, first = _test_window(panel, cfg, ell, h)
     # built after the window checks: it holds h widths, the defaults, which no baseline reads
-    shape = _configured(HorizonConfig.default, n=panel.n_stations, h=h, ell=ell)
+    shape = HorizonConfig.default(n=panel.n_stations, h=h, ell=ell)
     if args.method == "persistence":
         forecaster = persistence_forecaster(h)
     else:

@@ -362,8 +362,11 @@ class Normalizer:
         maxs = np.asarray(self.maxs, dtype=np.float64).copy()
         if mins.shape != (len(self.station_ids),) or maxs.shape != mins.shape:
             raise ValueError("mins/maxs must be one value per station")
-        if np.any(maxs < mins):
-            raise ValueError("max must be >= min per station")
+        low = np.flatnonzero(maxs < mins)
+        if low.size:
+            s = low[0]
+            raise ValueError(f"station {self.station_ids[s]!r}: normalizer min {mins[s]:g} "
+                             f"exceeds max {maxs[s]:g}")
         with np.errstate(over="ignore", invalid="ignore"):
             wide = np.flatnonzero(~np.isfinite(maxs - mins))
         if wide.size:

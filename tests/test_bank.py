@@ -1,6 +1,7 @@
 import hashlib
 import re
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ import pytest
 import dlstf.bank as bank_module
 from dlstf.bank import (BANK_MAGIC, HorizonConfig, ModelBank, forecast_block, load_bank,
                         save_bank, train_bank)
+from dlstf.cli import run_cli
 from dlstf.dataset import (HOUR, Normalizer, TimeSeriesPanel, assemble_input, denormalize,
                            fit_normalizer, format_timestamp, fraction_cuts, make_samples,
-                           normalize)
+                           normalize, write_csv)
 from dlstf.errors import DataError
 from dlstf.evaluation import bank_forecaster, block_walk
 from dlstf.lstm import init_params, net_forward
@@ -348,7 +350,7 @@ class TestSerialization:
         norm = len(BANK_MAGIC) + 16  # station 0's min, then its max
         if case == "min_above_max":
             data[norm:norm + 16] = data[norm + 8:norm + 16] + data[norm:norm + 8]
-            match = "min > max"
+            match = "station '0': normalizer min .* exceeds max"
         elif case == "nan_normalizer":
             data[norm:norm + 8] = struct.pack("<d", float("nan"))
             match = "non-finite"
@@ -359,3 +361,98 @@ class TestSerialization:
         path.write_bytes(bytes(data))
         with pytest.raises(DataError, match=match):
             load_bank(path)
+
+
+def u32_field_offsets(raw: bytes) -> list[int]:
+    """Byte offsets of every u32 field of a valid v1 bank: version, h, ell, n,
+    then each model's layer count and each layer's input and hidden widths."""
+    h, _, n = struct.unpack_from("<III", raw, len(BANK_MAGIC) + 4)
+    offsets = [len(BANK_MAGIC) + 4 * k for k in range(4)]
+    pos = offsets[-1] + 4 + 16 * n
+    for _ in range(h):
+        offsets.append(pos)
+        layer_count, width = struct.unpack_from("<I", raw, pos)[0], n
+        pos += 4
+        for _ in range(layer_count):
+            d, width = struct.unpack_from("<II", raw, pos)
+            offsets += [pos, pos + 4]
+            pos += 8 + 32 * width * (d + width + 1)
+        pos += 8 * n * (width + 1)
+    assert pos + 8 == len(raw)
+    return offsets
+
+
+def bank_mutations(raw: bytes, seed: int, count: int) -> list[tuple[str, bytes]]:
+    """`count` seeded bit flips, truncations, 4-byte overwrites and appended
+    bytes of `raw`, then every u32 field set to 0, 1, its value +- 1 and 2^32 - 1."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        kind = ("flip", "truncate", "overwrite", "append")[k % 4]
+        data = bytearray(raw)
+        if kind == "flip":
+            data[rng.integers(len(raw))] ^= 1 << int(rng.integers(8))
+        elif kind == "truncate":
+            del data[rng.integers(len(raw)):]
+        elif kind == "overwrite":
+            pos = int(rng.integers(len(raw) - 3))
+            data[pos:pos + 4] = rng.bytes(4)
+        else:
+            data += rng.bytes(int(rng.integers(1, 17)))
+        out.append((kind, bytes(data)))
+    for pos in u32_field_offsets(raw):
+        value = struct.unpack_from("<I", raw, pos)[0]
+        for new in sorted({0, 1, value - 1, value + 1, 2**32 - 1} - {-1, 2**32}):
+            data = bytearray(raw)
+            struct.pack_into("<I", data, pos, new)
+            out.append(("u32", bytes(data)))
+    return out
+
+
+class TestMutationSweep:
+    """Corrupted copies of a small v1 bank either load or are one DataError whose
+    text starts with the bank's path and names it only there."""
+
+    @pytest.fixture(scope="class")
+    def sweep_setup(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("sweep")
+        cfg = HorizonConfig.default(n=2, h=2, ell=3, first_widths=(2,), later_widths=(2, 1))
+        models = [init_params(list(w), 2, 20 + i) for i, w in enumerate(cfg.widths)]
+        path = root / "small.bank"
+        save_bank(ModelBank(cfg, models, Normalizer(("a", "b"), np.zeros(2), np.full(2, 5.0))),
+                  path)
+        data = root / "panel.csv"
+        write_csv(synth_generate(2, 100, seed=31), data)
+        return path.read_bytes(), data
+
+    def test_loads_or_names_the_path_once(self, sweep_setup, tmp_path):
+        raw, _ = sweep_setup
+        path = tmp_path / "mutant.bank"
+        outcomes = Counter()
+        for kind, data in bank_mutations(raw, seed=2031, count=2000):
+            path.write_bytes(data)
+            try:
+                load_bank(path)
+            except DataError as exc:
+                text = str(exc)
+                assert text.startswith(f"{path}: ") and text.count(str(path)) == 1, text
+                outcomes[kind, "refused"] += 1
+            else:
+                # a strict prefix or an extension of a bank is never a bank
+                assert kind not in ("truncate", "append"), kind
+                outcomes[kind, "loaded"] += 1
+        assert outcomes["flip", "loaded"] and outcomes["flip", "refused"]
+        assert outcomes["u32", "refused"]
+
+    def test_forecast_exits_0_or_2(self, sweep_setup, tmp_path, capsys):
+        raw, data = sweep_setup
+        path = tmp_path / "mutant.bank"
+        codes = Counter()
+        for _, mutant in bank_mutations(raw, seed=2032, count=40)[::3]:
+            path.write_bytes(mutant)
+            code = run_cli(["forecast", "--model", str(path), "--data", str(data),
+                            "--at", "2000-01-01T12:00:00Z"])
+            err = capsys.readouterr().err
+            assert code in (0, 2) and "Traceback" not in err, (code, err)
+            codes[code] += 1
+        assert codes[0] and codes[2]

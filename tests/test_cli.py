@@ -54,6 +54,25 @@ def run(*argv):
     return run_cli(list(argv))
 
 
+def raw_v1_bank(h, ell, n, models, pairs=None) -> bytes:
+    """A v1 bank file whose models have the given (input_dim, hidden_dim) layers,
+    every weight 0, pairs (default [0, 1] per station) as its normalizer, and the
+    trailer's f64 count right, so that only its shape can be refused."""
+    pairs = [0.0, 1.0] * n if pairs is None else pairs
+    raw = BANK_MAGIC + struct.pack(f"<IIII{len(pairs)}d", BANK_VERSION, h, ell, n, *pairs)
+    count = len(pairs)
+    for layers in models:
+        raw += struct.pack("<I", len(layers))
+        width = n
+        for d, width in layers:
+            size = 4 * width * (d + width + 1)
+            raw += struct.pack("<II", d, width) + bytes(8 * size)
+            count += size
+        raw += bytes(8 * n * (width + 1))  # head matrix and bias
+        count += n * (width + 1)
+    return raw + struct.pack("<Q", count)
+
+
 def test_python_m_dlstf_runs_the_cli():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).resolve().parents[1] / "src")]
@@ -575,17 +594,32 @@ class TestTrainEvaluate:
     def test_zero_width_layer_exit_2(self, tiny_data, tmp_path, capsys):
         # h = 1, ell = 2, n = 3; one model whose only layer has hidden width 0
         _, data, _, _ = tiny_data
-        n = 3
-        raw = BANK_MAGIC + struct.pack("<IIII", BANK_VERSION, 1, 2, n)
-        raw += struct.pack(f"<{2 * n}d", *[0.0, 1.0] * n)
-        raw += struct.pack("<III", 1, n, 0)
-        raw += struct.pack(f"<{n}d", *[0.0] * n)  # head bias; every other block is empty
-        raw += struct.pack("<Q", 3 * n)
         bad = tmp_path / "zero.bank"
-        bad.write_bytes(raw)
+        bad.write_bytes(raw_v1_bank(1, 2, 3, [[(3, 0)]]))
         assert run("forecast", "--model", str(bad), "--data", str(data),
                    "--at", "2000-01-03T00:00:00Z") == 2
-        assert "model 1 layer 1 has hidden width 0" in capsys.readouterr().err
+        assert "model 1 needs layer widths, each >= 1, got [0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("h, ell, n, models, pairs", [
+        (0, 2, 3, [], None),
+        (1, 0, 3, [[(3, 2)]], None),
+        (1, 2, 0, [[(0, 2)]], None),
+        (1, 2, 3, [[]], None),
+        (1, 2, 3, [[(3, 0)]], None),
+        (1, 2, 3, [[(3, 2), (3, 2)]], None),
+        (1, 2, 3, [[(2, 2)]], None),
+        (1, 2, 3, [[(3, 2)]], [1.0, 0.0] + [0.0, 1.0] * 2),
+    ], ids=["h0", "ell0", "n0", "no_layers", "width0", "broken_chain", "first_input_not_n",
+            "min_above_max"])
+    def test_bank_shape_refused_exit_2(self, tiny_data, tmp_path, capsys, h, ell, n, models,
+                                       pairs):
+        _, data, _, _ = tiny_data
+        bad = tmp_path / "shape.bank"
+        bad.write_bytes(raw_v1_bank(h, ell, n, models, pairs))
+        assert run("forecast", "--model", str(bad), "--data", str(data),
+                   "--at", "2000-01-03T00:00:00Z") == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: " in err and "Traceback" not in err
 
     def test_non_utf8_data_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "latin1.csv"
