@@ -264,6 +264,14 @@ class _Reader:
         return values
 
 
+def _network(i: int, layers: list[tuple], head_w: np.ndarray, head_b: np.ndarray) -> LstmNetwork:
+    """Model i's network from the fields load_bank read; its refusal names the model."""
+    try:
+        return LstmNetwork([LstmLayerParams(*l) for l in layers], head_w, head_b)
+    except ValueError as exc:
+        raise ValueError(f"model {i}: {exc}") from None
+
+
 def load_bank(path) -> ModelBank:
     """Read a version 1 bank file, bit-exact through save_bank. The reader checks
     the frame only; the bank's classes refuse a bad shape, and their ValueError
@@ -297,8 +305,7 @@ def load_bank(path) -> ModelBank:
     if r.pos != len(data):
         raise DataError(f"{path}: {len(data) - r.pos} unexpected trailing bytes")
     try:
-        nets = [LstmNetwork([LstmLayerParams(*l) for l in layers], head_w, head_b)
-                for layers, head_w, head_b in models]
+        nets = [_network(i, *m) for i, m in enumerate(models, start=1)]
         # station identity is not part of the format; stations match by CSV position
         nz = Normalizer(tuple(str(k) for k in range(n)), pairs[0::2], pairs[1::2])
         widths = tuple(tuple(l.hidden_dim for l in m.layers) for m in nets)

@@ -202,14 +202,13 @@ def _read_chunk(chunk: list[str], stamps: np.ndarray, n: int):
     return cells
 
 
-def _line_blocks(path):
-    """The lines of the UTF-8 file at `path` after any BOM, one list per read block,
-    split on "\n" only and each without one trailing CR; a last line that is empty or
-    a lone CR is none. A byte that is not UTF-8 is named as one decode would name it."""
+def _text_blocks(path):
+    """The UTF-8 text of the file at `path` after any BOM, one string per read
+    block. A byte that is not UTF-8 is named as one decode would name it."""
     with open(path, "rb") as fh:
         if not codecs.BOM_UTF8.startswith(fh.read(3)):  # skip a BOM, or a file that is part of one
             fh.seek(0)
-        pos, carry, tail = 0, b"", ""  # carry: the bytes of a character cut by a block
+        pos, carry = 0, b""  # carry: the bytes of a character cut by a block
         while True:
             data = carry + (block := fh.read(_READ_BYTES))
             try:
@@ -220,13 +219,35 @@ def _line_blocks(path):
                          else f"bytes in position {at}-{last}")
                 raise DataError(f"{path}: not UTF-8 text: 'utf-8' codec can't decode "
                                 f"{where}: {exc.reason}") from None
-            text = tail + text
-            lines = (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
-            tail = lines.pop()
-            yield lines if block or tail in ("", "\r") else lines + [tail.removesuffix("\r")]
+            yield text
             if not block:
                 return
             pos, carry = pos + used, data[used:]
+
+
+def _line_blocks(path):
+    """The lines of the file's text, one list per read block, split on "\n" only
+    and each without one trailing CR; a last line that is empty or a lone CR is none."""
+    tail = ""
+    for text in _text_blocks(path):
+        text = tail + text
+        lines = (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
+        tail = lines.pop()
+        yield lines
+    if tail not in ("", "\r"):
+        yield [tail.removesuffix("\r")]
+
+
+def _count_lines(path) -> int:
+    """How many lines _line_blocks(path) yields, counted without building them:
+    each "\n" ends one, and so does the end of a last line that is neither empty
+    nor a lone CR."""
+    count, tail = 0, ""  # tail: the first two characters after the last "\n", all that decides
+    for text in _text_blocks(path):
+        count += text.count("\n")
+        at = text.rfind("\n")
+        tail = text[at + 1:at + 3] if at >= 0 else (tail + text[:2])[:2]
+    return count + (tail not in ("", "\r"))
 
 
 def ingest_csv(path) -> TimeSeriesPanel:
@@ -238,7 +259,7 @@ def ingest_csv(path) -> TimeSeriesPanel:
     in line order; if no line there has a fault, the chunk's lines are named.
     It reads the file twice: to count its lines and name any non-UTF-8 byte, then to parse.
     """
-    count = sum(map(len, _line_blocks(path)))
+    count = _count_lines(path)
     lines = itertools.chain.from_iterable(_line_blocks(path))
 
     def take(k: int) -> list[str]:

@@ -25,6 +25,11 @@ arXiv:1604.01946). One (L, n) sequence runs as the B = 1 batch seq[:, None].
 The forward-only pass writes every step's gates into one (B, 4H) slot whose
 f, i, k and o views it makes once: at B = 1 numpy's per-call cost bounds a step.
 
+Training keeps its activations in one buffer (ForwardCache) and nothing beside
+it: the backward writes each step's gate gradients over that step's gates, and
+validation's passes run in the same buffer. Either consumes the cache, which
+net_backward then refuses until net_forward refills it.
+
 Each step activates its (B, 4H) gate block in one pass, s * (tanh(s * v) + a)
 with per-gate scale s = [1/2, 1/2, 1, 1/2] and shift a = [1, 1, -0.0, 1]: f, i
 and o get sigmoid(v) = (tanh(v/2) + 1)/2 and k gets tanh(v) bit for bit, since
@@ -81,10 +86,10 @@ class LstmNetwork:
     def __post_init__(self):
         if not self.layers:
             raise ValueError("network needs at least one layer")
-        for lo, hi in zip(self.layers, self.layers[1:]):
+        for j, (lo, hi) in enumerate(zip(self.layers, self.layers[1:]), start=2):
             if hi.input_dim != lo.hidden_dim:
-                raise ValueError(
-                    f"layer dimension chain broken: {lo.hidden_dim} -> {hi.input_dim}")
+                raise ValueError(f"layer dimension chain broken at layer {j}: "
+                                 f"{lo.hidden_dim} -> {hi.input_dim}")
         self.head_w = np.ascontiguousarray(self.head_w, dtype=np.float64)
         self.head_b = np.ascontiguousarray(self.head_b, dtype=np.float64)
         last = self.layers[-1].hidden_dim
@@ -114,52 +119,67 @@ class LstmNetwork:
 class _LayerCache:
     """One layer's time-major forward record: input x (L, B, D), activated gates
     (L, B, 4H), tanh_c (L, B, H), and c, h (L+1, B, H) led by the zero state;
-    then the arrays net_backward writes, dpre (L, B, 4H) and dh (L, B, H),
-    which the layers of a cache share (see ForwardCache.for_pass)."""
+    then dh (L, B, H), the gradient at each h_t, which net_backward writes and
+    the layers of a cache share (see ForwardCache.for_pass). The backward
+    writes each step's gate pre-activation gradients over that step's gates."""
 
     x: np.ndarray
     gates: np.ndarray
     c: np.ndarray
     tanh_c: np.ndarray
     h: np.ndarray
-    dpre: np.ndarray
     dh: np.ndarray
 
 
 @dataclass
 class ForwardCache:
     """Everything net_backward needs: per-layer records and the head output,
-    all but layer 0's x views of one flat buffer."""
+    all but layer 0's x views of one flat buffer. The cache is consumed once
+    its gates no longer hold the record of the pass that filled it: the
+    backward writes their gradients over them, and predict_batches runs its
+    passes in the buffer. net_backward refuses a consumed cache until
+    net_forward refills it."""
 
     layers: list[_LayerCache]
     prediction: np.ndarray    # (B, n), as net_forward returned it
     buffer: np.ndarray
+    consumed: bool = False
+
+    @staticmethod
+    def _shapes(net: "LstmNetwork", steps: int, batch: int) -> list[tuple[int, ...]]:
+        """The record's shapes in buffer order: per layer gates, c, tanh_c and
+        h; then one dh block sized for the widest layer, and the prediction.
+        The backward runs one layer at a time, so the layers share that block."""
+        widest = steps * batch * max(p.hidden_dim for p in net.layers)
+        return [shape for p in net.layers for shape in (
+            (steps, batch, 4 * p.hidden_dim), (steps + 1, batch, p.hidden_dim),
+            (steps, batch, p.hidden_dim), (steps + 1, batch, p.hidden_dim))
+        ] + [(widest,), (batch, net.output_dim)]
+
+    def fits(self, net: "LstmNetwork", steps: int, batch: int) -> bool:
+        """Whether the record of a pass of net over (L, B) inputs fits in the buffer."""
+        return self.buffer.size >= sum(map(math.prod, self._shapes(net, steps, batch)))
 
     @classmethod
     def for_pass(cls, previous: "ForwardCache | None", net: "LstmNetwork", steps: int,
                  batch: int) -> "ForwardCache":
-        """The arrays of a pass of net over (L, B) inputs, as consecutive views of
-        the leading part of previous's buffer when it is large enough, else of
-        a new buffer. Each layer's x is set by the pass. The backward runs one
-        layer at a time, so the layers' dpre and dh are leading parts of two
-        blocks sized for the widest layer."""
-        widest = steps * batch * max(p.hidden_dim for p in net.layers)
-        shapes = [shape for p in net.layers for shape in (
-            (steps, batch, 4 * p.hidden_dim), (steps + 1, batch, p.hidden_dim),
-            (steps, batch, p.hidden_dim), (steps + 1, batch, p.hidden_dim))]
-        shapes += [(4 * widest,), (widest,), (batch, net.output_dim)]
+        """The cache of a pass of net over (L, B) inputs: previous, refilled with
+        consecutive views of the leading part of its buffer, when the record
+        fits there, else a new cache. Each layer's x is set by the pass."""
+        shapes = cls._shapes(net, steps, batch)
         sizes = [math.prod(shape) for shape in shapes]
         if previous is not None and previous.buffer.size >= sum(sizes):
-            buffer = previous.buffer
+            cache = previous
         else:
-            buffer = np.empty(sum(sizes))
-        *records, dpre, dh, prediction = (buffer[end - size:end].reshape(shape) for shape, size, end
+            cache = cls([], None, np.empty(sum(sizes)))
+        *records, dh, cache.prediction = (cache.buffer[end - size:end].reshape(shape)
+                                          for shape, size, end
                                           in zip(shapes, sizes, accumulate(sizes)))
-        layers = [_LayerCache(None, *records[4 * j:4 * j + 4],
-                              dpre[:steps * batch * 4 * p.hidden_dim].reshape(records[4 * j].shape),
-                              dh[:steps * batch * p.hidden_dim].reshape(records[4 * j + 2].shape))
-                  for j, p in enumerate(net.layers)]
-        return cls(layers, prediction, buffer)
+        cache.layers = [_LayerCache(None, *records[4 * j:4 * j + 4],
+                                    dh[:records[4 * j + 2].size].reshape(records[4 * j + 2].shape))
+                        for j in range(len(net.layers))]
+        cache.consumed = False
+        return cache
 
 
 def _layer_forward(p: LstmLayerParams, x: np.ndarray, lc: _LayerCache | None) -> np.ndarray:
@@ -223,12 +243,11 @@ def net_forward(net: LstmNetwork, seq, keep_cache: bool = True,
     Returns the (B, n) head output and the caches required by net_backward,
     or None when keep_cache is false, which only predict_batches asks for.
 
-    A `cache` returned by an earlier pass is overwritten, prediction
-    included, when its buffer is large enough for this pass, as it is for
-    the same network over as many sequences or fewer. The returned cache
-    then views that buffer, so a training loop allocates it once. A cache
-    too small is left untouched and the pass allocates a new buffer.
-    Without keep_cache, `cache` is not used.
+    A `cache` returned by an earlier pass is refilled and returned, prediction
+    included, when this pass's record fits in its buffer, as it does for the
+    same network over as many sequences or fewer, so a training loop
+    allocates it once. A cache too small is left untouched and the pass
+    returns a new one. Without keep_cache, `cache` is not used.
     """
     x = np.asarray(seq, dtype=np.float64)
     if x.size == 0:
@@ -246,14 +265,22 @@ def net_forward(net: LstmNetwork, seq, keep_cache: bool = True,
     return prediction, cache
 
 
-def predict_batches(net: LstmNetwork, x: np.ndarray) -> np.ndarray:
+def predict_batches(net: LstmNetwork, x: np.ndarray,
+                    cache: ForwardCache | None = None) -> np.ndarray:
     """Forward-only (N, n) predictions for a time-major (L, N, n) input,
     PREDICT_CHUNK sequences per pass so that no pass holds more than a chunk's
-    activations. Validation, the training overlays and every walk run through it."""
+    activations. Validation, the training overlays and every walk run through it.
+
+    Given a training `cache`, a pass whose record fits in its buffer runs
+    there, keeping its record, which gives the same bits and allocates no
+    activations; the cache is then consumed. Other passes allocate theirs."""
     out = np.empty((x.shape[1], net.output_dim))
     for lo in range(0, x.shape[1], PREDICT_CHUNK):
-        out[lo:lo + PREDICT_CHUNK] = net_forward(net, x[:, lo:lo + PREDICT_CHUNK],
-                                                 keep_cache=False)[0]
+        chunk = x[:, lo:lo + PREDICT_CHUNK]
+        borrow = cache is not None and cache.fits(net, *chunk.shape[:2])
+        out[lo:lo + PREDICT_CHUNK] = net_forward(net, chunk, keep_cache=borrow, cache=cache)[0]
+        if borrow:
+            cache.consumed = True
     return out
 
 
@@ -261,10 +288,10 @@ def _layer_backward(p: LstmLayerParams, lc: _LayerCache, dh_seq: np.ndarray,
                     g: LstmLayerParams) -> np.ndarray:
     """BPTT through one layer, given the (L, B, H) gradient arriving at each h_t
     from above. Writes the parameter gradients into g; returns the (L*B, 4H)
-    gradient at the gate pre-activations, held in lc.dpre."""
+    gradient at the gate pre-activations, which step t writes over lc.gates[t]
+    once it has read them."""
     steps, batch, d = lc.x.shape
     hid = p.hidden_dim
-    dpre = lc.dpre
     dh_carry = np.zeros((batch, hid))
     dc = np.zeros((batch, hid))
     for t in range(steps - 1, -1, -1):
@@ -272,15 +299,16 @@ def _layer_backward(p: LstmLayerParams, lc: _LayerCache, dh_seq: np.ndarray,
         gates, tanh_c = lc.gates[t], lc.tanh_c[t]
         f, i, k, o = (gates[:, q * hid:(q + 1) * hid] for q in range(4))
         dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-        # gate derivatives come from the cached activations: sigmoid' = s (1 - s)
-        dpre[t, :, :hid] = dc * lc.c[t] * (f * (1.0 - f))
-        dpre[t, :, hid:2 * hid] = dc * k * (i * (1.0 - i))
-        dpre[t, :, 2 * hid:3 * hid] = dc * i * (1.0 - k * k)
-        dpre[t, :, 3 * hid:] = dh * tanh_c * (o * (1.0 - o))
+        # gate derivatives come from the cached activations: sigmoid' = s (1 - s).
+        # Each right side is evaluated in full before its slots are written, so
+        # i and k, which each read the other, and f, which the carry dc * f
+        # reads, are read before their gradients replace them
+        o[...] = dh * tanh_c * (o * (1.0 - o))
+        i[...], k[...] = dc * k * (i * (1.0 - i)), dc * i * (1.0 - k * k)
+        dc, f[...] = dc * f, dc * lc.c[t] * (f * (1.0 - f))
         if t:    # nothing reads the carry into h_0
-            dc = dc * f
-            dh_carry = dpre[t] @ p.u
-    rows = dpre.reshape(steps * batch, 4 * hid)
+            dh_carry = gates @ p.u
+    rows = lc.gates.reshape(steps * batch, 4 * hid)
     np.matmul(rows.T, lc.x.reshape(steps * batch, d), out=g.w)
     np.matmul(rows.T, lc.h[:-1].reshape(steps * batch, hid), out=g.u)
     np.sum(rows, axis=0, out=g.b)
@@ -295,8 +323,14 @@ def net_backward(net: LstmNetwork, cache: ForwardCache, dloss_dpred: np.ndarray,
     the gradients of a batch are the sums over its sequences. They come back
     as an LstmNetwork of net's shape whose arrays are the gradients: `grads`
     when given, every array of it overwritten, else a fresh one. The pass
-    writes its working arrays into the cache's dpre and dh buffers.
+    writes its working arrays into the cache: each layer's gate gradients
+    over its gates, and the gradients at h into dh. That consumes the cache,
+    and a consumed cache is refused with ValueError until net_forward
+    refills it.
     """
+    if cache.consumed:
+        raise ValueError("cache is consumed: a backward pass or predict_batches overwrote "
+                         "its gates; net_forward must refill it first")
     if len(cache.layers) != len(net.layers):
         raise ValueError("cache does not match network: layer count differs")
     for p, lc in zip(net.layers, cache.layers):
@@ -310,6 +344,7 @@ def net_backward(net: LstmNetwork, cache: ForwardCache, dloss_dpred: np.ndarray,
         grads = net.clone()    # every array is overwritten below
     elif [a.shape for a in grads.param_arrays()] != [a.shape for a in net.param_arrays()]:
         raise ValueError("grads does not match network: parameter shapes differ")
+    cache.consumed = True
 
     # the head is linear: its pre-activation gradient is dloss_dpred itself
     top = cache.layers[-1]

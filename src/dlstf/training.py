@@ -119,11 +119,11 @@ def train_model(net: LstmNetwork, train_samples: SampleSet, val_samples: SampleS
     mini-batches. Each batch runs as one (L, B, n) forward and backward pass
     whose gradient is the mean of the per-sample MAE gradients, reduced over
     the batch by BLAS; one RMSprop step follows per batch. Validation MAE is
-    computed every epoch by predict_batches, whose chunk size does not depend
-    on batch_size; training stops once it has failed to improve for
-    `patience` consecutive epochs, and the parameters from the best
-    validation epoch are returned, with that epoch's (N, n) validation
-    predictions.
+    computed every epoch by predict_batches in the training cache's buffer,
+    with a chunk size that does not depend on batch_size; training stops once
+    it has failed to improve for `patience` consecutive epochs, and the
+    parameters from the best validation epoch are returned, with that epoch's
+    (N, n) validation predictions.
     """
     if not train_samples:
         raise ValueError("training set is empty")
@@ -134,7 +134,7 @@ def train_model(net: LstmNetwork, train_samples: SampleSet, val_samples: SampleS
     params = work.param_arrays()
     acc = [np.zeros_like(p) for p in params]
     grads = work.clone()    # net_backward overwrites it every batch
-    cache = None            # every batch's forward pass writes into the first one's
+    cache = None            # every batch's forward pass, and validation, use the first one's
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 1])))
     history = TrainHistory()
     x_train, y_train = np.asarray(train_samples.x, dtype=np.float64), train_samples.y
@@ -164,7 +164,7 @@ def train_model(net: LstmNetwork, train_samples: SampleSet, val_samples: SampleS
             rmsprop_update(params, grads.param_arrays(), acc, cfg)
 
         train_loss = loss_sum / len(train_samples)
-        val_pred = predict_batches(work, val_samples.x)
+        val_pred = predict_batches(work, val_samples.x, cache)
         val_loss = _mean_val_mae(val_pred, val_samples.y)
         history.train_losses.append(train_loss)
         history.val_losses.append(val_loss)
@@ -185,5 +185,5 @@ def train_model(net: LstmNetwork, train_samples: SampleSet, val_samples: SampleS
     for dst, src in zip(result.param_arrays(), best_params):
         dst[...] = src
     if best_pred is None:    # no epoch's validation MAE was finite
-        best_pred = predict_batches(result, val_samples.x)
+        best_pred = predict_batches(result, val_samples.x, cache)
     return result, history, best_pred

@@ -340,15 +340,15 @@ class TestCsvExitCodes:
     def test_file_changed_while_read_exit_2(self, tmp_path, capsys, monkeypatch):
         lines = self.lines()
         data = self.write(tmp_path / "changing.csv", lines)
-        line_blocks, passes = dataset_module._line_blocks, []
+        text_blocks, passes = dataset_module._text_blocks, []
 
         def grow_after_the_count(path):
             passes.append(path)
-            yield from line_blocks(path)
+            yield from text_blocks(path)
             if len(passes) == 1:
                 self.write(data, lines + lines[-1:])
 
-        monkeypatch.setattr(dataset_module, "_line_blocks", grow_after_the_count)
+        monkeypatch.setattr(dataset_module, "_text_blocks", grow_after_the_count)
         assert self.train(data, tmp_path) == 2
         err = capsys.readouterr().err
         assert err.endswith(f"dlstf: data error: {data}: file changed while it was read\n")
@@ -600,26 +600,32 @@ class TestTrainEvaluate:
                    "--at", "2000-01-03T00:00:00Z") == 2
         assert "model 1 needs layer widths, each >= 1, got [0]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("h, ell, n, models, pairs", [
-        (0, 2, 3, [], None),
-        (1, 0, 3, [[(3, 2)]], None),
-        (1, 2, 0, [[(0, 2)]], None),
-        (1, 2, 3, [[]], None),
-        (1, 2, 3, [[(3, 0)]], None),
-        (1, 2, 3, [[(3, 2), (3, 2)]], None),
-        (1, 2, 3, [[(2, 2)]], None),
-        (1, 2, 3, [[(3, 2)]], [1.0, 0.0] + [0.0, 1.0] * 2),
+    # each refusal names the malformed model, counted from 1, and its layer
+    @pytest.mark.parametrize("h, ell, n, models, pairs, refusal", [
+        (0, 2, 3, [], None, "h=0, ell=2 and n=3 must all be >= 1"),
+        (1, 0, 3, [[(3, 2)]], None, "h=1, ell=0 and n=3 must all be >= 1"),
+        (1, 2, 0, [[(0, 2)]], None, "h=1, ell=2 and n=0 must all be >= 1"),
+        (1, 2, 3, [[]], None, "model 1: network needs at least one layer"),
+        (1, 2, 3, [[(3, 0)]], None, "model 1 needs layer widths, each >= 1, got [0]"),
+        (1, 2, 3, [[(3, 2), (3, 2)]], None,
+         "model 1: layer dimension chain broken at layer 2: 2 -> 3"),
+        (1, 2, 3, [[(2, 2)]], None, "model 1 must map 3 stations to 3, got 2 -> 3"),
+        (1, 2, 3, [[(3, 2)]], [1.0, 0.0] + [0.0, 1.0] * 2,
+         "station '0': normalizer min 1 exceeds max 0"),
+        (3, 2, 3, [[(3, 2)], [(3, 2)], []], None, "model 3: network needs at least one layer"),
+        (2, 2, 3, [[(3, 2)], [(3, 2), (2, 4), (3, 2)]], None,
+         "model 2: layer dimension chain broken at layer 3: 4 -> 3"),
     ], ids=["h0", "ell0", "n0", "no_layers", "width0", "broken_chain", "first_input_not_n",
-            "min_above_max"])
+            "min_above_max", "model3_no_layers", "model2_layer3_broken_chain"])
     def test_bank_shape_refused_exit_2(self, tiny_data, tmp_path, capsys, h, ell, n, models,
-                                       pairs):
+                                       pairs, refusal):
         _, data, _, _ = tiny_data
         bad = tmp_path / "shape.bank"
         bad.write_bytes(raw_v1_bank(h, ell, n, models, pairs))
         assert run("forecast", "--model", str(bad), "--data", str(data),
                    "--at", "2000-01-03T00:00:00Z") == 2
         err = capsys.readouterr().err
-        assert f"{bad}: " in err and "Traceback" not in err
+        assert f"{bad}: {refusal}" in err and "Traceback" not in err
 
     def test_non_utf8_data_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "latin1.csv"

@@ -563,11 +563,11 @@ class TestStreamingRead:
         path.write_bytes(("\n".join(lines) + "\n").encode())
         extra = {"grow": "\n".join(csv_lines(51)[-1:]).encode() + b"\n",
                  "not_utf8": b"\xff\n"}.get(change)
-        line_blocks, passes = dataset._line_blocks, []
+        text_blocks, passes = dataset._text_blocks, []
 
         def change_after_the_count(p):
             passes.append(p)
-            yield from line_blocks(p)
+            yield from text_blocks(p)
             if len(passes) == 1:
                 if extra is None:
                     path.write_bytes(("\n".join(lines[:-2]) + "\n").encode())
@@ -575,7 +575,7 @@ class TestStreamingRead:
                     with open(path, "ab") as fh:
                         fh.write(extra)
 
-        monkeypatch.setattr(dataset, "_line_blocks", change_after_the_count)
+        monkeypatch.setattr(dataset, "_text_blocks", change_after_the_count)
         message = ("not UTF-8 text" if change == "not_utf8"
                    else "file changed while it was read")
         with pytest.raises(DataError, match=message):

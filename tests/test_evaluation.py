@@ -355,9 +355,9 @@ class TestBatchForecasters:
         forecast = batch_forecasters(values, self.H, self.ELL)["bank"]
         calls = []
 
-        def counting(net, seq, keep_cache=True):
+        def counting(net, seq, keep_cache=True, cache=None):
             calls.append(np.shape(seq)[1])
-            return net_forward(net, seq, keep_cache)
+            return net_forward(net, seq, keep_cache, cache)
         monkeypatch.setattr(lstm, "net_forward", counting)
         report = evaluate(forecast, panel_from(values), schedule_cfg(3, self.H, self.ELL),
                           first_block_index=60)

@@ -323,7 +323,7 @@ class TestCacheReuse:
         assert cache.buffer is old.buffer
         assert np.shares_memory(pred, old.buffer)
         for lc in cache.layers:
-            for a in (lc.gates, lc.c, lc.tanh_c, lc.h, lc.dpre, lc.dh):
+            for a in (lc.gates, lc.c, lc.tanh_c, lc.h, lc.dh):
                 assert np.shares_memory(a, old.buffer)
 
     def test_a_cache_too_small_is_left_untouched(self):
@@ -366,11 +366,68 @@ class TestCacheReuse:
         for a, b in zip(got.param_arrays(), fresh.param_arrays()):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("widths", [(32,), (64, 64)])
+    @pytest.mark.parametrize("batch", [1, 7, 33])
+    def test_gradients_through_a_consumed_and_refilled_cache_match_fresh_ones(
+            self, widths, batch):
+        net = init_params(list(widths), 6, batch)
+        rng = seeded_rng(batch, len(widths), 2)
+        x = rng.uniform(-2, 2, (12, batch, 6))
+        upstream = rng.uniform(-1, 1, (batch, 6))
+        _, fresh_cache = net_forward(net, x)
+        fresh = net_backward(net, fresh_cache, upstream)
+        # the reused buffer's gates were overwritten by a backward pass and
+        # then by a predict_batches pass that ran in it
+        _, cache = net_forward(net, rng.uniform(-2, 2, (12, batch, 6)))
+        net_backward(net, cache, rng.uniform(-1, 1, (batch, 6)))
+        predict_batches(net, rng.uniform(-2, 2, (12, batch, 6)), cache)
+        pred, refilled = net_forward(net, x, cache=cache)
+        assert refilled is cache
+        assert np.array_equal(pred, fresh_cache.prediction)
+        got = net_backward(net, cache, upstream)
+        for a, b in zip(got.param_arrays(), fresh.param_arrays()):
+            assert np.array_equal(a, b)
+
     def test_gradients_of_another_shape_rejected(self):
         net = init_params([4], 2, 1)
         _, cache = net_forward(net, np.ones((3, 2))[:, None])
         with pytest.raises(ValueError, match="grads"):
             net_backward(net, cache, np.zeros((1, 2)), init_params([5], 2, 1))
+
+
+class TestConsumedCache:
+    """A cache whose gates were overwritten is refused until refilled."""
+
+    def test_second_backward_on_one_cache_rejected(self):
+        net = init_params([5, 3], 4, 3)
+        x = seeded_rng(3, 11).uniform(-1, 1, (6, 7, 4))
+        _, cache = net_forward(net, x)
+        net_backward(net, cache, np.ones((7, 4)))
+        with pytest.raises(ValueError, match="consumed"):
+            net_backward(net, cache, np.ones((7, 4)))
+        net_forward(net, x, cache=cache)
+        net_backward(net, cache, np.ones((7, 4)))
+
+    def test_backward_after_predict_batches_borrowed_the_cache_rejected(self):
+        net = init_params([5], 4, 3)
+        rng = seeded_rng(3, 12)
+        x = rng.uniform(-1, 1, (6, 32, 4))
+        _, cache = net_forward(net, x)
+        expected = predict_batches(net, x[:, :20])
+        assert np.array_equal(predict_batches(net, x[:, :20], cache), expected)
+        with pytest.raises(ValueError, match="consumed"):
+            net_backward(net, cache, np.ones((32, 4)))
+
+    def test_a_buffer_too_small_is_left_untouched(self):
+        net = init_params([5], 4, 3)
+        rng = seeded_rng(3, 13)
+        _, cache = net_forward(net, rng.uniform(-1, 1, (6, 2, 4)))
+        before = cache.buffer.copy()
+        x = rng.uniform(-1, 1, (6, 40, 4))
+        assert np.array_equal(predict_batches(net, x, cache), predict_batches(net, x))
+        assert np.array_equal(cache.buffer, before)
+        assert not cache.consumed
+        net_backward(net, cache, np.ones((2, 4)))
 
 
 class TestNetBackward:

@@ -173,9 +173,9 @@ class TestTrainModel:
         snapshots, preds = [], []
         real_predict = training_mod.predict_batches
 
-        def predict_fn(net, x):
+        def predict_fn(net, x, cache=None):
             snapshots.append([p.copy() for p in net.param_arrays()])
-            preds.append(real_predict(net, x))
+            preds.append(real_predict(net, x, cache))
             return preds[-1]
 
         def val_fn(pred, target):
@@ -308,3 +308,33 @@ class TestBufferReuse:
             tracemalloc.stop()
         # one (L, B, 4H) float64 array: the gates of one layer pass
         assert peaks[1] - peaks[0] < steps * batch * 4 * hid * 8
+
+    def test_validation_runs_in_the_training_buffer(self, monkeypatch):
+        steps, batch, hid = 8, 32, 16
+        samples = make_linear_task(4 * batch + 40, steps, 2, 6)
+        # 40 validation samples: a full chunk of PREDICT_CHUNK = batch, then 8
+        train, val = rows(samples, 0, 4 * batch), rows(samples, 4 * batch, 4 * batch + 40)
+        cfg = TrainConfig(max_epochs=1, patience=1, batch_size=batch, seed=4)
+        net = init_params([hid], 2, 4)
+        peaks = []
+        real_update, real_predict = training_mod.rmsprop_update, training_mod.predict_batches
+
+        def update(*args):
+            real_update(*args)
+            if not peaks:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+
+        def predict(*args):
+            out = real_predict(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return out
+
+        monkeypatch.setattr(training_mod, "rmsprop_update", update)
+        monkeypatch.setattr(training_mod, "predict_batches", predict)
+        tracemalloc.start()
+        try:
+            train_model(net, train, val, cfg)
+        finally:
+            tracemalloc.stop()
+        # less than one (B, 4H) float64 block over the training peak
+        assert peaks[1] - peaks[0] < batch * 4 * hid * 8
